@@ -23,7 +23,6 @@ from .core import (
     SolverError,
     Trace,
     TraceRecord,
-    directional_derivative_fd,
     make_block_structure,
 )
 from .engine import (
@@ -44,10 +43,6 @@ from .surrogates import (
     LipschitzQuadraticSurrogate,
     ProximalSurrogate,
     QuadraticApprox,
-    block_forward_backward_step,
-    dc_minimize,
-    forward_backward_step,
-    proximal_minimize,
     soft_threshold,
 )
 from .verify import (
@@ -56,7 +51,6 @@ from .verify import (
     audit_trace,
     check_composite_smooth,
     check_first_order_match,
-    check_quasiconvexity,
     check_tightness,
     check_upper_bound,
 )
@@ -79,7 +73,6 @@ __all__ = [
     "SolverError",
     "Trace",
     "TraceRecord",
-    "directional_derivative_fd",
     "make_block_structure",
     "ArmijoParams",
     "Schedule",
@@ -96,17 +89,12 @@ __all__ = [
     "LipschitzQuadraticSurrogate",
     "ProximalSurrogate",
     "QuadraticApprox",
-    "block_forward_backward_step",
-    "dc_minimize",
-    "forward_backward_step",
-    "proximal_minimize",
     "soft_threshold",
     "CheckReport",
     "SampleSpace",
     "audit_trace",
     "check_composite_smooth",
     "check_first_order_match",
-    "check_quasiconvexity",
     "check_tightness",
     "check_upper_bound",
     "__version__",

@@ -30,7 +30,6 @@ from .surrogates import (
 )
 
 __all__ = [
-    "DcProblem",
     "proximal_point_solve",
     "alternating_proximal_solve",
     "forward_backward_solve",
@@ -40,9 +39,6 @@ __all__ = [
     "gmm_nll",
     "em_gmm",
 ]
-
-# A difference-of-convex problem is exactly the data its linearization needs.
-DcProblem = DcLinearization
 
 _COLLAPSE_MASS = 1e-12
 
@@ -79,7 +75,7 @@ def forward_backward_solve(nonsmooth_value: Callable[[np.ndarray], float],
     return run_sum(surrogate.objective(), surrogate, x0, opts)
 
 
-def cccp_solve(problem: DcProblem, x0: Point,
+def cccp_solve(problem: DcLinearization, x0: Point,
                opts: SolveOptions = SolveOptions(),
                block_mode: bool = False) -> tuple[Point, Trace]:
     """Concave-convex procedure: repeatedly minimize the linearized bound."""

@@ -328,14 +328,13 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
         new_obj = 0.0
         for u in range(spec.n_users):
             new_obj += _logdet_pd(mse_matrix(spec, H, V, U, u))
-        if opts.record_trace:
-            extras = {
-                "sum_rate_nats": sum_rate(spec, H, V),
-                "max_power_violation": float(np.max(power_per_cell(spec, V)
-                                                    - np.asarray(spec.power))),
-            }
-            trace.append(TraceRecord(iteration=r, block=block, objective=new_obj,
-                                     step_size=None, elapsed_ns=0, extras=extras))
+        extras = {
+            "sum_rate_nats": sum_rate(spec, H, V),
+            "max_power_violation": float(np.max(power_per_cell(spec, V)
+                                                - np.asarray(spec.power))),
+        }
+        trace.append(TraceRecord(iteration=r, block=block, objective=new_obj,
+                                 step_size=None, elapsed_ns=0, extras=extras))
         scale = 1.0 + abs(new_obj)
         small = small + 1 if abs(obj - new_obj) <= opts.tol * scale else 0
         obj = new_obj

@@ -3,9 +3,10 @@
 Subcommands run canned experiments (cp, wmmse, em, toy) or the surrogate
 check suite (verify). A JSON config file supplies ``{"experiment": ...,
 "params": {...}, "seeds": [...], "output_dir": ...}``; command-line flags
-override it. Exit codes: 0 success, 2 config validation failure, 3 solver
-failure. Per-seed trace CSVs and summary.json are written atomically and
-are byte-identical across reruns of the same config.
+override it. Exit codes: 0 success, 2 bad params (including an unreadable
+input file), 3 a failed solver task. Per-seed trace CSVs and summary.json
+are written atomically and are byte-identical across reruns of the same
+config.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
@@ -23,7 +25,6 @@ import numpy as np
 from . import app_classic, app_tensor, app_wmmse, problems, verify
 from .core import (
     BsumError,
-    InvalidArgumentError,
     ObjectiveOracle,
     Point,
     RngStream,
@@ -87,54 +88,74 @@ def _validate_seeds(seeds: Any) -> list[int]:
 
 
 _PARAM_TABLES: dict[str, dict[str, tuple]] = {
-    # key: (type tag, default). Type tags: int, num, str, list, bool.
+    # key: (kind, default). Kinds: count (integer >= 1), num (finite number),
+    # pos (number > 0), nonneg (number >= 0), str, list.
     "cp": {
         "instance": ("str", "swamp"),
         "theta": ("num", math.pi / 36),
         "tensor_file": ("str", None),
-        "rank": ("int", 3),
+        "rank": ("count", 3),
         "dims": ("list", [4, 4, 4]),
         "modes": ("list", list(app_tensor.CP_MODES)),
-        "epsilon": ("num", 1e-5),
-        "max_iters": ("int", 5000),
-        "tol": ("num", 1e-14),
-        "lam": ("num", 0.1),
-        "lam0": ("num", 1e-7),
-        "lam1": ("num", 0.1),
+        "epsilon": ("pos", 1e-5),
+        "max_iters": ("count", 5000),
+        "tol": ("pos", 1e-14),
+        "lam": ("nonneg", 0.1),
+        "lam0": ("nonneg", 1e-7),
+        "lam1": ("nonneg", 0.1),
     },
     "wmmse": {
-        "n_cells": ("int", 2),
-        "users_per_cell": ("int", 1),
-        "n_antennas": ("int", 2),
-        "streams": ("int", 1),
-        "noise_power": ("num", 1.0),
-        "power": ("num", 1.0),
-        "max_iters": ("int", 400),
-        "tol": ("num", 1e-9),
+        "n_cells": ("count", 2),
+        "users_per_cell": ("count", 1),
+        "n_antennas": ("count", 2),
+        "streams": ("count", 1),
+        "noise_power": ("pos", 1.0),
+        "power": ("pos", 1.0),
+        "max_iters": ("count", 400),
+        "tol": ("pos", 1e-9),
     },
     "em": {
-        "n_components": ("int", 2),
+        "n_components": ("count", 2),
         "modes": ("list", ["full", "block"]),
         "data_file": ("str", None),
-        "n_per_cluster": ("int", 500),
+        "n_per_cluster": ("count", 500),
         "centers": ("list", [-5.0, 5.0]),
         "sigma": ("num", 1.0),
-        "max_iters": ("int", 500),
-        "tol": ("num", 1e-10),
+        "max_iters": ("count", 500),
+        "tol": ("pos", 1e-10),
     },
     "toy": {
         "solver": ("str", "prox"),
-        "max_iters": ("int", 200),
+        "max_iters": ("count", 200),
         # Below ~1e-8 the bsca demo's Armijo search hits rounding noise.
-        "tol": ("num", 1e-8),
+        "tol": ("pos", 1e-8),
     },
     "verify": {
         "surrogate": ("str", "all"),
-        "n_samples": ("int", 1000),
-        "n_anchors": ("int", 60),
-        "max_iters": ("int", 100),
-        "tol": ("num", 1e-8),
+        "n_samples": ("count", 1000),
+        "n_anchors": ("count", 60),
+        "max_iters": ("count", 100),
+        "tol": ("pos", 1e-8),
     },
+}
+
+def _count(val: Any) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool) and val >= 1
+
+
+def _finite(val: Any) -> bool:
+    # The bound also rejects NaN, infinities and ints too large for a float.
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
+_KINDS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "count": (_count, "an integer >= 1"),
+    "num": (_finite, "a finite number"),
+    "pos": (lambda v: _finite(v) and v > 0, "a positive number"),
+    "nonneg": (lambda v: _finite(v) and v >= 0, "a nonnegative number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list), "a list"),
 }
 
 
@@ -149,18 +170,9 @@ def _validate_params(experiment: str, params: Any) -> dict:
             out[key] = default
             continue
         val = params[key]
-        if kind == "int":
-            _expect(isinstance(val, int) and not isinstance(val, bool),
-                    f"parameter {key!r} must be an integer", key)
-        elif kind == "num":
-            _expect(isinstance(val, (int, float)) and not isinstance(val, bool),
-                    f"parameter {key!r} must be a number", key)
-            val = float(val)
-        elif kind == "str":
-            _expect(isinstance(val, str), f"parameter {key!r} must be a string", key)
-        elif kind == "list":
-            _expect(isinstance(val, list), f"parameter {key!r} must be a list", key)
-        out[key] = val
+        fits, wanted = _KINDS[kind]
+        _expect(fits(val), f"parameter {key!r} must be {wanted}", key)
+        out[key] = float(val) if kind in ("num", "pos", "nonneg") else val
     return out
 
 
@@ -184,24 +196,28 @@ def validate_config(config: Any) -> dict:
         if params["instance"] == "file":
             _expect(params["tensor_file"] is not None,
                     "instance 'file' needs a tensor_file path", "tensor_file")
+        if params["instance"] == "random":
+            dims = params["dims"]
+            _expect(len(dims) == 3 and all(_count(d) for d in dims),
+                    "dims must be three positive integers", "dims")
         for mode in params["modes"]:
             _expect(mode in app_tensor.CP_MODES,
                     f"unknown cp mode {mode!r}", "modes")
-        _expect(params["rank"] >= 1, "rank must be >= 1", "rank")
-        _expect(params["epsilon"] > 0, "epsilon must be positive", "epsilon")
+    if experiment == "wmmse":
+        _expect(params["streams"] <= params["n_antennas"],
+                "streams must not exceed n_antennas", "streams")
     if experiment == "em":
         for mode in params["modes"]:
             _expect(mode in ("full", "block"), f"unknown em mode {mode!r}", "modes")
-        _expect(params["n_components"] >= 1, "n_components must be >= 1", "n_components")
+        centers = params["centers"]
+        _expect(len(centers) == 2 and all(_finite(c) for c in centers),
+                "centers must be two finite numbers", "centers")
     if experiment == "toy":
         _expect(params["solver"] in TOY_SOLVERS,
                 f"solver must be one of {TOY_SOLVERS}", "solver")
     if experiment == "verify":
         _expect(params["surrogate"] == "all" or params["surrogate"] in VERIFY_TARGETS,
                 f"surrogate must be 'all' or one of {VERIFY_TARGETS}", "surrogate")
-        _expect(params["n_samples"] >= 1, "n_samples must be >= 1", "n_samples")
-    _expect(params.get("max_iters", 1) >= 1, "max_iters must be >= 1", "max_iters")
-    _expect(params.get("tol", 1.0) > 0, "tol must be positive", "tol")
     return {"experiment": experiment, "params": params, "seeds": seeds,
             "output_dir": output_dir}
 
@@ -300,147 +316,126 @@ def _pool_map(fn: Callable, tasks: Sequence) -> list:
 
 # -------------------------------------------------------------- experiments
 
+def _run_tasks(name: str, modes: Sequence, seeds: list[int],
+               solve: Callable[[Any, int], Trace], out_dir: str,
+               rates: bool = False) -> tuple[list, list[dict]]:
+    """Run ``solve(mode, seed)`` for every mode and seed through the pool.
+
+    Each trace is written to ``{name}_{mode}_seed{seed}.csv``, or
+    ``{name}_seed{seed}.csv`` when the mode is None, plus the rates CSV when
+    ``rates`` is set. A ``BsumError`` inside a task becomes an ``errors``
+    entry and that task's trace is None. Returns the ``(mode, seed, trace)``
+    triples in task order and the errors sorted by mode and seed.
+    """
+    tasks = [(mode, seed) for mode in modes for seed in seeds]
+
+    def one(task):
+        try:
+            return solve(*task), None
+        except BsumError as exc:
+            return None, str(exc)
+
+    results, errors = [], []
+    for (mode, seed), (trace, err) in zip(tasks, _pool_map(one, tasks)):
+        tag = f"seed{seed}" if mode is None else f"{mode}_seed{seed}"
+        if err is None:
+            _atomic_write(os.path.join(out_dir, f"{name}_{tag}.csv"),
+                          trace_csv_text(trace))
+            if rates:
+                _atomic_write(os.path.join(out_dir, f"{name}_rates_{tag}.csv"),
+                              rates_csv_text(trace))
+        else:
+            errors.append({"seed": seed, "error": err} if mode is None
+                          else {"mode": mode, "seed": seed, "error": err})
+        results.append((mode, seed, trace))
+    errors.sort(key=lambda e: (e.get("mode", ""), e["seed"]))
+    return results, errors
+
+
 def _load_cp_instance(params: dict, out_dir: str) -> app_tensor.DenseTensor3:
     if params["instance"] == "file":
         try:
             return app_tensor.read_tensor(params["tensor_file"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read tensor file: {exc}", "tensor_file") from exc
-        except InvalidArgumentError as exc:
-            raise ConfigError(f"bad tensor file: {exc}", "tensor_file") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read tensor_file: {exc}", "tensor_file") from exc
     if params["instance"] == "swamp":
         tensor = app_tensor.build_swamp_instance(params["theta"])
     else:
-        dims = params["dims"]
-        if len(dims) != 3 or not all(isinstance(d, int) and d >= 1 for d in dims):
-            raise ConfigError("dims must be three positive integers", "dims")
         tensor = app_tensor.random_rank_instance(
-            (dims[0], dims[1], dims[2]), params["rank"], RngStream(0, key=(99,)))
+            tuple(params["dims"]), params["rank"], RngStream(0, key=(99,)))
     app_tensor.write_tensor(os.path.join(out_dir, "cp_instance.txt"), tensor)
     return tensor
 
 
-def _run_cp(params: dict, seeds: list[int], out_dir: str) -> tuple[dict, int]:
+def _run_cp(params: dict, seeds: list[int], out_dir: str) -> dict:
     tensor = _load_cp_instance(params, out_dir)
     opts = SolveOptions(max_iters=params["max_iters"], tol=params["tol"],
                         target_objective=params["epsilon"])
-    tasks = [(mode, seed) for mode in params["modes"] for seed in seeds]
 
-    def one(task):
-        mode, seed = task
-        try:
-            _, trace = app_tensor.run_cp(
-                tensor, params["rank"], mode=mode, opts=opts,
-                rng=RngStream(seed), lam=params["lam"],
-                lam0=params["lam0"], lam1=params["lam1"])
-            return mode, seed, trace, None
-        except BsumError as exc:
-            return mode, seed, None, str(exc)
+    def solve(mode, seed):
+        _, trace = app_tensor.run_cp(
+            tensor, params["rank"], mode=mode, opts=opts, rng=RngStream(seed),
+            lam=params["lam"], lam0=params["lam0"], lam1=params["lam1"])
+        return trace
 
-    results = _pool_map(one, tasks)
+    results, errors = _run_tasks("cp", params["modes"], seeds, solve, out_dir)
     counts: dict[str, list] = {m: [] for m in params["modes"]}
-    errors = []
-    for mode, seed, trace, err in results:
-        if err is not None:
-            errors.append({"mode": mode, "seed": seed, "error": err})
-            counts[mode].append(None)
-            continue
-        _atomic_write(os.path.join(out_dir, f"cp_{mode}_seed{seed}.csv"),
-                      trace_csv_text(trace))
-        counts[mode].append(iterations_to_threshold(trace, params["epsilon"]))
-    summary = {
-        "experiment": "cp",
-        "threshold": params["epsilon"],
-        "iterations_to_threshold": summarize(counts),
-        "errors": sorted(errors, key=lambda e: (e["mode"], e["seed"])),
-    }
-    return summary, (3 if errors else 0)
+    for mode, _, trace in results:
+        counts[mode].append(None if trace is None
+                            else iterations_to_threshold(trace, params["epsilon"]))
+    return {"experiment": "cp", "threshold": params["epsilon"],
+            "iterations_to_threshold": summarize(counts), "errors": errors}
 
 
-def _run_wmmse(params: dict, seeds: list[int], out_dir: str) -> tuple[dict, int]:
+def _run_wmmse(params: dict, seeds: list[int], out_dir: str) -> dict:
     spec = app_wmmse.NetworkSpec.build(
         n_cells=params["n_cells"], users_per_cell=params["users_per_cell"],
         n_antennas=params["n_antennas"], streams=params["streams"],
         noise_power=params["noise_power"], power=params["power"])
     opts = SolveOptions(max_iters=params["max_iters"], tol=params["tol"])
 
-    def one(seed):
-        try:
-            H = app_wmmse.gen_channels(spec, RngStream(seed))
-            V0 = app_wmmse.init_transmitters(spec, RngStream(seed).substream(1))
-            state, trace = app_wmmse.run_wmmse(spec, H, V0, opts)
-            return seed, state, trace, None
-        except BsumError as exc:
-            return seed, None, None, str(exc)
+    def solve(_, seed):
+        H = app_wmmse.gen_channels(spec, RngStream(seed))
+        V0 = app_wmmse.init_transmitters(spec, RngStream(seed).substream(1))
+        _, trace = app_wmmse.run_wmmse(spec, H, V0, opts)
+        return trace
 
-    results = _pool_map(one, seeds)
-    final_rates = {}
-    counts: dict[str, list] = {"wmmse": []}
-    errors = []
-    for seed, state, trace, err in results:
-        if err is not None:
-            errors.append({"seed": seed, "error": err})
-            counts["wmmse"].append(None)
-            continue
-        _atomic_write(os.path.join(out_dir, f"wmmse_seed{seed}.csv"),
-                      trace_csv_text(trace))
-        _atomic_write(os.path.join(out_dir, f"wmmse_rates_seed{seed}.csv"),
-                      rates_csv_text(trace))
-        final_rates[str(seed)] = trace.records[-1].extras["sum_rate_nats"]
-        counts["wmmse"].append(trace.n_iterations
-                               if trace.terminal_status == "converged" else None)
-    summary = {
-        "experiment": "wmmse",
-        "final_sum_rate_nats": dict(sorted(final_rates.items())),
-        "iterations_to_convergence": summarize(counts),
-        "errors": sorted(errors, key=lambda e: e["seed"]),
-    }
-    return summary, (3 if errors else 0)
+    results, errors = _run_tasks("wmmse", [None], seeds, solve, out_dir, rates=True)
+    final = {str(seed): trace.records[-1].extras["sum_rate_nats"]
+             for _, seed, trace in results if trace is not None}
+    converged = [None if trace is None or trace.terminal_status != "converged"
+                 else trace.n_iterations for _, _, trace in results]
+    return {"experiment": "wmmse", "final_sum_rate_nats": final,
+            "iterations_to_convergence": summarize({"wmmse": converged}),
+            "errors": errors}
 
 
-def _run_em(params: dict, seeds: list[int], out_dir: str) -> tuple[dict, int]:
+def _run_em(params: dict, seeds: list[int], out_dir: str) -> dict:
     opts = SolveOptions(max_iters=params["max_iters"], tol=params["tol"])
+    fixed_data = None
     if params["data_file"] is not None:
-        fixed_data = np.loadtxt(params["data_file"], dtype=np.float64).ravel()
-    else:
-        fixed_data = None
-    tasks = [(mode, seed) for mode in params["modes"] for seed in seeds]
-
-    def one(task):
-        mode, seed = task
         try:
-            if fixed_data is not None:
-                data = fixed_data
-            else:
-                data = app_classic.two_cluster_dataset(
-                    RngStream(seed), n_per_cluster=params["n_per_cluster"],
-                    centers=tuple(params["centers"]), sigma=params["sigma"])
-            theta, trace = app_classic.em_gmm(
-                data, params["n_components"], mode=mode, opts=opts)
-            return mode, seed, theta, trace, None
-        except BsumError as exc:
-            return mode, seed, None, None, str(exc)
+            fixed_data = np.loadtxt(params["data_file"], dtype=np.float64).ravel()
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read data_file: {exc}", "data_file") from exc
 
-    results = _pool_map(one, tasks)
-    finals: dict[str, dict] = {m: {} for m in params["modes"]}
-    errors = []
-    for mode, seed, theta, trace, err in results:
-        if err is not None:
-            errors.append({"mode": mode, "seed": seed, "error": err})
-            continue
-        _atomic_write(os.path.join(out_dir, f"em_{mode}_seed{seed}.csv"),
-                      trace_csv_text(trace))
-        finals[mode][str(seed)] = {
-            "nll": trace.final_objective,
-            "iterations": trace.n_iterations,
-            "warnings": len(trace.warnings),
-        }
-    summary = {
-        "experiment": "em",
-        "final": {m: dict(sorted(v.items())) for m, v in finals.items()},
-        "errors": sorted(errors, key=lambda e: (e["mode"], e["seed"])),
-    }
-    return summary, (3 if errors else 0)
+    def solve(mode, seed):
+        data = fixed_data
+        if data is None:
+            data = app_classic.two_cluster_dataset(
+                RngStream(seed), n_per_cluster=params["n_per_cluster"],
+                centers=tuple(params["centers"]), sigma=params["sigma"])
+        _, trace = app_classic.em_gmm(data, params["n_components"], mode=mode, opts=opts)
+        return trace
+
+    results, errors = _run_tasks("em", params["modes"], seeds, solve, out_dir)
+    final: dict[str, dict] = {m: {} for m in params["modes"]}
+    for mode, seed, trace in results:
+        if trace is not None:
+            final[mode][str(seed)] = {"nll": trace.final_objective,
+                                      "iterations": trace.n_iterations,
+                                      "warnings": len(trace.warnings)}
+    return {"experiment": "em", "final": final, "errors": errors}
 
 
 def _toy_trace(solver: str, opts: SolveOptions) -> Trace:
@@ -491,20 +486,16 @@ def _toy_trace(solver: str, opts: SolveOptions) -> Trace:
     raise ConfigError(f"unknown toy solver {solver!r}", "solver")
 
 
-def _run_toy(params: dict, seeds: list[int], out_dir: str) -> tuple[dict, int]:
+def _run_toy(params: dict, seeds: list[int], out_dir: str) -> dict:
     opts = SolveOptions(max_iters=params["max_iters"], tol=params["tol"])
     solver = params["solver"]
-    finals = {}
-    for seed in seeds:
-        trace = _toy_trace(solver, opts)
-        _atomic_write(os.path.join(out_dir, f"toy_{solver}_seed{seed}.csv"),
-                      trace_csv_text(trace))
-        finals[str(seed)] = {"objective": trace.final_objective,
-                             "iterations": trace.n_iterations,
-                             "status": trace.terminal_status}
-    summary = {"experiment": "toy", "solver": solver,
-               "final": dict(sorted(finals.items())), "errors": []}
-    return summary, 0
+    results, errors = _run_tasks("toy", [solver], seeds,
+                                 lambda mode, _: _toy_trace(mode, opts), out_dir)
+    final = {str(seed): {"objective": trace.final_objective,
+                         "iterations": trace.n_iterations,
+                         "status": trace.terminal_status}
+             for _, seed, trace in results if trace is not None}
+    return {"experiment": "toy", "solver": solver, "final": final, "errors": errors}
 
 
 def _verify_jobs(seed: int, n_samples: int, n_anchors: int):
@@ -615,7 +606,7 @@ def hash_name(name: str) -> int:
     return sum((i + 1) * ord(ch) for i, ch in enumerate(name)) % 65521
 
 
-def _run_verify(params: dict, seeds: list[int], out_dir: str) -> tuple[dict, int]:
+def _run_verify(params: dict, seeds: list[int], out_dir: str) -> dict:
     results = run_verify_suite(params["surrogate"], seed=seeds[0],
                                n_samples=params["n_samples"],
                                n_anchors=params["n_anchors"])
@@ -628,9 +619,8 @@ def _run_verify(params: dict, seeds: list[int], out_dir: str) -> tuple[dict, int
         for r in results[name]:
             print(f"{name}.{r.check}: {'PASS' if r.passed else 'FAIL'} "
                   f"({r.n_violations}/{r.n_samples} violations)")
-    summary = {"experiment": "verify", "all_passed": all_pass,
-               "report": "verify_report.json", "errors": []}
-    return summary, 0
+    return {"experiment": "verify", "all_passed": all_pass,
+            "report": "verify_report.json", "errors": []}
 
 
 _RUNNERS = {
@@ -643,29 +633,30 @@ _RUNNERS = {
 
 
 def run_experiment(config: dict, raw: str | None = None) -> int:
-    """Validate the config, run the experiment, write artifacts; exit code."""
+    """Validate the config, run the experiment, write artifacts; exit code.
+
+    Bad params exit 2: whatever ``validate_config`` rejects, and any error
+    the runner meets while building its inputs. Only a failed solver task
+    exits 3; it is listed in the summary's ``errors``.
+    """
     try:
         cfg = validate_config(config)
-    except ConfigError as err:
-        return _fail_config(err, raw)
-    out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        summary, code = _RUNNERS[cfg["experiment"]](cfg["params"], cfg["seeds"], out_dir)
+        out_dir = cfg["output_dir"]
+        os.makedirs(out_dir, exist_ok=True)
+        summary = _RUNNERS[cfg["experiment"]](cfg["params"], cfg["seeds"], out_dir)
     except ConfigError as err:
         return _fail_config(err, raw)
     except BsumError as exc:
-        print(f"solver error: {exc}")
-        return 3
+        # Solver failures never get here: the task loop records them.
+        return _fail_config(ConfigError(str(exc)), raw)
     summary["config"] = {"experiment": cfg["experiment"], "params": cfg["params"],
                          "seeds": cfg["seeds"]}
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {os.path.join(out_dir, 'summary.json')}")
-    if summary.get("errors"):
-        for e in summary["errors"]:
-            print(f"solver error: {e}")
-    return code
+    for e in summary["errors"]:
+        print(f"solver error: {e}")
+    return 3 if summary["errors"] else 0
 
 
 # ------------------------------------------------------------------ parsing

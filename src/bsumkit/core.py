@@ -41,7 +41,6 @@ __all__ = [
     "TraceRecord",
     "Trace",
     "RngStream",
-    "directional_derivative_fd",
 ]
 
 
@@ -378,18 +377,3 @@ class RngStream:
             raise InvalidArgumentError("substream index must be nonnegative")
         return RngStream(self.seed, self.key + (int(index),))
 
-
-def directional_derivative_fd(f: ObjectiveOracle, x: Point, d: np.ndarray, h: float) -> float:
-    """One-sided difference quotient (f(x + h d) - f(x)) / h."""
-    h = float(h)
-    if h <= 0:
-        raise InvalidArgumentError("step h must be positive")
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape != x.values.shape:
-        raise InvalidArgumentError("direction shape does not match point")
-    f0 = f.value_at(x.values)
-    f1 = f.value_at(x.values + h * d)
-    q = (f1 - f0) / h
-    if not math.isfinite(q):
-        raise NumericFailure("difference quotient is not finite")
-    return q

@@ -207,7 +207,6 @@ class SolveOptions:
     tol: float = 1e-8
     schedule: Schedule | None = None
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
-    record_trace: bool = True
     record_timings: bool = False
     target_objective: float | None = None
 
@@ -272,8 +271,7 @@ def _upper_bound_loop(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
                 k = int(np.argmin(minima))
                 part: BlockIndex = k
                 xi, umin = results[k][0], float(minima[k])
-                if opts.record_trace:
-                    extras["block_minima"] = tuple(float(v) for v in minima)
+                extras["block_minima"] = tuple(float(v) for v in minima)
             else:
                 part = parts_for(r)
                 xi, umin = u.minimize(part, x, r)
@@ -285,9 +283,8 @@ def _upper_bound_loop(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
         promised = fx - umin
         realized = fx - f_new
         elapsed = (time.perf_counter_ns() - t0) if opts.record_timings else 0
-        if opts.record_trace:
-            trace.append(TraceRecord(iteration=r, block=part, objective=f_new,
-                                     step_size=None, elapsed_ns=elapsed, extras=extras))
+        trace.append(TraceRecord(iteration=r, block=part, objective=f_new,
+                                 step_size=None, elapsed_ns=elapsed, extras=extras))
         x, fx = x_new, f_new
         if opts.target_objective is not None and f_new < opts.target_objective:
             status = "converged"
@@ -299,7 +296,7 @@ def _upper_bound_loop(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
             status = "converged"
             break
     trace.terminal_status = status
-    trace.stationarity_gap = _stationarity_gap(f, u, x, opts.max_iters)
+    trace.stationarity_gap = _stationarity_gap(f, u, x, trace.n_iterations)
     return x, trace
 
 
@@ -380,9 +377,8 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
                 float(np.linalg.norm(part_direction(i, x, r))) <= opts.tol
                 for i in range(x.structure.n_blocks))
             elapsed = (time.perf_counter_ns() - t0) if opts.record_timings else 0
-            if opts.record_trace:
-                trace.append(TraceRecord(iteration=r, block=part, objective=fx,
-                                         step_size=None, elapsed_ns=elapsed))
+            trace.append(TraceRecord(iteration=r, block=part, objective=fx,
+                                     step_size=None, elapsed_ns=elapsed))
             if all_small:
                 status = "converged"
                 break
@@ -401,10 +397,9 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
             raise SolverError(str(exc), iteration=r) from exc
         f_new = f.value_at(x_new.values)
         elapsed = (time.perf_counter_ns() - t0) if opts.record_timings else 0
-        if opts.record_trace:
-            trace.append(TraceRecord(iteration=r, block=part, objective=f_new,
-                                     step_size=alpha, elapsed_ns=elapsed,
-                                     extras={"directional_derivative": fprime}))
+        trace.append(TraceRecord(iteration=r, block=part, objective=f_new,
+                                 step_size=alpha, elapsed_ns=elapsed,
+                                 extras={"directional_derivative": fprime}))
         x, fx = x_new, f_new
         if opts.target_objective is not None and f_new < opts.target_objective:
             status = "converged"

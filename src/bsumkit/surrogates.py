@@ -30,10 +30,6 @@ __all__ = [
     "LipschitzQuadraticSurrogate",
     "QuadraticApprox",
     "soft_threshold",
-    "proximal_minimize",
-    "dc_minimize",
-    "forward_backward_step",
-    "block_forward_backward_step",
 ]
 
 
@@ -268,37 +264,3 @@ def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 
-
-def proximal_minimize(part: BlockIndex, anchor: Point, c: float,
-                      inner_solver: Callable[[BlockIndex, Point, float], np.ndarray]) -> np.ndarray:
-    """One proximal part update: argmin f(part) + |xi - y_part|^2 / (2 c)."""
-    c = float(c)
-    if not c > 0:
-        raise InvalidArgumentError("proximal coefficient must be positive")
-    return np.asarray(inner_solver(part, anchor, c), dtype=np.float64)
-
-
-def dc_minimize(anchor: Point, d: DcLinearization) -> Point:
-    """One whole-variable concave-convex step from the anchor."""
-    n = anchor.structure.n_blocks
-    part: BlockIndex = 0 if n == 1 else tuple(range(n))
-    xi, _ = d.minimize(part, anchor)
-    return anchor.with_part(part, xi)
-
-
-def forward_backward_step(x: Point, s: LipschitzQuadraticSurrogate) -> Point:
-    """Full proximal-gradient step: prox of every block at x - gamma grad f2(x)."""
-    g = s.smooth.gradient_at(x.values)
-    v = x.values - s.gamma * g
-    out = x.values.copy()
-    for i in range(x.structure.n_blocks):
-        sl = x.structure.block_slice(i)
-        out[sl] = np.asarray(s.prox(i, v[sl], s.gamma), dtype=np.float64)
-    return x.with_values(out)
-
-
-def block_forward_backward_step(x: Point, part: BlockIndex,
-                                s: LipschitzQuadraticSurrogate) -> np.ndarray:
-    """Proximal-gradient step for one part, other coordinates frozen."""
-    xi, _ = s.minimize(part, x)
-    return xi

@@ -32,7 +32,6 @@ __all__ = [
     "check_upper_bound",
     "check_first_order_match",
     "check_composite_smooth",
-    "check_quasiconvexity",
     "audit_trace",
 ]
 
@@ -253,37 +252,6 @@ def check_composite_smooth(u0, f0: ObjectiveOracle, space: SampleSpace,
                            tol=bound_tol, parts=parts)
     r2.check = "composite_smooth_upper_bound"
     return [r1, r2]
-
-
-def check_quasiconvexity(u, space: SampleSpace, rng: RngStream,
-                         n_segments: int = 200, tol: float = 1e-10,
-                         parts: Sequence[BlockIndex] | None = None) -> CheckReport:
-    """Midpoint of a random segment must not exceed the larger endpoint."""
-    if n_segments < 1:
-        raise InvalidArgumentError("n_segments must be >= 1")
-    parts = _default_parts(space.structure, parts)
-    gen = rng.generator()
-    worst = -np.inf
-    witnesses: list[dict] = []
-    n_viol = 0
-    for s_idx in range(n_segments):
-        part = parts[s_idx % len(parts)]
-        y = space.sample_point(gen)
-        a = space.sample_part(gen, part)
-        b = space.sample_part(gen, part)
-        lam = float(gen.uniform(0.1, 0.9))
-        mid = lam * a + (1.0 - lam) * b
-        umid = float(u.value(part, mid, y))
-        cap = max(float(u.value(part, a, y)), float(u.value(part, b, y)))
-        excess = umid - cap
-        worst = max(worst, excess)
-        if excess > tol * (1.0 + abs(cap)):
-            n_viol += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append({"sample": s_idx, "part": _part_label(part),
-                                  "midpoint_value": umid, "endpoint_max": cap,
-                                  "excess": excess})
-    return CheckReport("quasiconvexity", n_segments, n_viol, float(worst), witnesses)
 
 
 def audit_trace(trace: Trace, slack: float = 1e-12) -> CheckReport:

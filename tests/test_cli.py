@@ -1,13 +1,22 @@
 """Tests for the experiment runner: config checks, artifacts, summaries."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bsumkit import app_tensor, cli
 from bsumkit.cli import (
+    EXPERIMENTS,
+    TOY_SOLVERS,
+    VERIFY_TARGETS,
     ConfigError,
     iterations_to_threshold,
     main,
@@ -355,3 +364,105 @@ class TestWorkerPool:
     def test_name_hash_is_stable(self):
         assert cli.hash_name("ab") == 1 * ord("a") + 2 * ord("b")
         assert cli.hash_name("proximal") == cli.hash_name("proximal")
+
+
+# Bad params that once ended in a traceback or exit 3; each must exit 2 with
+# a config error naming the key. This test file stands in for a data file
+# that is not numeric.
+ABSENT = os.path.join(os.path.dirname(__file__), "no_such_data.txt")
+BAD_PARAMS = [
+    ("em", {"data_file": ABSENT}, "data_file"),
+    ("em", {"data_file": __file__}, "data_file"),
+    ("em", {"centers": ["a"]}, "centers"),
+    ("em", {"centers": [1.0]}, "centers"),
+    ("wmmse", {"n_antennas": 0}, "n_antennas"),
+    ("wmmse", {"streams": 3}, "streams"),
+    ("wmmse", {"n_cells": 0}, "n_cells"),
+    ("wmmse", {"noise_power": -1}, "noise_power"),
+    ("cp", {"theta": math.nan}, "theta"),
+    ("cp", {"lam": -1, "modes": ["const_prox"]}, "lam"),
+    ("verify", {"n_anchors": 0, "n_samples": 5}, "n_anchors"),
+]
+
+
+def run_cli(experiment, params, seeds, tmp):
+    """Exit code and stdout of ``bsumkit EXPERIMENT --config`` in ``tmp``."""
+    path = os.path.join(tmp, "cfg.json")
+    with open(path, "w") as fh:
+        json.dump({"params": params, "seeds": seeds}, fh, indent=1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([experiment, "--config", path, "--out", os.path.join(tmp, "out")])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("experiment,params,key", BAD_PARAMS)
+def test_bad_params_exit_2(tmp_path, experiment, params, key):
+    code, out = run_cli(experiment, params, [0], str(tmp_path))
+    assert code == 2
+    errors = [line for line in out.splitlines() if line.startswith("config error")]
+    assert len(errors) == 1 and key in errors[0]
+
+
+# Bounds that keep each generated run well under a second.
+SIZE_BOUNDS = {"max_iters": 5, "n_per_cluster": 50, "n_samples": 20, "n_anchors": 5,
+               "rank": 3, "n_cells": 3, "users_per_cell": 3, "n_antennas": 3,
+               "streams": 3, "n_components": 3}
+# Keys whose defaults exceed those bounds, so every example sets them.
+REQUIRED = {"max_iters", "n_per_cluster", "n_samples", "n_anchors", "dims"}
+CHOICES = {
+    "instance": ["swamp", "random", "file", "other"],
+    "tensor_file": [__file__, ABSENT],
+    "data_file": [__file__, ABSENT],
+    "solver": list(TOY_SOLVERS),
+    "surrogate": ["all", *VERIFY_TARGETS],
+}
+JUNK = st.sampled_from([None, "x", [], [[1, [2.0]], "a"], {"k": 1}, math.nan,
+                        math.inf, -math.inf, -1, 0, -0.5, 0.0, True])
+
+
+def well_typed(experiment, key, kind):
+    if kind == "count":
+        return st.integers(1, SIZE_BOUNDS[key])
+    if kind in ("num", "pos", "nonneg"):
+        return st.floats(-10.0, 10.0) | st.floats(1e-12, 1.0)
+    if kind == "str":
+        return st.sampled_from(CHOICES[key])
+    if key == "dims":
+        return st.lists(st.integers(0, 3), max_size=4)
+    if key == "centers":
+        return st.lists(st.floats(-5.0, 5.0), max_size=3)
+    modes = app_tensor.CP_MODES if experiment == "cp" else ("full", "block", "x")
+    return st.lists(st.sampled_from(modes), max_size=3)
+
+
+def params_for(experiment):
+    """Well-typed params, with junk in place of at most one of them."""
+    table = cli._PARAM_TABLES[experiment]
+    values = {key: well_typed(experiment, key, kind) for key, (kind, _) in table.items()}
+    good = st.fixed_dictionaries(
+        {k: v for k, v in values.items() if k in REQUIRED},
+        optional={k: v for k, v in values.items() if k not in REQUIRED})
+    junk = st.dictionaries(st.sampled_from(sorted(table)), JUNK, max_size=1)
+    return st.builds(lambda p, j: {**p, **j}, good, junk)
+
+
+CONFIGS = st.one_of([st.tuples(st.just(e), params_for(e)) for e in EXPERIMENTS])
+SEEDS = st.lists(st.integers(0, 3), min_size=1, max_size=2)
+
+
+def with_bad_params_examples(test):
+    for experiment, params, _ in BAD_PARAMS:
+        test = example((experiment, params), [0])(test)
+    return test
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@with_bad_params_examples
+@given(CONFIGS, SEEDS)
+def test_cli_exits_0_2_or_3(config, seeds):
+    """Whatever the params, the CLI returns an exit code and raises nothing."""
+    experiment, params = config
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _ = run_cli(experiment, params, seeds, tmp)
+    assert code in (0, 2, 3)

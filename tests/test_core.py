@@ -14,7 +14,6 @@ from bsumkit.core import (
     TraceRecord,
     ball,
     box,
-    directional_derivative_fd,
     make_block_structure,
     nonnegative,
     simplex,
@@ -219,32 +218,3 @@ class TestRngStream:
         with pytest.raises(InvalidArgumentError):
             RngStream(0).substream(-2)
 
-
-class TestDirectionalDerivative:
-
-    def test_smooth_quadratic(self):
-        """f = x^2 at x = 1, d = 1  =>  derivative 2."""
-        f = ObjectiveOracle(value=lambda v: float(v[0] ** 2))
-        x = Point(np.array([1.0]), make_block_structure([1]))
-        got = directional_derivative_fd(f, x, np.array([1.0]), h=1e-8)
-        np.testing.assert_allclose(got, 2.0, atol=1e-6)
-
-    def test_one_sided_at_kink(self):
-        """f = |x| at 0 in direction +1 has one-sided slope 1."""
-        f = ObjectiveOracle(value=lambda v: float(abs(v[0])))
-        x = Point(np.array([0.0]), make_block_structure([1]))
-        got = directional_derivative_fd(f, x, np.array([1.0]), h=1e-8)
-        np.testing.assert_allclose(got, 1.0, atol=1e-6)
-
-    def test_partial_derivative(self):
-        """f = x1 * x2 at (1, 2), d = (1, 0)  =>  2."""
-        f = ObjectiveOracle(value=lambda v: float(v[0] * v[1]))
-        x = Point(np.array([1.0, 2.0]), make_block_structure([1, 1]))
-        got = directional_derivative_fd(f, x, np.array([1.0, 0.0]), h=1e-8)
-        np.testing.assert_allclose(got, 2.0, atol=1e-6)
-
-    def test_h_must_be_positive(self):
-        f = ObjectiveOracle(value=lambda v: 0.0)
-        x = Point(np.zeros(1), make_block_structure([1]))
-        with pytest.raises(InvalidArgumentError):
-            directional_derivative_fd(f, x, np.array([1.0]), h=0.0)

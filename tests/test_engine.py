@@ -187,6 +187,24 @@ class TestRunBsum:
         assert trace.stationarity_gap is not None
         assert trace.stationarity_gap <= 1e-8
 
+    def test_stationarity_gap_sees_last_iteration(self):
+        """The post-run gap evaluates the surrogate at the last iteration run."""
+        prob = random_spd_problem(12)
+        seen = []
+
+        def c(iteration, anchor):
+            seen.append(iteration)
+            return 0.7
+
+        x0 = Point(np.zeros(5), make_block_structure([2, 3]))
+        _, trace = run_bsum(prob.objective(),
+                            ProximalSurrogate(prob.objective(), prob.prox_block_minimize, c=c),
+                            x0, SolveOptions(max_iters=1000))
+        assert trace.terminal_status == "converged"
+        assert trace.n_iterations < 1000
+        assert max(seen) == trace.n_iterations
+        assert seen[-4:] == [trace.n_iterations] * 4
+
 
 def two_block_exact(weights, targets):
     """Exact surrogate for sum_i w_i (x_i - t_i)^2 on scalar blocks."""

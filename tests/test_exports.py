@@ -1,0 +1,30 @@
+"""Every exported name resolves, and removed helpers stay removed."""
+
+import importlib
+
+import pytest
+
+import bsumkit
+
+MODULES = ["bsumkit", "bsumkit.core", "bsumkit.engine", "bsumkit.surrogates",
+           "bsumkit.verify", "bsumkit.problems", "bsumkit.app_tensor",
+           "bsumkit.app_wmmse", "bsumkit.app_classic", "bsumkit.cli"]
+
+REMOVED = ["proximal_minimize", "dc_minimize", "forward_backward_step",
+           "block_forward_backward_step", "directional_derivative_fd",
+           "check_quasiconvexity", "DcProblem"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_removed_helpers_not_exported():
+    assert set(REMOVED).isdisjoint(bsumkit.__all__)
+
+
+def test_solve_options_has_no_record_trace():
+    assert not hasattr(bsumkit.SolveOptions(), "record_trace")

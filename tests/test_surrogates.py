@@ -15,10 +15,6 @@ from bsumkit.surrogates import (
     LipschitzQuadraticSurrogate,
     ProximalSurrogate,
     QuadraticApprox,
-    block_forward_backward_step,
-    dc_minimize,
-    forward_backward_step,
-    proximal_minimize,
     soft_threshold,
 )
 
@@ -47,26 +43,28 @@ class TestProximalMinimize:
     def test_scalar_quadratic(self):
         """min x^2 + (x - 2)^2 / 2  =>  2/3."""
         prob = QuadraticProblem(np.array([[2.0]]), np.array([0.0]))
-        got = proximal_minimize(0, scalar_point(2.0), 1.0, prob.prox_block_minimize)
+        got, _ = prob.proximal_surrogate(c=1.0).minimize(0, scalar_point(2.0))
         np.testing.assert_allclose(got, [2.0 / 3.0], rtol=1e-12)
 
     def test_zero_objective_is_identity(self):
-        inner = lambda part, anchor, c: anchor.part(part)
+        zero = ObjectiveOracle(value=lambda v: 0.0)
+        u = ProximalSurrogate(zero, lambda part, anchor, c: anchor.part(part), c=3.5)
         y = Point(np.array([4.0, -2.0]), make_block_structure([2]))
-        got = proximal_minimize(0, y, 3.5, inner)
+        got, _ = u.minimize(0, y)
         np.testing.assert_array_equal(got, [4.0, -2.0])
 
     def test_coupled_quadratic_first_block(self):
         """(x1 + x2 - 1)^2 with x2 = 0: min (x1-1)^2 + x1^2/2  =>  2/3."""
         prob = QuadraticProblem(2.0 * np.ones((2, 2)), 2.0 * np.ones(2))
         y = Point(np.zeros(2), make_block_structure([1, 1]))
-        got = proximal_minimize(0, y, 1.0, prob.prox_block_minimize)
+        got, _ = prob.proximal_surrogate(c=1.0).minimize(0, y)
         np.testing.assert_allclose(got, [2.0 / 3.0], rtol=1e-12)
 
     def test_nonpositive_coefficient_rejected(self):
-        inner = lambda part, anchor, c: anchor.part(part)
+        zero = ObjectiveOracle(value=lambda v: 0.0)
+        u = ProximalSurrogate(zero, lambda part, anchor, c: anchor.part(part), c=0.0)
         with pytest.raises(InvalidArgumentError):
-            proximal_minimize(0, scalar_point(1.0), 0.0, inner)
+            u.minimize(0, scalar_point(1.0))
 
 
 class TestProximalSurrogate:
@@ -106,24 +104,24 @@ class TestDcMinimize:
     def test_cube_root_update(self):
         """f_cvx = x^4/4, f_cve = -x^2/2, anchor 8: solves x^3 = 8."""
         _, dc, _ = separable_quartic_dc([1])
-        got = dc_minimize(scalar_point(8.0), dc)
-        np.testing.assert_allclose(got.values, [2.0], rtol=1e-12)
+        got, _ = dc.minimize(0, scalar_point(8.0))
+        np.testing.assert_allclose(got, [2.0], rtol=1e-12)
 
     def test_origin_is_fixed(self):
         _, dc, x0 = separable_quartic_dc([1])
-        np.testing.assert_array_equal(dc_minimize(x0, dc).values, [0.0])
+        np.testing.assert_array_equal(dc.minimize(0, x0)[0], [0.0])
 
     def test_unit_fixed_point(self):
         _, dc, _ = separable_quartic_dc([1])
-        got = dc_minimize(scalar_point(1.0), dc)
-        np.testing.assert_allclose(got.values, [1.0], rtol=1e-12)
+        got, _ = dc.minimize(0, scalar_point(1.0))
+        np.testing.assert_allclose(got, [1.0], rtol=1e-12)
 
     def test_fixed_point_balances_gradients(self):
         """Iterates approach a point with grad f_cvx + grad f_cve = 0."""
         _, dc, _ = separable_quartic_dc([1])
         x = scalar_point(8.0)
         for _ in range(30):
-            x = dc_minimize(x, dc)
+            x = scalar_point(dc.minimize(0, x)[0][0])
         residual = x.values[0] ** 3 - x.values[0]
         assert abs(residual) <= 1e-8
 
@@ -149,18 +147,18 @@ class TestForwardBackward:
             smooth=ObjectiveOracle(value=lambda v: 0.0,
                                    gradient=lambda v: np.zeros_like(v)),
             nonsmooth_total=s.nonsmooth_total, prox=s.prox, beta=1.0, gamma=1.0)
-        got = forward_backward_step(scalar_point(3.0), flat)
-        np.testing.assert_allclose(got.values, [2.0], rtol=1e-12)
-        got = forward_backward_step(scalar_point(0.5), flat)
-        np.testing.assert_array_equal(got.values, [0.0])
+        got, _ = flat.minimize(0, scalar_point(3.0))
+        np.testing.assert_allclose(got, [2.0], rtol=1e-12)
+        got, _ = flat.minimize(0, scalar_point(0.5))
+        np.testing.assert_array_equal(got, [0.0])
 
     def test_lasso_step_and_fixed_point(self):
         """f1 = |x|, f2 = (x-2)^2/2: step from 0 gives 1, which is fixed."""
         _, s, x0 = lasso_problem(target=[2.0], weight=1.0, gamma=1.0)
-        x1 = forward_backward_step(x0, s)
-        np.testing.assert_allclose(x1.values, [1.0], rtol=1e-12)
-        x2 = forward_backward_step(x1, s)
-        np.testing.assert_allclose(x2.values, x1.values, atol=1e-14)
+        x1, _ = s.minimize(0, x0)
+        np.testing.assert_allclose(x1, [1.0], rtol=1e-12)
+        x2, _ = s.minimize(0, scalar_point(x1[0]))
+        np.testing.assert_allclose(x2, x1, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_step_equals_surrogate_argmin(self, seed):
@@ -168,9 +166,10 @@ class TestForwardBackward:
         rng = np.random.default_rng(seed)
         _, s, _ = lasso_problem(target=[rng.normal() * 2], weight=0.7, gamma=0.8)
         x = scalar_point(rng.normal() * 3)
-        stepped = forward_backward_step(x, s)
-        argmin, _ = s.minimize(0, x)
-        np.testing.assert_allclose(stepped.values, argmin, atol=1e-10)
+        argmin, umin = s.minimize(0, x)
+        assert umin == s.value(0, argmin, x)
+        for xi in np.linspace(-8.0, 8.0, 321):
+            assert s.value(0, np.array([xi]), x) >= umin - 1e-10
 
     def test_block_steps_componentwise(self):
         """Two l1 blocks with flat coupling: (3, -3) maps to (2, -2)."""
@@ -182,8 +181,8 @@ class TestForwardBackward:
             prox=lambda part, v, g: soft_threshold(v, g),
             beta=1.0, gamma=1.0)
         x = Point(np.array([3.0, -3.0]), structure)
-        np.testing.assert_allclose(block_forward_backward_step(x, 0, s), [2.0])
-        np.testing.assert_allclose(block_forward_backward_step(x, 1, s), [-2.0])
+        np.testing.assert_allclose(s.minimize(0, x)[0], [2.0])
+        np.testing.assert_allclose(s.minimize(1, x)[0], [-2.0])
 
     def test_block_step_with_coupled_smooth_part(self):
         """f3 = (x1+x2)^2/2, gamma = 0.5 at (1, 1): block 0 moves to 0."""
@@ -196,8 +195,7 @@ class TestForwardBackward:
             prox=lambda part, v, g: v,
             beta=2.0, gamma=0.5)
         x = Point(np.ones(2), structure)
-        np.testing.assert_allclose(block_forward_backward_step(x, 0, s), [0.0],
-                                   atol=1e-15)
+        np.testing.assert_allclose(s.minimize(0, x)[0], [0.0], atol=1e-15)
 
     def test_gamma_range_enforced(self):
         obj = ObjectiveOracle(value=lambda v: 0.0,

@@ -19,7 +19,6 @@ from bsumkit.verify import (
     audit_trace,
     check_composite_smooth,
     check_first_order_match,
-    check_quasiconvexity,
     check_tightness,
     check_upper_bound,
 )
@@ -168,22 +167,6 @@ class TestCompositeAndQuasiconvexity:
         assert [r.check for r in reports] == [
             "composite_smooth_tightness", "composite_smooth_upper_bound"]
         assert all(r.passed for r in reports)
-
-    def test_quasiconvexity_of_proximal_quadratic(self):
-        f, u, _, space = scalar_setup()
-        report = check_quasiconvexity(u, space, RngStream(5), n_segments=150)
-        assert report.passed
-
-    def test_quasiconvexity_flags_a_bump(self):
-        structure = make_block_structure([1])
-        space = SampleSpace.boxed(structure)
-
-        class Bump:
-            def value(self, part, xi, anchor, iteration=1):
-                return -float(np.asarray(xi)[0] ** 2)
-
-        report = check_quasiconvexity(Bump(), space, RngStream(6), n_segments=150)
-        assert not report.passed
 
 
 class TestAuditTrace:
