@@ -20,9 +20,8 @@ from .core import (
     NumericFailure,
     SolverError,
     Trace,
-    TraceRecord,
 )
-from .engine import SolveOptions
+from .engine import SolveOptions, _iterate, _Stall
 
 __all__ = [
     "NetworkSpec",
@@ -291,6 +290,11 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
     block 1 the transmitter update. The starting receivers are zero, which
     makes the starting objective exactly 0; all-zero transmitters are a
     stationary point and the run stalls there (documented behavior).
+
+    Half-steps run through the engine's driver loop: ``max_iters`` counts
+    them, ``record_timings`` fills ``elapsed_ns``, and the run converges
+    below ``target_objective`` or once the objective decrease stays within
+    ``tol * (1 + |f|)`` for two half-steps in a row.
     """
     if H.gains.shape[0] != spec.n_users or H.gains.shape[1] != spec.n_cells \
             or H.gains.shape[2] != spec.n_antennas:
@@ -307,11 +311,10 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
 
     U = [np.zeros((spec.n_antennas, spec.streams[u]), dtype=np.complex128)
          for u in range(spec.n_users)]
-    obj = 0.0  # sum of logdet of identity error covariances
-    trace = Trace(initial_objective=obj)
-    small = 0
-    status = "max_iters"
-    for r in range(1, opts.max_iters + 1):
+    stall = _Stall(opts.tol, 2)
+
+    def step(r: int, state, obj: float):
+        V, U = state
         if r % 2 == 1:
             U = [mmse_receiver(spec, H, V, u) for u in range(spec.n_users)]
             block = 0
@@ -325,6 +328,8 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
                     raise SolverError("error covariance is singular", iteration=r) from exc
             V = update_transmitters(spec, H, U, W)
             block = 1
+        # Explicit left-to-right sum: builtin sum() rounds differently
+        # (compensated summation from Python 3.12 on).
         new_obj = 0.0
         for u in range(spec.n_users):
             new_obj += _logdet_pd(mse_matrix(spec, H, V, U, u))
@@ -333,16 +338,8 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
             "max_power_violation": float(np.max(power_per_cell(spec, V)
                                                 - np.asarray(spec.power))),
         }
-        trace.append(TraceRecord(iteration=r, block=block, objective=new_obj,
-                                 step_size=None, elapsed_ns=0, extras=extras))
-        scale = 1.0 + abs(new_obj)
-        small = small + 1 if abs(obj - new_obj) <= opts.tol * scale else 0
-        obj = new_obj
-        if small >= 2:
-            status = "converged"
-            break
-        if opts.target_objective is not None and new_obj < opts.target_objective:
-            status = "converged"
-            break
-    trace.terminal_status = status
+        return (V, U), new_obj, block, None, extras, stall(obj, new_obj)
+
+    # Starting objective: the sum of logdet of identity error covariances.
+    (V, U), trace = _iterate((V, U), 0.0, opts, step)
     return TransceiverState(V=tuple(V), U=tuple(U)), trace

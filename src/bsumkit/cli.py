@@ -498,7 +498,7 @@ def _run_toy(params: dict, seeds: list[int], out_dir: str) -> dict:
     return {"experiment": "toy", "solver": solver, "final": final, "errors": errors}
 
 
-def _verify_jobs(seed: int, n_samples: int, n_anchors: int):
+def _verify_jobs(seed: int):
     """Shipped surrogate instances paired with their sample spaces and checks."""
     jobs = {}
 
@@ -572,7 +572,7 @@ def _verify_jobs(seed: int, n_samples: int, n_anchors: int):
 def run_verify_suite(surrogate: str = "all", seed: int = 0, n_samples: int = 1000,
                      n_anchors: int = 60) -> dict[str, list[verify.CheckReport]]:
     """Run the check battery over the shipped surrogates; returns reports."""
-    jobs = _verify_jobs(seed, n_samples, n_anchors)
+    jobs = _verify_jobs(seed)
     names = list(jobs) if surrogate == "all" else [surrogate]
     results: dict[str, list[verify.CheckReport]] = {}
     for name in names:

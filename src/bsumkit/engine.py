@@ -3,7 +3,7 @@
 Four related schemes, all minimizing f by repeatedly minimizing a
 block surrogate u built around the current iterate:
 
-* ``run_sum``   - whole-variable surrogate minimization.
+* ``run_sum``   - whole-variable: ``run_bsum`` over one group of all blocks.
 * ``run_bsum``  - block-cyclic (or essentially cyclic with groups).
 * ``run_misum`` - greedy: every block subproblem is solved, the block whose
   surrogate minimum is lowest is the one updated.
@@ -17,17 +17,20 @@ is an int block index or a tuple of indices, and the anchor is the current
 anchor and dominate it elsewhere; those properties are not assumed silently,
 ``bsumkit.verify`` checks them by sampling.
 
-Convergence: relative objective decrease at most ``tol * (1 + |f|)``
-sustained over one full schedule period, or surrogate improvement
-``f(anchor) - min u`` below the same threshold for a full period, or
-``target_objective`` reached. BSCA instead stops when every block direction
-has norm at most ``tol``.
+Every driver, ``app_wmmse.run_wmmse`` included, is a step run by one loop,
+``_iterate``: it records and times the steps and stops as converged on the
+step's own stop rule or once f drops below ``target_objective``. Stop rules:
+``run_sum``/``run_bsum``/``run_misum`` stop when the decrease, or the promised
+decrease ``f(anchor) - min u``, stays within ``tol * (1 + |f|)`` for one
+schedule period (1 for ``run_sum``, the block count for ``run_misum``);
+``run_bsca`` when every block's model step has norm at most ``tol``;
+``run_wmmse`` when the decrease stays within that bound for two half-steps.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -82,43 +85,37 @@ class Schedule:
     groups: tuple[tuple[int, ...], ...] = ()
     period: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     @staticmethod
     def cyclic(n_blocks: int) -> "Schedule":
-        if n_blocks < 1:
-            raise InvalidScheduleError("need at least one block")
         return Schedule(kind="cyclic", n_blocks=n_blocks, period=n_blocks)
 
     @staticmethod
     def essentially_cyclic(n_blocks: int, groups: Sequence[Sequence[int]],
                            period: int | None = None) -> "Schedule":
-        if n_blocks < 1:
-            raise InvalidScheduleError("need at least one block")
         groups_t = tuple(tuple(sorted(set(int(i) for i in g))) for g in groups)
-        if not groups_t:
-            raise InvalidScheduleError("need at least one group")
         period = len(groups_t) if period is None else int(period)
-        s = Schedule(kind="essentially_cyclic", n_blocks=n_blocks,
-                     groups=groups_t, period=period)
-        s.validate()
-        return s
+        return Schedule(kind="essentially_cyclic", n_blocks=n_blocks,
+                        groups=groups_t, period=period)
 
     @staticmethod
     def max_improvement(n_blocks: int) -> "Schedule":
-        if n_blocks < 1:
-            raise InvalidScheduleError("need at least one block")
         return Schedule(kind="max_improvement", n_blocks=n_blocks, period=n_blocks)
 
     def validate(self) -> None:
+        """Raise ``InvalidScheduleError`` if malformed; runs at construction."""
+        if self.n_blocks < 1:
+            raise InvalidScheduleError("need at least one block")
         if self.kind in ("cyclic", "max_improvement"):
-            if self.n_blocks < 1:
-                raise InvalidScheduleError("need at least one block")
             return
         if self.kind != "essentially_cyclic":
             raise InvalidScheduleError(f"unknown schedule kind {self.kind!r}")
-        if self.period < 1:
-            raise InvalidScheduleError("period must be >= 1")
         if not self.groups:
             raise InvalidScheduleError("need at least one group")
+        if self.period < 1:
+            raise InvalidScheduleError("period must be >= 1")
         every = set(range(self.n_blocks))
         for g in self.groups:
             if not g:
@@ -144,15 +141,12 @@ def schedule_next(schedule: Schedule, iteration: int) -> BlockIndex:
     """Part to update at a 1-based iteration index."""
     if iteration < 1:
         raise InvalidArgumentError("iteration index starts at 1")
-    schedule.validate()
     if schedule.kind == "cyclic":
         return (iteration - 1) % schedule.n_blocks
     if schedule.kind == "essentially_cyclic":
         g = schedule.groups[(iteration - 1) % len(schedule.groups)]
         return g[0] if len(g) == 1 else g
-    if schedule.kind == "max_improvement":
-        return tuple(range(schedule.n_blocks))
-    raise InvalidScheduleError(f"unknown schedule kind {schedule.kind!r}")
+    return tuple(range(schedule.n_blocks))  # max_improvement
 
 
 @dataclass(frozen=True)
@@ -236,93 +230,108 @@ def _wrap_oracle_failure(exc: Exception, iteration: int) -> SolverError:
 
 
 def _stationarity_gap(f: ObjectiveOracle, u: BlockSurrogateOracle, x: Point,
-                      iteration: int) -> float | None:
+                      trace: Trace) -> None:
     # max over blocks of f(x) - min_xi u(xi, x); zero at a coordinatewise
-    # surrogate-stationary point.
+    # surrogate-stationary point. Any failure leaves the gap None with the
+    # reason in the warnings: the run itself has finished.
     try:
         fx = f.value_at(x.values)
         gaps = []
         for i in range(x.structure.n_blocks):
-            _, umin = u.minimize(i, x, iteration)
+            _, umin = u.minimize(i, x, trace.n_iterations)
             gaps.append(fx - float(umin))
-        return float(max(gaps))
-    except Exception:
-        return None
+        trace.stationarity_gap = float(max(gaps))
+    except Exception as exc:  # noqa: BLE001 - reported, not raised
+        trace.warnings.append(f"stationarity gap not computed: {exc}")
+
+
+def _iterate(x, fx: float, opts: SolveOptions, step) -> tuple[object, Trace]:
+    """The driver loop: ``step(r, x, fx) -> (x, f, part, step_size, extras,
+    stop)`` does iteration r; the loop records and times it and stops as
+    converged on ``stop`` or once f drops below ``opts.target_objective``."""
+    trace = Trace(initial_objective=fx)
+    for r in range(1, opts.max_iters + 1):
+        t0 = time.perf_counter_ns() if opts.record_timings else 0
+        x, fx, part, step_size, extras, stop = step(r, x, fx)
+        elapsed = time.perf_counter_ns() - t0 if opts.record_timings else 0
+        trace.append(TraceRecord(iteration=r, block=part, objective=fx,
+                                 step_size=step_size, elapsed_ns=elapsed, extras=extras))
+        if stop or (opts.target_objective is not None and fx < opts.target_objective):
+            trace.terminal_status = "converged"
+            break
+    return x, trace
+
+
+class _Stall:
+    """Stop rule: the decrease f_old - f_new, or the promised decrease
+    f_old - min u, stays within tol * (1 + |f_new|) for ``period`` calls
+    in a row."""
+
+    def __init__(self, tol: float, period: int):
+        self.tol, self.period = tol, period
+        self.small_steps = self.small_gaps = 0
+
+    def __call__(self, f_old: float, f_new: float, umin: float | None = None) -> bool:
+        bound = self.tol * (1.0 + abs(f_new))
+        self.small_steps = self.small_steps + 1 if abs(f_old - f_new) <= bound else 0
+        if umin is not None:
+            self.small_gaps = self.small_gaps + 1 if abs(f_old - umin) <= bound else 0
+        return self.small_steps >= self.period or self.small_gaps >= self.period
 
 
 def _upper_bound_loop(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
-                      opts: SolveOptions, parts_for, period: int,
-                      misum: bool) -> tuple[Point, Trace]:
-    x = x0
-    fx = f.value_at(x.values)
-    trace = Trace(initial_objective=fx)
-    small_steps = 0
-    small_gaps = 0
-    status = "max_iters"
-    for r in range(1, opts.max_iters + 1):
-        t0 = time.perf_counter_ns() if opts.record_timings else 0
-        extras: dict = {}
+                      opts: SolveOptions, choose, period: int) -> tuple[Point, Trace]:
+    # ``choose(r, x) -> (part, argmin, min u, extras)`` solves the
+    # subproblem(s) of iteration r and picks the part to move.
+    stall = _Stall(opts.tol, period)
+
+    def step(r: int, x: Point, fx: float):
         try:
-            if misum:
-                # Solve every block subproblem; update the block whose
-                # surrogate minimum is lowest (ties: lowest index).
-                results = [u.minimize(i, x, r) for i in range(x.structure.n_blocks)]
-                minima = np.array([float(v) for _, v in results])
-                k = int(np.argmin(minima))
-                part: BlockIndex = k
-                xi, umin = results[k][0], float(minima[k])
-                extras["block_minima"] = tuple(float(v) for v in minima)
-            else:
-                part = parts_for(r)
-                xi, umin = u.minimize(part, x, r)
-                umin = float(umin)
+            part, xi, umin, extras = choose(r, x)
         except Exception as exc:  # noqa: BLE001 - rewrapped with the iteration index
             raise _wrap_oracle_failure(exc, r) from exc
         x_new = x.with_part(part, xi)
         f_new = f.value_at(x_new.values)
-        promised = fx - umin
-        realized = fx - f_new
-        elapsed = (time.perf_counter_ns() - t0) if opts.record_timings else 0
-        trace.append(TraceRecord(iteration=r, block=part, objective=f_new,
-                                 step_size=None, elapsed_ns=elapsed, extras=extras))
-        x, fx = x_new, f_new
-        if opts.target_objective is not None and f_new < opts.target_objective:
-            status = "converged"
-            break
-        scale = 1.0 + abs(f_new)
-        small_steps = small_steps + 1 if abs(realized) <= opts.tol * scale else 0
-        small_gaps = small_gaps + 1 if abs(promised) <= opts.tol * scale else 0
-        if small_steps >= period or small_gaps >= period:
-            status = "converged"
-            break
-    trace.terminal_status = status
-    trace.stationarity_gap = _stationarity_gap(f, u, x, trace.n_iterations)
+        return x_new, f_new, part, None, extras, stall(fx, f_new, umin)
+
+    x, trace = _iterate(x0, f.value_at(x0.values), opts, step)
+    _stationarity_gap(f, u, x, trace)
     return x, trace
+
+
+def _cyclic_schedule(driver: str, x0: Point, opts: SolveOptions,
+                     feasible: Sequence[FeasibleSetOracle] | None) -> Schedule:
+    _check_feasible_start(x0, feasible)
+    schedule = opts.schedule or Schedule.cyclic(x0.structure.n_blocks)
+    if schedule.kind not in ("cyclic", "essentially_cyclic"):
+        raise InvalidArgumentError(
+            f"{driver} takes a cyclic or essentially_cyclic schedule; "
+            "use run_misum for max_improvement")
+    if schedule.n_blocks != x0.structure.n_blocks:
+        raise InvalidScheduleError("schedule block count does not match the point")
+    return schedule
 
 
 def run_sum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
             opts: SolveOptions = SolveOptions()) -> tuple[Point, Trace]:
     """Whole-variable surrogate minimization: x^(r+1) = argmin u(x, x^r)."""
     n = x0.structure.n_blocks
-    part: BlockIndex = 0 if n == 1 else tuple(range(n))
-    return _upper_bound_loop(f, u, x0, opts, lambda r: part, period=1, misum=False)
+    whole = Schedule.essentially_cyclic(n, [range(n)], period=1)
+    return run_bsum(f, u, x0, replace(opts, schedule=whole))
 
 
 def run_bsum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
              opts: SolveOptions = SolveOptions(),
              feasible: Sequence[FeasibleSetOracle] | None = None) -> tuple[Point, Trace]:
     """Block-coordinate surrogate minimization under a cyclic-type schedule."""
-    _check_feasible_start(x0, feasible)
-    schedule = opts.schedule or Schedule.cyclic(x0.structure.n_blocks)
-    if schedule.kind not in ("cyclic", "essentially_cyclic"):
-        raise InvalidArgumentError(
-            "run_bsum takes a cyclic or essentially_cyclic schedule; "
-            "use run_misum for max_improvement")
-    if schedule.n_blocks != x0.structure.n_blocks:
-        raise InvalidScheduleError("schedule block count does not match the point")
-    schedule.validate()
-    return _upper_bound_loop(f, u, x0, opts, lambda r: schedule_next(schedule, r),
-                             period=schedule.period_length(), misum=False)
+    schedule = _cyclic_schedule("run_bsum", x0, opts, feasible)
+
+    def choose(r: int, x: Point):
+        part = schedule_next(schedule, r)
+        xi, umin = u.minimize(part, x, r)
+        return part, xi, float(umin), {}
+
+    return _upper_bound_loop(f, u, x0, opts, choose, schedule.period_length())
 
 
 def run_misum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
@@ -332,8 +341,17 @@ def run_misum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
     _check_feasible_start(x0, feasible)
     if opts.schedule is not None and opts.schedule.kind != "max_improvement":
         raise InvalidArgumentError("run_misum only accepts a max_improvement schedule")
-    return _upper_bound_loop(f, u, x0, opts, None,
-                             period=x0.structure.n_blocks, misum=True)
+
+    def choose(r: int, x: Point):
+        # Solve every block subproblem; update the block whose surrogate
+        # minimum is lowest (ties: lowest index).
+        results = [u.minimize(i, x, r) for i in range(x.structure.n_blocks)]
+        minima = np.array([float(v) for _, v in results])
+        k = int(np.argmin(minima))
+        return k, results[k][0], float(minima[k]), {
+            "block_minima": tuple(float(v) for v in minima)}
+
+    return _upper_bound_loop(f, u, x0, opts, choose, x0.structure.n_blocks)
 
 
 def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
@@ -347,24 +365,13 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
     """
     if f.gradient is None:
         raise InvalidArgumentError("run_bsca requires an objective gradient")
-    _check_feasible_start(x0, feasible)
-    schedule = opts.schedule or Schedule.cyclic(x0.structure.n_blocks)
-    if schedule.kind not in ("cyclic", "essentially_cyclic"):
-        raise InvalidArgumentError("run_bsca takes a cyclic or essentially_cyclic schedule")
-    if schedule.n_blocks != x0.structure.n_blocks:
-        raise InvalidScheduleError("schedule block count does not match the point")
-    schedule.validate()
+    schedule = _cyclic_schedule("run_bsca", x0, opts, feasible)
 
     def part_direction(part: BlockIndex, x: Point, r: int) -> np.ndarray:
         xi, _ = h.minimize(part, x, r)
         return np.asarray(xi, dtype=np.float64) - x.part(part)
 
-    x = x0
-    fx = f.value_at(x.values)
-    trace = Trace(initial_objective=fx)
-    status = "max_iters"
-    for r in range(1, opts.max_iters + 1):
-        t0 = time.perf_counter_ns() if opts.record_timings else 0
+    def step(r: int, x: Point, fx: float):
         part = schedule_next(schedule, r)
         try:
             d_part = part_direction(part, x, r)
@@ -376,13 +383,7 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
             all_small = all(
                 float(np.linalg.norm(part_direction(i, x, r))) <= opts.tol
                 for i in range(x.structure.n_blocks))
-            elapsed = (time.perf_counter_ns() - t0) if opts.record_timings else 0
-            trace.append(TraceRecord(iteration=r, block=part, objective=fx,
-                                     step_size=None, elapsed_ns=elapsed))
-            if all_small:
-                status = "converged"
-                break
-            continue
+            return x, fx, part, None, {}, all_small
         g = f.gradient_at(x.values)
         idx = x.structure.part_indices(part)
         fprime = float(g[idx] @ d_part)
@@ -396,13 +397,6 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
         except LineSearchError as exc:
             raise SolverError(str(exc), iteration=r) from exc
         f_new = f.value_at(x_new.values)
-        elapsed = (time.perf_counter_ns() - t0) if opts.record_timings else 0
-        trace.append(TraceRecord(iteration=r, block=part, objective=f_new,
-                                 step_size=alpha, elapsed_ns=elapsed,
-                                 extras={"directional_derivative": fprime}))
-        x, fx = x_new, f_new
-        if opts.target_objective is not None and f_new < opts.target_objective:
-            status = "converged"
-            break
-    trace.terminal_status = status
-    return x, trace
+        return x_new, f_new, part, alpha, {"directional_derivative": fprime}, False
+
+    return _iterate(x0, f.value_at(x0.values), opts, step)

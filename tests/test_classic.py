@@ -1,5 +1,7 @@
 """Tests for the proximal, splitting, concave-convex, and mixture solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,18 @@ class TestCccpSolve:
                           opts=SolveOptions(max_iters=100, tol=1e-18))
         v = x.values[0]
         assert abs(v ** 3 - v) <= 1e-8
+
+    def test_stationarity_gap_failure_is_reported(self):
+        """Whole-variable steps work without a block solver; the post-run
+        per-block gap cannot be computed and the trace says why."""
+        _, dc, _ = separable_quartic_dc([1, 1])
+        dc = dataclasses.replace(dc, block_minimize_linear=None)
+        x0 = Point(np.array([8.0, -8.0]), make_block_structure([1, 1]))
+        _, trace = cccp_solve(dc, x0)
+        assert trace.terminal_status == "converged"
+        assert trace.stationarity_gap is None
+        assert trace.warnings == ["stationarity gap not computed: "
+                                  "block steps need a block_minimize_linear solver"]
 
 
 class TestGmmParams:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bsumkit.app_wmmse import NetworkSpec, gen_channels, init_transmitters, run_wmmse
 from bsumkit.core import (
     DescentDirectionError,
     InvalidArgumentError,
@@ -73,6 +74,10 @@ class TestSchedule:
         with pytest.raises(InvalidScheduleError):
             Schedule(kind="random", n_blocks=2).validate()
 
+    def test_invalid_schedule_rejected_at_construction(self):
+        with pytest.raises(InvalidScheduleError):
+            Schedule(kind="essentially_cyclic", n_blocks=3, groups=((0,), (1,)), period=2)
+
 
 class TestRunSum:
 
@@ -126,14 +131,22 @@ class TestRunBsum:
                             SolveOptions(max_iters=500, tol=1e-14))
         np.testing.assert_allclose(x.values, a, atol=1e-6)
 
-    def test_single_block_matches_run_sum(self):
-        prob = QuadraticProblem(np.array([[2.0]]), np.array([0.0]))
+    @pytest.mark.parametrize("dims,part,schedule", [
+        ([1], 0, None),
+        ([1, 1], (0, 1), Schedule.essentially_cyclic(2, [(0, 1)])),
+    ], ids=["one_block", "two_blocks"])
+    def test_single_block_matches_run_sum(self, dims, part, schedule):
+        """run_sum is run_bsum over one group of every block."""
+        n = len(dims)
+        prob = QuadraticProblem(2.0 * np.eye(n), np.arange(n, dtype=np.float64))
         f, u = prob.objective(), prob.proximal_surrogate(c=1.0)
-        xs, ts = run_sum(f, u, scalar_point(2.0))
-        xb, tb = run_bsum(f, u, scalar_point(2.0))
+        x0 = Point(np.full(n, 2.0), make_block_structure(dims))
+        xs, ts = run_sum(f, u, x0)
+        xb, tb = run_bsum(f, u, x0, SolveOptions(schedule=schedule))
         np.testing.assert_array_equal(xs.values, xb.values)
         np.testing.assert_array_equal(ts.objectives(), tb.objectives())
         assert ts.terminal_status == tb.terminal_status
+        assert [rec.block for rec in ts.records] == [part] * ts.n_iterations
 
     def test_exact_surrogate_converges_in_one_cycle(self):
         """Separable (x1-1)^2 + (x2+1)^2 lands on (1, -1) after one sweep."""
@@ -343,6 +356,19 @@ class TestRunBsca:
         assert trace.terminal_status == "converged"
         assert trace.records[0].step_size is None
 
+    def test_stalled_block_below_target_stops(self):
+        """A start below the target stops at iteration 1 even when that
+        iteration is a stall (block 0 model-stationary, block 1 not)."""
+        f = ObjectiveOracle(value=lambda v: 0.5 * float(v @ v),
+                            gradient=lambda v: v.copy())
+        x0 = Point(np.array([0.0, 1.0]), make_block_structure([1, 1]))
+        x, trace = run_bsca(f, QuadraticApprox(f, t=1.0), x0,
+                            SolveOptions(target_objective=1.0))
+        assert trace.n_iterations == 1
+        assert trace.terminal_status == "converged"
+        assert trace.records[0].step_size is None
+        np.testing.assert_array_equal(x.values, x0.values)
+
     def test_gradient_required(self):
         f = ObjectiveOracle(value=lambda v: float(v[0] ** 2))
         fg = ObjectiveOracle(value=lambda v: float(v[0] ** 2),
@@ -378,6 +404,25 @@ class TestRunBsca:
         np.testing.assert_array_equal(t1.objectives(), t2.objectives())
 
 
+DRIVERS = ("run_sum", "run_bsum", "run_misum", "run_bsca", "run_wmmse")
+
+
+def short_run(driver, opts):
+    """The trace of a small run of the named driver."""
+    if driver == "run_wmmse":
+        spec = NetworkSpec.build(1, 2, 2)
+        rng = RngStream(0)
+        H = gen_channels(spec, rng.substream(0))
+        return run_wmmse(spec, H, init_transmitters(spec, rng.substream(1)), opts)[1]
+    prob = random_spd_problem(5, n=2)
+    x0 = Point(np.full(2, 2.0), make_block_structure([1, 1]))
+    if driver == "run_bsca":
+        return run_bsca(prob.objective(), QuadraticApprox(prob.objective(), t=0.05),
+                        x0, opts)[1]
+    run = {"run_sum": run_sum, "run_bsum": run_bsum, "run_misum": run_misum}[driver]
+    return run(prob.objective(), prob.proximal_surrogate(c=0.5), x0, opts)[1]
+
+
 class TestSolveOptions:
 
     def test_validation(self):
@@ -386,13 +431,12 @@ class TestSolveOptions:
         with pytest.raises(InvalidArgumentError):
             SolveOptions(tol=0.0)
 
-    def test_timings_off_by_default(self):
-        prob = QuadraticProblem(np.array([[2.0]]), np.array([0.0]))
-        _, trace = run_sum(prob.objective(), prob.proximal_surrogate(), scalar_point(2.0))
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_timings_off_by_default(self, driver):
+        trace = short_run(driver, SolveOptions(max_iters=20))
         assert all(rec.elapsed_ns == 0 for rec in trace.records)
 
-    def test_timings_recorded_when_asked(self):
-        prob = QuadraticProblem(np.array([[2.0]]), np.array([0.0]))
-        _, trace = run_sum(prob.objective(), prob.proximal_surrogate(), scalar_point(2.0),
-                           SolveOptions(record_timings=True))
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_timings_recorded_when_asked(self, driver):
+        trace = short_run(driver, SolveOptions(max_iters=20, record_timings=True))
         assert any(rec.elapsed_ns > 0 for rec in trace.records)
