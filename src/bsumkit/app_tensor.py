@@ -10,7 +10,7 @@ the recorded objective decreases monotonically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -25,7 +25,7 @@ from .core import (
     Trace,
     make_block_structure,
 )
-from .engine import Schedule, SolveOptions, run_bsum, run_misum
+from .engine import SolveOptions, run_bsum, run_misum
 
 __all__ = [
     "DenseTensor3",
@@ -177,13 +177,13 @@ def cp_residual(t: DenseTensor3, f: CpFactors) -> float:
     return float(np.linalg.norm(t.values - approx))
 
 
-def _mode_pieces(t: DenseTensor3, f: CpFactors, mode: int):
+def _mode_pieces(f: CpFactors, mode: int):
     if mode == 1:
-        return unfold(t, 1), f.A, khatri_rao(f.C, f.B)
+        return f.A, khatri_rao(f.C, f.B)
     if mode == 2:
-        return unfold(t, 2), f.B, khatri_rao(f.C, f.A)
+        return f.B, khatri_rao(f.C, f.A)
     if mode == 3:
-        return unfold(t, 3), f.C, khatri_rao(f.B, f.A)
+        return f.C, khatri_rao(f.B, f.A)
     raise InvalidArgumentError(f"mode must be 1, 2, or 3, got {mode}")
 
 
@@ -197,9 +197,8 @@ def als_factor_update(t: DenseTensor3, f: CpFactors, mode: int,
     """
     if lam < 0:
         raise InvalidArgumentError("lambda must be nonnegative")
-    x_mat, current, kr = _mode_pieces(t, f, mode)
-    if unfolded is not None:
-        x_mat = unfolded
+    current, kr = _mode_pieces(f, mode)
+    x_mat = unfold(t, mode) if unfolded is None else unfolded
     gram = kr.T @ kr
     lhs = gram + lam * np.eye(gram.shape[0])
     if lam == 0.0 and np.linalg.cond(lhs) > _GRAM_COND_LIMIT:
@@ -390,15 +389,5 @@ def run_cp(t: DenseTensor3, rank: int, mode: str = "als",
         x = Point(v, x0.structure)
         return cp_residual(t, CpFactors.from_point(x, t.shape, rank))
 
-    f = ObjectiveOracle(value=fit_error)
-    if driver is run_bsum:
-        opts_used = opts if opts.schedule is not None else _with_schedule(
-            opts, Schedule.cyclic(3))
-        x, trace = run_bsum(f, surrogate, x0, opts_used)
-    else:
-        x, trace = run_misum(f, surrogate, x0, opts)
+    x, trace = driver(ObjectiveOracle(value=fit_error), surrogate, x0, opts)
     return CpFactors.from_point(x, t.shape, rank), trace
-
-
-def _with_schedule(opts: SolveOptions, schedule: Schedule) -> SolveOptions:
-    return replace(opts, schedule=schedule)

@@ -4,7 +4,7 @@ Four related schemes, all minimizing f by repeatedly minimizing a
 block surrogate u built around the current iterate:
 
 * ``run_sum``   - whole-variable: ``run_bsum`` over one group of all blocks.
-* ``run_bsum``  - block-cyclic (or essentially cyclic with groups).
+* ``run_bsum``  - block-cyclic, or essentially cyclic over groups of blocks.
 * ``run_misum`` - greedy: every block subproblem is solved, the block whose
   surrogate minimum is lowest is the one updated.
 * ``run_bsca``  - the surrogate only approximates f, so the block step is a
@@ -16,6 +16,9 @@ is an int block index or a tuple of indices, and the anchor is the current
 ``Point``. For the upper-bound drivers the surrogate must touch f at the
 anchor and dominate it elsewhere; those properties are not assumed silently,
 ``bsumkit.verify`` checks them by sampling.
+
+``run_bsum`` and ``run_bsca`` take a ``schedule=Schedule`` of block groups
+(default ``Schedule.cyclic``); ``run_misum`` picks its block and takes none.
 
 Every driver, ``app_wmmse.run_wmmse`` included, is a step run by one loop,
 ``_iterate``: it records and times the steps and stops as converged on the
@@ -30,7 +33,7 @@ schedule period (1 for ``run_sum``, the block count for ``run_misum``);
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -71,82 +74,62 @@ class BlockSurrogateOracle(Protocol):
 
 @dataclass(frozen=True)
 class Schedule:
-    """Block visiting order.
+    """Essentially cyclic block order (Tseng 2001).
 
-    ``cyclic``: blocks 0..n-1 round robin. ``essentially_cyclic``: a fixed
-    list of (possibly overlapping) groups visited round robin, where every
-    window of ``period`` consecutive groups must cover all blocks.
-    ``max_improvement``: the driver sees all blocks each iteration and picks
-    the best one itself.
+    A fixed list of (possibly overlapping) groups visited round robin, such
+    that every window of ``period`` consecutive groups, taken cyclically,
+    covers all blocks. ``cyclic(n)`` is the case of one block per group.
     """
 
-    kind: str
     n_blocks: int
-    groups: tuple[tuple[int, ...], ...] = ()
-    period: int = 0
+    groups: tuple[tuple[int, ...], ...]
+    period: int
 
     def __post_init__(self):
-        self.validate()
+        if self.n_blocks < 1:
+            raise InvalidScheduleError("need at least one block")
+        if not self.groups:
+            raise InvalidScheduleError("need at least one group")
+        if self.period < 1:
+            raise InvalidScheduleError("period must be >= 1")
+        visits: list[list[int]] = [[] for _ in range(self.n_blocks)]
+        for k, g in enumerate(self.groups):
+            if not g:
+                raise InvalidScheduleError("empty group")
+            for i in g:
+                if not 0 <= i < self.n_blocks:
+                    raise InvalidScheduleError(f"group {g} references unknown blocks")
+                visits[i].append(k)
+        # Every window covers block i iff no cyclic gap between successive
+        # groups holding i exceeds the period.
+        n_g = len(self.groups)
+        for i, ks in enumerate(visits):
+            if not ks:
+                raise InvalidScheduleError(f"block {i} is in no group")
+            gap = max(b - a for a, b in zip(ks, ks[1:] + [ks[0] + n_g]))
+            if gap > self.period:
+                raise InvalidScheduleError(
+                    f"block {i} waits {gap} groups for an update, more than "
+                    f"the period {self.period}")
 
     @staticmethod
     def cyclic(n_blocks: int) -> "Schedule":
-        return Schedule(kind="cyclic", n_blocks=n_blocks, period=n_blocks)
+        return Schedule.essentially_cyclic(n_blocks, [[i] for i in range(n_blocks)])
 
     @staticmethod
     def essentially_cyclic(n_blocks: int, groups: Sequence[Sequence[int]],
                            period: int | None = None) -> "Schedule":
         groups_t = tuple(tuple(sorted(set(int(i) for i in g))) for g in groups)
         period = len(groups_t) if period is None else int(period)
-        return Schedule(kind="essentially_cyclic", n_blocks=n_blocks,
-                        groups=groups_t, period=period)
-
-    @staticmethod
-    def max_improvement(n_blocks: int) -> "Schedule":
-        return Schedule(kind="max_improvement", n_blocks=n_blocks, period=n_blocks)
-
-    def validate(self) -> None:
-        """Raise ``InvalidScheduleError`` if malformed; runs at construction."""
-        if self.n_blocks < 1:
-            raise InvalidScheduleError("need at least one block")
-        if self.kind in ("cyclic", "max_improvement"):
-            return
-        if self.kind != "essentially_cyclic":
-            raise InvalidScheduleError(f"unknown schedule kind {self.kind!r}")
-        if not self.groups:
-            raise InvalidScheduleError("need at least one group")
-        if self.period < 1:
-            raise InvalidScheduleError("period must be >= 1")
-        every = set(range(self.n_blocks))
-        for g in self.groups:
-            if not g:
-                raise InvalidScheduleError("empty group")
-            if not set(g) <= every:
-                raise InvalidScheduleError(f"group {g} references unknown blocks")
-        # Every window of `period` consecutive groups must cover all blocks.
-        n_g = len(self.groups)
-        for start in range(n_g):
-            window = set()
-            for t in range(self.period):
-                window |= set(self.groups[(start + t) % n_g])
-            if window != every:
-                raise InvalidScheduleError(
-                    f"window of {self.period} groups starting at {start} covers "
-                    f"{sorted(window)}, not all {self.n_blocks} blocks")
-
-    def period_length(self) -> int:
-        return self.period if self.kind == "essentially_cyclic" else self.n_blocks
+        return Schedule(n_blocks=n_blocks, groups=groups_t, period=period)
 
 
 def schedule_next(schedule: Schedule, iteration: int) -> BlockIndex:
-    """Part to update at a 1-based iteration index."""
+    """Part to update at a 1-based iteration index (an int for a one-block group)."""
     if iteration < 1:
         raise InvalidArgumentError("iteration index starts at 1")
-    if schedule.kind == "cyclic":
-        return (iteration - 1) % schedule.n_blocks
-    if schedule.kind == "essentially_cyclic":
-        g = schedule.groups[(iteration - 1) % len(schedule.groups)]
-        return g[0] if len(g) == 1 else g
-    return tuple(range(schedule.n_blocks))  # max_improvement
+    g = schedule.groups[(iteration - 1) % len(schedule.groups)]
+    return g[0] if len(g) == 1 else g
 
 
 @dataclass(frozen=True)
@@ -199,7 +182,6 @@ def armijo_step(f: ObjectiveOracle, x: Point, d: np.ndarray, fprime: float,
 class SolveOptions:
     max_iters: int = 1000
     tol: float = 1e-8
-    schedule: Schedule | None = None
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
     record_timings: bool = False
     target_objective: float | None = None
@@ -299,14 +281,10 @@ def _upper_bound_loop(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
     return x, trace
 
 
-def _cyclic_schedule(driver: str, x0: Point, opts: SolveOptions,
-                     feasible: Sequence[FeasibleSetOracle] | None) -> Schedule:
+def _cyclic_schedule(x0: Point, feasible: Sequence[FeasibleSetOracle] | None,
+                     schedule: Schedule | None) -> Schedule:
     _check_feasible_start(x0, feasible)
-    schedule = opts.schedule or Schedule.cyclic(x0.structure.n_blocks)
-    if schedule.kind not in ("cyclic", "essentially_cyclic"):
-        raise InvalidArgumentError(
-            f"{driver} takes a cyclic or essentially_cyclic schedule; "
-            "use run_misum for max_improvement")
+    schedule = schedule or Schedule.cyclic(x0.structure.n_blocks)
     if schedule.n_blocks != x0.structure.n_blocks:
         raise InvalidScheduleError("schedule block count does not match the point")
     return schedule
@@ -316,22 +294,23 @@ def run_sum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
             opts: SolveOptions = SolveOptions()) -> tuple[Point, Trace]:
     """Whole-variable surrogate minimization: x^(r+1) = argmin u(x, x^r)."""
     n = x0.structure.n_blocks
-    whole = Schedule.essentially_cyclic(n, [range(n)], period=1)
-    return run_bsum(f, u, x0, replace(opts, schedule=whole))
+    return run_bsum(f, u, x0, opts,
+                    schedule=Schedule.essentially_cyclic(n, [range(n)], period=1))
 
 
 def run_bsum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
              opts: SolveOptions = SolveOptions(),
-             feasible: Sequence[FeasibleSetOracle] | None = None) -> tuple[Point, Trace]:
-    """Block-coordinate surrogate minimization under a cyclic-type schedule."""
-    schedule = _cyclic_schedule("run_bsum", x0, opts, feasible)
+             feasible: Sequence[FeasibleSetOracle] | None = None,
+             schedule: Schedule | None = None) -> tuple[Point, Trace]:
+    """Block-coordinate surrogate minimization; the schedule defaults to cyclic."""
+    schedule = _cyclic_schedule(x0, feasible, schedule)
 
     def choose(r: int, x: Point):
         part = schedule_next(schedule, r)
         xi, umin = u.minimize(part, x, r)
         return part, xi, float(umin), {}
 
-    return _upper_bound_loop(f, u, x0, opts, choose, schedule.period_length())
+    return _upper_bound_loop(f, u, x0, opts, choose, schedule.period)
 
 
 def run_misum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
@@ -339,8 +318,6 @@ def run_misum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
               feasible: Sequence[FeasibleSetOracle] | None = None) -> tuple[Point, Trace]:
     """Maximum-improvement variant: update the block promising the lowest minimum."""
     _check_feasible_start(x0, feasible)
-    if opts.schedule is not None and opts.schedule.kind != "max_improvement":
-        raise InvalidArgumentError("run_misum only accepts a max_improvement schedule")
 
     def choose(r: int, x: Point):
         # Solve every block subproblem; update the block whose surrogate
@@ -356,16 +333,18 @@ def run_misum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
 
 def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
              opts: SolveOptions = SolveOptions(),
-             feasible: Sequence[FeasibleSetOracle] | None = None) -> tuple[Point, Trace]:
+             feasible: Sequence[FeasibleSetOracle] | None = None,
+             schedule: Schedule | None = None) -> tuple[Point, Trace]:
     """Convex-approximation descent with Armijo backtracking.
 
-    Each iteration minimizes the convex model h over the scheduled part,
-    takes d = argmin - current part as a direction, and line-searches f
-    along it. h need not upper-bound f; f must expose a gradient.
+    Each iteration minimizes the convex model h over the scheduled part
+    (the schedule defaults to cyclic), takes d = argmin - current part as a
+    direction, and line-searches f along it. h need not upper-bound f; f
+    must expose a gradient.
     """
     if f.gradient is None:
         raise InvalidArgumentError("run_bsca requires an objective gradient")
-    schedule = _cyclic_schedule("run_bsca", x0, opts, feasible)
+    schedule = _cyclic_schedule(x0, feasible, schedule)
 
     def part_direction(part: BlockIndex, x: Point, r: int) -> np.ndarray:
         xi, _ = h.minimize(part, x, r)
@@ -375,14 +354,15 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
         part = schedule_next(schedule, r)
         try:
             d_part = part_direction(part, x, r)
-        except Exception as exc:  # noqa: BLE001
-            raise _wrap_oracle_failure(exc, r) from exc
-        if float(np.linalg.norm(d_part)) <= opts.tol:
-            # Scheduled part is already model-stationary; if every block is,
+            # Scheduled part already model-stationary: if every block is,
             # the run is done (sound to check now, x has not moved).
-            all_small = all(
+            stalled = float(np.linalg.norm(d_part)) <= opts.tol
+            all_small = stalled and all(
                 float(np.linalg.norm(part_direction(i, x, r))) <= opts.tol
                 for i in range(x.structure.n_blocks))
+        except Exception as exc:  # noqa: BLE001
+            raise _wrap_oracle_failure(exc, r) from exc
+        if stalled:
             return x, fx, part, None, {}, all_small
         g = f.gradient_at(x.values)
         idx = x.structure.part_indices(part)

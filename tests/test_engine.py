@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsumkit.app_wmmse import NetworkSpec, gen_channels, init_transmitters, run_wmmse
 from bsumkit.core import (
@@ -11,6 +13,7 @@ from bsumkit.core import (
     ObjectiveOracle,
     Point,
     RngStream,
+    SolverError,
     make_block_structure,
     nonnegative,
 )
@@ -70,13 +73,37 @@ class TestSchedule:
         for start in range(len(seq) - n + 1):
             assert set(seq[start:start + n]) == set(range(n))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidScheduleError):
-            Schedule(kind="random", n_blocks=2).validate()
-
     def test_invalid_schedule_rejected_at_construction(self):
         with pytest.raises(InvalidScheduleError):
-            Schedule(kind="essentially_cyclic", n_blocks=3, groups=((0,), (1,)), period=2)
+            Schedule(n_blocks=3, groups=((0,), (1,)), period=2)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=6),
+        st.integers(1, 8))))
+    def test_construction_matches_window_coverage(self, case):
+        """A schedule builds iff every window of ``period`` consecutive
+        groups, taken cyclically, covers all blocks."""
+        n, groups, period = case
+        covered = all(
+            set().union(*(groups[(s + t) % len(groups)] for t in range(period)))
+            == set(range(n))
+            for s in range(len(groups)))
+        try:
+            Schedule.essentially_cyclic(n, groups, period)
+            built = True
+        except InvalidScheduleError:
+            built = False
+        assert built == covered
+
+    @pytest.mark.parametrize("driver", [run_bsum, run_bsca], ids=["run_bsum", "run_bsca"])
+    def test_block_count_mismatch_rejected(self, driver):
+        f = ObjectiveOracle(value=lambda v: 0.5 * float(v @ v),
+                            gradient=lambda v: v.copy())
+        x0 = Point(np.ones(2), make_block_structure([1, 1]))
+        with pytest.raises(InvalidScheduleError):
+            driver(f, QuadraticApprox(f, t=1.0), x0, schedule=Schedule.cyclic(3))
 
 
 class TestRunSum:
@@ -142,7 +169,7 @@ class TestRunBsum:
         f, u = prob.objective(), prob.proximal_surrogate(c=1.0)
         x0 = Point(np.full(n, 2.0), make_block_structure(dims))
         xs, ts = run_sum(f, u, x0)
-        xb, tb = run_bsum(f, u, x0, SolveOptions(schedule=schedule))
+        xb, tb = run_bsum(f, u, x0, schedule=schedule)
         np.testing.assert_array_equal(xs.values, xb.values)
         np.testing.assert_array_equal(ts.objectives(), tb.objectives())
         assert ts.terminal_status == tb.terminal_status
@@ -167,19 +194,12 @@ class TestRunBsum:
             run_bsum(prob.objective(), prob.exact_surrogate(), x0,
                      feasible=[nonnegative(), nonnegative()])
 
-    def test_max_improvement_schedule_rejected(self):
-        prob = QuadraticProblem(2.0 * np.eye(2), np.zeros(2))
-        x0 = Point(np.ones(2), make_block_structure([1, 1]))
-        with pytest.raises(InvalidArgumentError):
-            run_bsum(prob.objective(), prob.exact_surrogate(), x0,
-                     SolveOptions(schedule=Schedule.max_improvement(2)))
-
     def test_group_schedule_joint_update(self):
         prob = random_spd_problem(3, n=4)
         x0 = Point(np.ones(4), make_block_structure([2, 2]))
         sched = Schedule.essentially_cyclic(2, [(0, 1), (1,), (0,)], period=2)
         x, trace = run_bsum(prob.objective(), prob.exact_surrogate(), x0,
-                            SolveOptions(schedule=sched, max_iters=200))
+                            SolveOptions(max_iters=200), schedule=sched)
         np.testing.assert_allclose(x.values, prob.minimizer(), atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -258,13 +278,6 @@ class TestRunMisum:
         xm, tm = run_misum(f, u, scalar_point(2.0))
         np.testing.assert_array_equal(xs.values, xm.values)
         np.testing.assert_array_equal(ts.objectives(), tm.objectives())
-
-    def test_cyclic_schedule_rejected(self):
-        prob = QuadraticProblem(2.0 * np.eye(2), np.zeros(2))
-        x0 = Point(np.ones(2), make_block_structure([1, 1]))
-        with pytest.raises(InvalidArgumentError):
-            run_misum(prob.objective(), prob.exact_surrogate(), x0,
-                      SolveOptions(schedule=Schedule.cyclic(2)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_improvement_dominates_alternatives(self, seed):
@@ -368,6 +381,23 @@ class TestRunBsca:
         assert trace.terminal_status == "converged"
         assert trace.records[0].step_size is None
         np.testing.assert_array_equal(x.values, x0.values)
+
+    def test_stall_check_oracle_failure_is_wrapped(self):
+        """Block 0 is model-stationary at (0, 1), so iteration 1 checks every
+        block; the oracle failure on block 1 surfaces as a SolverError."""
+
+        class FailsOnBlock1(QuadraticApprox):
+            def minimize(self, part, anchor, iteration=1):
+                if part == 1:
+                    raise ValueError("oracle failure")
+                return super().minimize(part, anchor, iteration)
+
+        f = ObjectiveOracle(value=lambda v: 0.5 * float(v @ v),
+                            gradient=lambda v: v.copy())
+        x0 = Point(np.array([0.0, 1.0]), make_block_structure([1, 1]))
+        with pytest.raises(SolverError) as info:
+            run_bsca(f, FailsOnBlock1(f, t=1.0), x0)
+        assert info.value.iteration == 1
 
     def test_gradient_required(self):
         f = ObjectiveOracle(value=lambda v: float(v[0] ** 2))

@@ -1,5 +1,6 @@
 """Every exported name resolves, and removed helpers stay removed."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -28,3 +29,11 @@ def test_removed_helpers_not_exported():
 
 def test_solve_options_has_no_record_trace():
     assert not hasattr(bsumkit.SolveOptions(), "record_trace")
+
+
+def test_schedule_is_a_list_of_groups():
+    assert not hasattr(bsumkit.SolveOptions(), "schedule")
+    for name in ("kind", "max_improvement", "period_length", "validate"):
+        assert not hasattr(bsumkit.Schedule, name)
+    assert [f.name for f in dataclasses.fields(bsumkit.Schedule)] == [
+        "n_blocks", "groups", "period"]
