@@ -209,7 +209,8 @@ class GmmJensenSurrogate:
         diff = self.data[:, None] - new_means[None, :]
         variances = (gamma * diff * diff).sum(axis=0) / mass
         if np.any(variances < self.s_floor):
-            if 2 in blocks:
+            # The post-run stationarity check repeats the last iteration.
+            if 2 in blocks and self.clamp_events[-1:] != [iteration]:
                 self.clamp_events.append(iteration)
             variances = np.maximum(variances, self.s_floor)
         pieces = {0: weights, 1: new_means, 2: variances}

@@ -302,11 +302,13 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
     V = [np.asarray(v, dtype=np.complex128) for v in V0] if V0 is not None else None
     if V is None:
         raise InvalidArgumentError("V0 is required; use init_transmitters for a default")
+    if len(V) != spec.n_users:
+        raise InvalidArgumentError(f"V0 has {len(V)} matrices for {spec.n_users} users")
     for u, v in enumerate(V):
         if v.shape != (spec.n_antennas, spec.streams[u]):
             raise InvalidArgumentError(f"V0[{u}] has the wrong shape")
-    violation = power_per_cell(spec, V) - np.asarray(spec.power)
-    if np.any(violation > 1e-9):
+    budget = np.asarray(spec.power)  # init_transmitters' rounding grows with it
+    if np.any(power_per_cell(spec, V) - budget > 1e-9 * np.maximum(1.0, budget)):
         raise InvalidArgumentError("V0 violates a cell power budget")
 
     U = [np.zeros((spec.n_antennas, spec.streams[u]), dtype=np.complex128)

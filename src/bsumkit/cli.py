@@ -294,38 +294,19 @@ def summarize(iteration_counts: dict[str, list]) -> dict:
     return out
 
 
-def _pool_map(fn: Callable, tasks: Sequence) -> list:
-    if not tasks:
-        return []
-    env = os.environ.get("BSUM_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"BSUM_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ConfigError("BSUM_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    workers = min(cap, len(tasks))
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 # -------------------------------------------------------------- experiments
 
 def _run_tasks(name: str, modes: Sequence, seeds: list[int],
                solve: Callable[[Any, int], Trace], out_dir: str,
-               rates: bool = False) -> tuple[list, list[dict]]:
-    """Run ``solve(mode, seed)`` for every mode and seed through the pool.
+               rates: bool = False, threaded: bool = False) -> tuple[list, list[dict]]:
+    """Run ``solve(mode, seed)`` for every mode and seed, in task order.
 
     Each trace is written to ``{name}_{mode}_seed{seed}.csv``, or
     ``{name}_seed{seed}.csv`` when the mode is None, plus the rates CSV when
     ``rates`` is set. A ``BsumError`` inside a task becomes an ``errors``
     entry and that task's trace is None. Returns the ``(mode, seed, trace)``
-    triples in task order and the errors sorted by mode and seed.
+    triples in task order and the errors sorted by mode and seed. ``threaded``
+    runs the tasks on up to ``os.cpu_count()`` threads, with the same results.
     """
     tasks = [(mode, seed) for mode in modes for seed in seeds]
 
@@ -335,8 +316,14 @@ def _run_tasks(name: str, modes: Sequence, seeds: list[int],
         except BsumError as exc:
             return None, str(exc)
 
+    workers = min(os.cpu_count() or 1, len(tasks)) if threaded else 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(one, tasks))
+    else:
+        outcomes = [one(t) for t in tasks]
     results, errors = [], []
-    for (mode, seed), (trace, err) in zip(tasks, _pool_map(one, tasks)):
+    for (mode, seed), (trace, err) in zip(tasks, outcomes):
         tag = f"seed{seed}" if mode is None else f"{mode}_seed{seed}"
         if err is None:
             _atomic_write(os.path.join(out_dir, f"{name}_{tag}.csv"),
@@ -428,7 +415,8 @@ def _run_em(params: dict, seeds: list[int], out_dir: str) -> dict:
         _, trace = app_classic.em_gmm(data, params["n_components"], mode=mode, opts=opts)
         return trace
 
-    results, errors = _run_tasks("em", params["modes"], seeds, solve, out_dir)
+    # EM's numpy passes release the GIL; cp and wmmse are interpreter-bound and a pool slows them.
+    results, errors = _run_tasks("em", params["modes"], seeds, solve, out_dir, threaded=True)
     final: dict[str, dict] = {m: {} for m in params["modes"]}
     for mode, seed, trace in results:
         if trace is not None:

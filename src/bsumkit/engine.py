@@ -32,6 +32,7 @@ schedule period (1 for ``run_sum``, the block count for ``run_misum``);
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -96,9 +97,11 @@ class Schedule:
         for k, g in enumerate(self.groups):
             if not g:
                 raise InvalidScheduleError("empty group")
+            if len(set(g)) != len(g):
+                raise InvalidScheduleError(f"group {g} repeats a block")
             for i in g:
-                if not 0 <= i < self.n_blocks:
-                    raise InvalidScheduleError(f"group {g} references unknown blocks")
+                if not isinstance(i, (int, np.integer)) or not 0 <= i < self.n_blocks:
+                    raise InvalidScheduleError(f"group {g} holds a non-integer or unknown block")
                 visits[i].append(k)
         # Every window covers block i iff no cyclic gap between successive
         # groups holding i exceeds the period.
@@ -119,8 +122,11 @@ class Schedule:
     @staticmethod
     def essentially_cyclic(n_blocks: int, groups: Sequence[Sequence[int]],
                            period: int | None = None) -> "Schedule":
-        groups_t = tuple(tuple(sorted(set(int(i) for i in g))) for g in groups)
-        period = len(groups_t) if period is None else int(period)
+        try:
+            groups_t = tuple(tuple(sorted(set(operator.index(i) for i in g))) for g in groups)
+            period = len(groups_t) if period is None else operator.index(period)
+        except TypeError as exc:
+            raise InvalidScheduleError(f"blocks and period must be integers: {exc}") from exc
         return Schedule(n_blocks=n_blocks, groups=groups_t, period=period)
 
 

@@ -272,6 +272,20 @@ class TestEmGmm:
         assert theta.variances.min() >= 0.3 - 1e-15
         assert any("clamped" in w for w in trace.warnings)
 
+    @pytest.mark.parametrize("mode,clamped", [
+        ("full", [1, 2, 3, 4, 5, 6, 7, 8]),
+        ("block", [3, 6, 9, 12]),
+    ], ids=["full", "block"])
+    def test_each_clamped_iteration_named_once(self, mode, clamped):
+        """The post-run stationarity check does not repeat the last clamp."""
+        data = np.array([1.0] * 10 + list(np.linspace(-3.0, 3.0, 40)))
+        theta0 = GmmParams(weights=np.array([0.5, 0.5]), means=np.array([1.0, 0.0]),
+                           variances=np.array([1e-3, 3.0]))
+        _, trace = em_gmm(data, 2, theta0=theta0, mode=mode, s_floor=1e-2,
+                          opts=SolveOptions(max_iters=12, tol=1e-12))
+        named = [int(w.rsplit(" ", 1)[1]) for w in trace.warnings if "clamped" in w]
+        assert named == clamped
+
     def test_data_shorter_than_components_rejected(self):
         with pytest.raises(InvalidArgumentError):
             em_gmm(np.array([1.0]), 2)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -345,21 +346,47 @@ class TestMain:
 
 
 class TestWorkerPool:
-    def test_bad_thread_cap_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BSUM_THREADS", "many")
-        config = {"experiment": "wmmse", "seeds": [0, 1],
-                  "params": {"max_iters": 5}, "output_dir": str(tmp_path / "o")}
-        assert run_experiment(config) == 2
-        assert "BSUM_THREADS" in capsys.readouterr().out
-
-    def test_serial_cap_runs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BSUM_THREADS", "1")
+    def test_serial_cap_runs(self, tmp_path):
         out_dir = tmp_path / "out"
         config = {"experiment": "wmmse", "seeds": [0, 1],
                   "params": {"max_iters": 40}, "output_dir": str(out_dir)}
         assert run_experiment(config) == 0
         assert (out_dir / "wmmse_seed0.csv").exists()
         assert (out_dir / "wmmse_seed1.csv").exists()
+
+    def test_only_em_runs_on_threads(self, tmp_path, monkeypatch):
+        """cp, wmmse and toy run serially; em's pool leaves its artifacts as
+        a serial run writes them. BSUM_THREADS has no say."""
+        built = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setenv("BSUM_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+        def run(experiment, params, out):
+            return run_experiment({"experiment": experiment, "params": params,
+                                   "seeds": [0, 1], "output_dir": str(tmp_path / out)})
+
+        assert run("cp", {"modes": ["als", "mbi"], "max_iters": 5}, "cp") == 0
+        assert run("wmmse", {"max_iters": 5}, "wmmse") == 0
+        assert run("toy", {"max_iters": 5}, "toy") == 0
+        assert built == []
+        em = {"modes": ["full", "block"], "n_per_cluster": 50, "max_iters": 5}
+        assert run("em", em, "em_pooled") == 0
+        assert built == [4]  # min(os.cpu_count(), 4 tasks)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert run("em", em, "em_serial") == 0
+        assert built == [4]
+        pooled = sorted(os.listdir(tmp_path / "em_pooled"))
+        assert pooled == sorted(os.listdir(tmp_path / "em_serial"))
+        for name in pooled:
+            assert ((tmp_path / "em_pooled" / name).read_bytes()
+                    == (tmp_path / "em_serial" / name).read_bytes())
 
     def test_name_hash_is_stable(self):
         assert cli.hash_name("ab") == 1 * ord("a") + 2 * ord("b")
@@ -402,6 +429,14 @@ def test_bad_params_exit_2(tmp_path, experiment, params, key):
     assert code == 2
     errors = [line for line in out.splitlines() if line.startswith("config error")]
     assert len(errors) == 1 and key in errors[0]
+
+
+@pytest.mark.parametrize("power", [1e8, 1e10])
+def test_wmmse_large_power_budget_exits_0(tmp_path, power):
+    """init_transmitters' rounding at a large budget is no violation."""
+    code, out = run_cli("wmmse", {"power": power, "max_iters": 4}, [0, 1, 2, 3],
+                        str(tmp_path))
+    assert code == 0, out
 
 
 # Bounds that keep each generated run well under a second.

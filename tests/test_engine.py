@@ -73,9 +73,21 @@ class TestSchedule:
         for start in range(len(seq) - n + 1):
             assert set(seq[start:start + n]) == set(range(n))
 
-    def test_invalid_schedule_rejected_at_construction(self):
+    @pytest.mark.parametrize("build", [
+        lambda: Schedule(n_blocks=3, groups=((0,), (1,)), period=2),
+        lambda: Schedule(2, ((0,), (1, 1)), 2),
+        lambda: Schedule(2, ((0,), (1.5,)), 2),
+        lambda: Schedule.essentially_cyclic(2, [[0], [1.5]]),
+    ], ids=["block_in_no_group", "repeated_block", "float_block",
+            "float_block_essentially_cyclic"])
+    def test_invalid_schedule_rejected_at_construction(self, build):
         with pytest.raises(InvalidScheduleError):
-            Schedule(n_blocks=3, groups=((0,), (1,)), period=2)
+            build()
+
+    def test_numpy_integer_blocks_accepted(self):
+        s = Schedule.essentially_cyclic(2, [[np.int64(0)], [np.int32(1)]])
+        assert s.groups == ((0,), (1,))
+        assert all(type(i) is int for g in s.groups for i in g)
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(

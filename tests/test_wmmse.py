@@ -275,6 +275,14 @@ class TestRunWmmse:
         with pytest.raises(InvalidArgumentError):
             run_wmmse(spec, H, V0)
 
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one_too_few", "one_too_many"])
+    def test_start_of_wrong_length_rejected(self, extra):
+        spec, H = two_cell_network()
+        V0 = init_transmitters(spec, RngStream(0))
+        V0 = V0[:extra] if extra < 0 else V0 + V0[:extra]
+        with pytest.raises(InvalidArgumentError):
+            run_wmmse(spec, H, V0)
+
     def test_missing_start_rejected(self):
         spec, H = two_cell_network()
         with pytest.raises(InvalidArgumentError):
