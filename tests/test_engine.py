@@ -73,14 +73,16 @@ class TestSchedule:
         for start in range(len(seq) - n + 1):
             assert set(seq[start:start + n]) == set(range(n))
 
+    def test_invalid_schedule_rejected_at_construction(self):
+        with pytest.raises(InvalidScheduleError):
+            Schedule(n_blocks=3, groups=((0,), (1,)), period=2)
+
     @pytest.mark.parametrize("build", [
-        lambda: Schedule(n_blocks=3, groups=((0,), (1,)), period=2),
         lambda: Schedule(2, ((0,), (1, 1)), 2),
         lambda: Schedule(2, ((0,), (1.5,)), 2),
         lambda: Schedule.essentially_cyclic(2, [[0], [1.5]]),
-    ], ids=["block_in_no_group", "repeated_block", "float_block",
-            "float_block_essentially_cyclic"])
-    def test_invalid_schedule_rejected_at_construction(self, build):
+    ], ids=["repeated_block", "float_block", "float_block_essentially_cyclic"])
+    def test_invalid_blocks_rejected_at_construction(self, build):
         with pytest.raises(InvalidScheduleError):
             build()
 
