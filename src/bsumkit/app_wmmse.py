@@ -12,15 +12,11 @@ solved by bisection on the dual variable).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    InvalidArgumentError,
-    NumericFailure,
-    SolverError,
-    Trace,
-)
+from .core import InvalidArgumentError, NumericFailure, SolverError, Trace
 from .engine import SolveOptions, _iterate, _Stall
 
 __all__ = [
@@ -87,15 +83,17 @@ class NetworkSpec:
     def n_users(self) -> int:
         return sum(self.users_per_cell)
 
-    @property
+    @cached_property
     def user_cell(self) -> tuple[int, ...]:
-        out = []
-        for k, cnt in enumerate(self.users_per_cell):
-            out.extend([k] * cnt)
-        return tuple(out)
+        return tuple(k for k, cnt in enumerate(self.users_per_cell) for _ in range(cnt))
+
+    @cached_property
+    def _cell_slices(self) -> tuple[slice, ...]:
+        ends = np.cumsum(self.users_per_cell).tolist()
+        return tuple(slice(end - cnt, end) for end, cnt in zip(ends, self.users_per_cell))
 
     def cell_users(self, k: int) -> list[int]:
-        return [u for u, c in enumerate(self.user_cell) if c == k]
+        return list(range(self.n_users)[self._cell_slices[k]]) if 0 <= k < self.n_cells else []
 
 
 @dataclass(frozen=True)
@@ -128,53 +126,79 @@ def gen_channels(spec: NetworkSpec, rng) -> ChannelSet:
     return ChannelSet((re + 1j * im) / np.sqrt(2.0))
 
 
-def _logdet_pd(m: np.ndarray) -> float:
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
+
+
+def _logdet_pd(m: np.ndarray):
+    # logdet of a positive definite matrix, or of each matrix in a stack.
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure("matrix is not positive definite") from exc
-    return float(2.0 * np.sum(np.log(np.real(np.diag(chol)))))
+    return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
 
 
-def _received_covariance(spec: NetworkSpec, H: ChannelSet, V, u: int) -> np.ndarray:
-    # Noise plus every user's signal as seen at receiver u.
-    N = spec.n_antennas
-    cov = spec.noise_power[u] * np.eye(N, dtype=np.complex128)
-    for j in range(spec.n_users):
-        Huj = H.gains[u, spec.user_cell[j]]
-        X = Huj @ V[j]
-        cov += X @ X.conj().T
-    return cov
+def _sum_in_order(values) -> float:
+    # Explicit left-to-right sum: builtin sum() rounds differently
+    # (compensated summation from Python 3.12 on).
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
+def _pad(spec: NetworkSpec, mats) -> np.ndarray:
+    # Per-user matrices as one stack, stream axes zero-padded to max(streams): a zero
+    # column adds nothing to a covariance, an identity block to E. A stack passes through.
+    if isinstance(mats, np.ndarray):
+        return mats
+    out = np.zeros((len(mats), max(map(len, mats)), max(spec.streams)), dtype=np.complex128)
+    for u, m in enumerate(mats):
+        out[u, :len(m), :np.shape(m)[1]] = m
+    return out
+
+
+def _unpad(spec: NetworkSpec, stack: np.ndarray) -> list[np.ndarray]:
+    return [stack[u, :, :d] for u, d in enumerate(spec.streams)]
+
+
+def _signal_stack(spec: NetworkSpec, G: np.ndarray, V: np.ndarray):
+    # With G[u, j] = H[u, cell(j)]: cov[u] is noise plus every user's signal
+    # as seen at receiver u, own[u] is user u's own signal there.
+    X = np.einsum("ujab,jbd->uajd", G, V)
+    Y = X.reshape(*X.shape[:2], -1)
+    cov = Y @ np.swapaxes(Y, 1, 2).conj()
+    cov += np.asarray(spec.noise_power)[:, None, None] * np.eye(V.shape[1])
+    return _hermitian(cov), np.einsum("uaud->uad", X)
+
+
+def _mse_stack(U: np.ndarray, cov: np.ndarray, own: np.ndarray) -> np.ndarray:
+    Uh = np.swapaxes(U, 1, 2).conj()
+    # The symmetric part of I - 2 U^H own + U^H cov U.
+    return _hermitian(np.eye(U.shape[2]) - 2.0 * (Uh @ own) + Uh @ cov @ U)
+
+
+def _rate(cov: np.ndarray, own: np.ndarray) -> float:
+    interference = _hermitian(cov - own @ np.swapaxes(own, 1, 2).conj())
+    return _sum_in_order(_logdet_pd(cov) - _logdet_pd(interference))
 
 
 def sum_rate(spec: NetworkSpec, H: ChannelSet, V) -> float:
     """Achievable sum rate in nats, interference treated as noise."""
-    total = 0.0
-    for u in range(spec.n_users):
-        cov = _received_covariance(spec, H, V, u)
-        own = H.gains[u, spec.user_cell[u]] @ V[u]
-        interference = cov - own @ own.conj().T
-        interference = 0.5 * (interference + interference.conj().T)
-        cov = 0.5 * (cov + cov.conj().T)
-        total += _logdet_pd(cov) - _logdet_pd(interference)
-    return float(total)
+    return _rate(*_signal_stack(spec, H.gains[:, list(spec.user_cell)], _pad(spec, V)))
 
 
 def mse_matrix(spec: NetworkSpec, H: ChannelSet, V, U, u: int) -> np.ndarray:
     """Error covariance of stream estimates for user u under receiver U[u]."""
-    d = spec.streams[u]
-    own = U[u].conj().T @ H.gains[u, spec.user_cell[u]] @ V[u]
-    cov = _received_covariance(spec, H, V, u)
-    E = (np.eye(d, dtype=np.complex128) - own - own.conj().T
-         + U[u].conj().T @ cov @ U[u])
-    return 0.5 * (E + E.conj().T)
+    cov, own = _signal_stack(spec, H.gains[:, list(spec.user_cell)], _pad(spec, V))
+    return _mse_stack(_pad(spec, U), cov, own)[u, :spec.streams[u], :spec.streams[u]]
 
 
 def mmse_receiver(spec: NetworkSpec, H: ChannelSet, V, u: int) -> np.ndarray:
     """Receiver minimizing the error covariance in the semidefinite order."""
-    cov = _received_covariance(spec, H, V, u)
-    target = H.gains[u, spec.user_cell[u]] @ V[u]
-    return np.linalg.solve(cov, target)
+    cov, own = _signal_stack(spec, H.gains[:, list(spec.user_cell)], _pad(spec, V))
+    return np.linalg.solve(cov, own)[u, :, :spec.streams[u]]
 
 
 def logdet_surrogate(E: np.ndarray, E_hat: np.ndarray) -> float:
@@ -190,10 +214,8 @@ def logdet_surrogate(E: np.ndarray, E_hat: np.ndarray) -> float:
 
 
 def power_per_cell(spec: NetworkSpec, V) -> np.ndarray:
-    out = np.zeros(spec.n_cells)
-    for u in range(spec.n_users):
-        out[spec.user_cell[u]] += float(np.sum(np.abs(V[u]) ** 2))
-    return out
+    user_power = np.sum(np.abs(_pad(spec, V)) ** 2, axis=(1, 2))
+    return np.bincount(spec.user_cell, weights=user_power, minlength=spec.n_cells)
 
 
 def init_transmitters(spec: NetworkSpec, rng) -> list[np.ndarray]:
@@ -201,9 +223,7 @@ def init_transmitters(spec: NetworkSpec, rng) -> list[np.ndarray]:
     gen = rng.generator()
     N = spec.n_antennas
     out = []
-    for u in range(spec.n_users):
-        k = spec.user_cell[u]
-        d = spec.streams[u]
+    for k, d in zip(spec.user_cell, spec.streams):
         z = (gen.standard_normal((N, N)) + 1j * gen.standard_normal((N, N))) / np.sqrt(2.0)
         q, _ = np.linalg.qr(z)
         scale = np.sqrt(spec.power[k] / (spec.users_per_cell[k] * d))
@@ -213,15 +233,15 @@ def init_transmitters(spec: NetworkSpec, rng) -> list[np.ndarray]:
 
 def _cell_power_curve(eigvals: np.ndarray, rows_norm2: np.ndarray):
     # Power used by a cell as a function of the dual variable mu, in the
-    # eigenbasis of the quadratic term: sum_n rows_norm2[n] / (lam_n + mu)^2.
-    def p(mu: float) -> float:
-        denom = (eigvals + mu) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(rows_norm2 > 1e-30, rows_norm2 / denom, 0.0)
-        if np.any(np.isinf(terms)) or np.any(np.isnan(terms)):
-            return np.inf
-        return float(np.sum(terms))
+    # eigenbasis of the quadratic term: sum_n rows_norm2[n] / (lam_n + mu)^2
+    # over the rows that carry power; a term that is not finite makes it inf.
+    keep = rows_norm2 > 1e-30
+    lam, rows = eigvals[keep], rows_norm2[keep]
 
+    def p(mu: float) -> float:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = float((rows / (lam + mu) ** 2).sum())
+        return total if np.isfinite(total) else np.inf
     return p
 
 
@@ -231,31 +251,21 @@ def update_transmitters(spec: NetworkSpec, H: ChannelSet, U, W) -> list[np.ndarr
     Per cell the unconstrained stationarity condition is (J + mu I) V = T;
     used power is strictly decreasing in mu, so mu is zero when the
     unconstrained solution fits the budget and otherwise found by bisection
-    to relative tolerance 1e-10.
+    to relative tolerance 1e-10. U and W may be per-user lists or stacks.
     """
-    N = spec.n_antennas
-    out: list[np.ndarray | None] = [None] * spec.n_users
-    for k in range(spec.n_cells):
-        J = np.zeros((N, N), dtype=np.complex128)
-        for j in range(spec.n_users):
-            Hjk = H.gains[j, k]
-            J += Hjk.conj().T @ U[j] @ W[j] @ U[j].conj().T @ Hjk
-        J = 0.5 * (J + J.conj().T)
-        eigvals, Q = np.linalg.eigh(J)
-        eigvals = np.maximum(eigvals, 0.0)
-        users = spec.cell_users(k)
-        targets = []
-        rows_norm2 = np.zeros(N)
-        for u in users:
-            T = H.gains[u, k].conj().T @ U[u] @ W[u]
-            Tt = Q.conj().T @ T
-            targets.append(Tt)
-            rows_norm2 += np.sum(np.abs(Tt) ** 2, axis=1)
-        p = _cell_power_curve(eigvals, rows_norm2)
+    U, W = _pad(spec, U), _pad(spec, W)
+    Uh = np.swapaxes(U, 1, 2).conj()
+    J = np.einsum("jkba,jbc,jkcd->kad", H.gains.conj(), U @ W @ Uh, H.gains, optimize=True)
+    eigvals, Q = np.linalg.eigh(_hermitian(J))
+    eigvals = np.maximum(eigvals, 0.0)
+    own_gain = H.gains[np.arange(spec.n_users), list(spec.user_cell)]
+    V = np.swapaxes(own_gain, 1, 2).conj() @ U @ W  # targets, then transmitters
+    for k, cell in enumerate(spec._cell_slices):
+        Tt = Q[k].conj().T @ V[cell]
+        p = _cell_power_curve(eigvals[k], np.sum(np.abs(Tt) ** 2, axis=(0, 2)))
         budget = spec.power[k]
-        if p(0.0) <= budget + _POWER_REL_TOL * budget:
-            mu = 0.0
-        else:
+        mu = 0.0
+        if p(0.0) > budget + _POWER_REL_TOL * budget:
             lo, hi = 0.0, 1.0
             grow = 0
             while p(hi) > budget:
@@ -275,11 +285,10 @@ def update_transmitters(spec: NetworkSpec, H: ChannelSet, U, W) -> list[np.ndarr
             else:
                 raise SolverError("power bisection did not converge")
             mu = mid
-        denom = eigvals + mu
+        denom = eigvals[k] + mu
         scale = np.where(denom > 1e-300, 1.0 / np.where(denom > 1e-300, denom, 1.0), 0.0)
-        for u, Tt in zip(users, targets):
-            out[u] = Q @ (scale[:, None] * Tt)
-    return [v for v in out]  # type: ignore[misc]
+        V[cell] = Q[k] @ (scale[:, None] * Tt)
+    return _unpad(spec, V)
 
 
 def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
@@ -296,8 +305,7 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
     below ``target_objective`` or once the objective decrease stays within
     ``tol * (1 + |f|)`` for two half-steps in a row.
     """
-    if H.gains.shape[0] != spec.n_users or H.gains.shape[1] != spec.n_cells \
-            or H.gains.shape[2] != spec.n_antennas:
+    if H.gains.shape[:3] != (spec.n_users, spec.n_cells, spec.n_antennas):
         raise InvalidArgumentError("channel shape does not match the network")
     V = [np.asarray(v, dtype=np.complex128) for v in V0] if V0 is not None else None
     if V is None:
@@ -307,41 +315,33 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
     for u, v in enumerate(V):
         if v.shape != (spec.n_antennas, spec.streams[u]):
             raise InvalidArgumentError(f"V0[{u}] has the wrong shape")
+    V = _pad(spec, V)
     budget = np.asarray(spec.power)  # init_transmitters' rounding grows with it
     if np.any(power_per_cell(spec, V) - budget > 1e-9 * np.maximum(1.0, budget)):
         raise InvalidArgumentError("V0 violates a cell power budget")
 
-    U = [np.zeros((spec.n_antennas, spec.streams[u]), dtype=np.complex128)
-         for u in range(spec.n_users)]
+    G = H.gains[:, list(spec.user_cell)]
     stall = _Stall(opts.tol, 2)
 
     def step(r: int, state, obj: float):
-        V, U = state
-        if r % 2 == 1:
-            U = [mmse_receiver(spec, H, V, u) for u in range(spec.n_users)]
+        V, U, cov, own = state
+        if r % 2 == 1:  # V is unchanged, and so is its covariance stack
+            U = np.linalg.solve(cov, own)
             block = 0
         else:
-            E = [mse_matrix(spec, H, V, U, u) for u in range(spec.n_users)]
-            W = []
-            for Eu in E:
-                try:
-                    W.append(np.linalg.inv(Eu))
-                except np.linalg.LinAlgError as exc:
-                    raise SolverError("error covariance is singular", iteration=r) from exc
-            V = update_transmitters(spec, H, U, W)
+            try:
+                W = np.linalg.inv(_mse_stack(U, cov, own))
+            except np.linalg.LinAlgError as exc:
+                raise SolverError("error covariance is singular", iteration=r) from exc
+            V = _pad(spec, update_transmitters(spec, H, U, W))
+            cov, own = _signal_stack(spec, G, V)
             block = 1
-        # Explicit left-to-right sum: builtin sum() rounds differently
-        # (compensated summation from Python 3.12 on).
-        new_obj = 0.0
-        for u in range(spec.n_users):
-            new_obj += _logdet_pd(mse_matrix(spec, H, V, U, u))
-        extras = {
-            "sum_rate_nats": sum_rate(spec, H, V),
-            "max_power_violation": float(np.max(power_per_cell(spec, V)
-                                                - np.asarray(spec.power))),
-        }
-        return (V, U), new_obj, block, None, extras, stall(obj, new_obj)
+        new_obj = _sum_in_order(_logdet_pd(_mse_stack(U, cov, own)))
+        extras = {"sum_rate_nats": _rate(cov, own),
+                  "max_power_violation": float(np.max(power_per_cell(spec, V) - budget))}
+        return (V, U, cov, own), new_obj, block, None, extras, stall(obj, new_obj)
 
     # Starting objective: the sum of logdet of identity error covariances.
-    (V, U), trace = _iterate((V, U), 0.0, opts, step)
-    return TransceiverState(V=tuple(V), U=tuple(U)), trace
+    start = (V, np.zeros_like(V), *_signal_stack(spec, G, V))
+    (V, U, _, _), trace = _iterate(start, 0.0, opts, step)
+    return TransceiverState(V=tuple(_unpad(spec, V)), U=tuple(_unpad(spec, U))), trace

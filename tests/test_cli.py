@@ -354,6 +354,21 @@ class TestWorkerPool:
         assert (out_dir / "wmmse_seed0.csv").exists()
         assert (out_dir / "wmmse_seed1.csv").exists()
 
+    def test_wmmse_rerun_byte_identical(self, tmp_path):
+        """Two runs of one wmmse config write the same bytes."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"n_cells": 2, "users_per_cell": 2,
+                                              "n_antennas": 3, "streams": 2,
+                                              "max_iters": 60},
+                                   "seeds": [0, 1]}))
+        blobs = []
+        for name in ("a", "b"):
+            out_dir = tmp_path / name
+            assert main(["wmmse", "--config", str(cfg), "--out", str(out_dir)]) == 0
+            blobs.append({f: (out_dir / f).read_bytes() for f in sorted(os.listdir(out_dir))})
+        assert len(blobs[0]) == 5
+        assert blobs[0] == blobs[1]
+
     def test_only_em_runs_on_threads(self, tmp_path, monkeypatch):
         """cp, wmmse and toy run serially; em's pool leaves its artifacts as
         a serial run writes them. BSUM_THREADS has no say."""

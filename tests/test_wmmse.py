@@ -6,6 +6,9 @@ import pytest
 from bsumkit.app_wmmse import (
     ChannelSet,
     NetworkSpec,
+    _cell_power_curve,
+    _pad,
+    _signal_stack,
     gen_channels,
     init_transmitters,
     logdet_surrogate,
@@ -16,8 +19,8 @@ from bsumkit.app_wmmse import (
     sum_rate,
     update_transmitters,
 )
-from bsumkit.core import InvalidArgumentError, RngStream
-from bsumkit.engine import SolveOptions
+from bsumkit.core import InvalidArgumentError, NumericFailure, RngStream
+from bsumkit.engine import SolveOptions, _iterate, _Stall
 from bsumkit.verify import audit_trace
 
 
@@ -34,6 +37,128 @@ def two_cell_network(seed=0):
     return spec, gen_channels(spec, RngStream(seed))
 
 
+# Per-user loops that the batched stacks replaced, kept as the reference.
+
+def loop_received_covariance(spec, H, V, u):
+    cov = spec.noise_power[u] * np.eye(spec.n_antennas, dtype=np.complex128)
+    for j in range(spec.n_users):
+        X = H.gains[u, spec.user_cell[j]] @ V[j]
+        cov += X @ X.conj().T
+    return cov
+
+
+def loop_logdet_pd(m):
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure("matrix is not positive definite") from exc
+    return float(2.0 * np.sum(np.log(np.real(np.diag(chol)))))
+
+
+def loop_sum_rate(spec, H, V):
+    total = 0.0
+    for u in range(spec.n_users):
+        cov = loop_received_covariance(spec, H, V, u)
+        own = H.gains[u, spec.user_cell[u]] @ V[u]
+        interference = cov - own @ own.conj().T
+        interference = 0.5 * (interference + interference.conj().T)
+        cov = 0.5 * (cov + cov.conj().T)
+        total += loop_logdet_pd(cov) - loop_logdet_pd(interference)
+    return float(total)
+
+
+def loop_mse_matrix(spec, H, V, U, u):
+    own = U[u].conj().T @ H.gains[u, spec.user_cell[u]] @ V[u]
+    cov = loop_received_covariance(spec, H, V, u)
+    E = (np.eye(spec.streams[u], dtype=np.complex128) - own - own.conj().T
+         + U[u].conj().T @ cov @ U[u])
+    return 0.5 * (E + E.conj().T)
+
+
+def loop_mmse_receiver(spec, H, V, u):
+    cov = loop_received_covariance(spec, H, V, u)
+    return np.linalg.solve(cov, H.gains[u, spec.user_cell[u]] @ V[u])
+
+
+def loop_power_per_cell(spec, V):
+    out = np.zeros(spec.n_cells)
+    for u in range(spec.n_users):
+        out[spec.user_cell[u]] += float(np.sum(np.abs(V[u]) ** 2))
+    return out
+
+
+def loop_power_curve(eigvals, rows_norm2):
+    def p(mu):
+        denom = (eigvals + mu) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(rows_norm2 > 1e-30, rows_norm2 / denom, 0.0)
+        if np.any(np.isinf(terms)) or np.any(np.isnan(terms)):
+            return np.inf
+        return float(np.sum(terms))
+    return p
+
+
+def loop_update_transmitters(spec, H, U, W, tol=1e-10):
+    N = spec.n_antennas
+    out = [None] * spec.n_users
+    for k in range(spec.n_cells):
+        J = np.zeros((N, N), dtype=np.complex128)
+        for j in range(spec.n_users):
+            Hjk = H.gains[j, k]
+            J += Hjk.conj().T @ U[j] @ W[j] @ U[j].conj().T @ Hjk
+        eigvals, Q = np.linalg.eigh(0.5 * (J + J.conj().T))
+        eigvals = np.maximum(eigvals, 0.0)
+        users = [u for u in range(spec.n_users) if spec.user_cell[u] == k]
+        targets = [Q.conj().T @ H.gains[u, k].conj().T @ U[u] @ W[u] for u in users]
+        p = loop_power_curve(eigvals, sum(np.sum(np.abs(t) ** 2, axis=1) for t in targets))
+        budget = spec.power[k]
+        mu = 0.0
+        if p(0.0) > budget + tol * budget:
+            lo, hi = 0.0, 1.0
+            while p(hi) > budget:
+                hi *= 2.0
+            for _ in range(500):
+                mu = 0.5 * (lo + hi)
+                val = p(mu)
+                if abs(val - budget) <= tol * budget:
+                    break
+                lo, hi = (mu, hi) if val > budget else (lo, mu)
+        denom = eigvals + mu
+        scale = np.where(denom > 1e-300, 1.0 / np.where(denom > 1e-300, denom, 1.0), 0.0)
+        for u, t in zip(users, targets):
+            out[u] = Q @ (scale[:, None] * t)
+    return out
+
+
+def loop_run_wmmse(spec, H, V0, opts):
+    U0 = [np.zeros((spec.n_antennas, d), dtype=np.complex128) for d in spec.streams]
+    stall = _Stall(opts.tol, 2)
+
+    def step(r, state, obj):
+        V, U = state
+        if r % 2 == 1:
+            U = [loop_mmse_receiver(spec, H, V, u) for u in range(spec.n_users)]
+        else:
+            W = [np.linalg.inv(loop_mse_matrix(spec, H, V, U, u))
+                 for u in range(spec.n_users)]
+            V = loop_update_transmitters(spec, H, U, W)
+        new_obj = 0.0
+        for u in range(spec.n_users):
+            new_obj += loop_logdet_pd(loop_mse_matrix(spec, H, V, U, u))
+        extras = {"sum_rate_nats": loop_sum_rate(spec, H, V)}
+        return (V, U), new_obj, 1 - r % 2, None, extras, stall(obj, new_obj)
+
+    return _iterate((list(V0), U0), 0.0, opts, step)
+
+
+def mixed_stream_network(seed=0):
+    spec = NetworkSpec.build(n_cells=3, users_per_cell=(1, 3, 2), n_antennas=3,
+                             streams=(1, 2, 3, 1, 2, 2),
+                             noise_power=(1.0, 0.5, 2.0, 1.0, 0.8, 1.5),
+                             power=(1.0, 2.0, 0.5))
+    return spec, gen_channels(spec, RngStream(seed))
+
+
 class TestNetworkSpec:
 
     def test_flat_user_indexing(self):
@@ -42,6 +167,16 @@ class TestNetworkSpec:
         assert spec.user_cell == (0, 0, 1)
         assert spec.cell_users(0) == [0, 1]
         assert spec.cell_users(1) == [2]
+
+    def test_cell_maps_computed_once_on_unequal_cells(self):
+        spec = NetworkSpec.build(n_cells=3, users_per_cell=(1, 3, 2), n_antennas=2,
+                                 streams=(1, 2, 1, 2, 2, 1))
+        assert spec.user_cell is spec.user_cell
+        assert spec.user_cell == (0, 1, 1, 1, 2, 2)
+        assert [spec.cell_users(k) for k in range(3)] == [[0], [1, 2, 3], [4, 5]]
+        V = init_transmitters(spec, RngStream(7))
+        V = [(u + 1) * v for u, v in enumerate(V)]
+        np.testing.assert_array_equal(power_per_cell(spec, V), loop_power_per_cell(spec, V))
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -295,3 +430,79 @@ class TestRunWmmse:
         state, trace = run_wmmse(spec, H, V0, SolveOptions(max_iters=200, tol=1e-10))
         after = sum_rate(spec, H, state.V)
         assert after >= before - 1e-12
+
+
+class TestCellPowerCurve:
+
+    @pytest.mark.parametrize("eigvals,rows,mu,finite", [
+        ([0.0, 0.5, 2.0], [0.0, 0.3, 1.1], 0.0, True),    # zero eigenvalue, zero row
+        ([0.0, 0.5, 2.0], [1e-3, 0.3, 1.1], 0.0, False),  # zero eigenvalue, row with power
+        ([0.0, 0.5, 2.0], [1e-3, 0.3, 1.1], 0.25, True),
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.0, True),
+        ([0.1, 0.5, 2.0], [1e-31, 0.3, 1.1], 0.0, True),  # row below the power floor
+        ([np.nan, 0.5, 2.0], [0.2, 0.3, 1.1], 0.0, False),  # nan term: inf
+        ([np.nan, 0.5, 2.0], [0.0, 0.3, 1.1], 0.0, True),   # nan on a zero row
+    ])
+    def test_matches_per_row_formula(self, eigvals, rows, mu, finite):
+        eigvals, rows = np.array(eigvals), np.array(rows)
+        got = _cell_power_curve(eigvals, rows)(mu)
+        assert np.isfinite(got) == finite
+        assert got == loop_power_curve(eigvals, rows)(mu)
+
+    def test_matches_per_row_formula_on_random_rows(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            eigvals = np.maximum(rng.normal(size=4), 0.0)
+            rows = np.where(rng.random(4) < 0.3, 0.0, rng.random(4))
+            new, old = _cell_power_curve(eigvals, rows), loop_power_curve(eigvals, rows)
+            for mu in (0.0, 1e-3, 0.7, 10.0):
+                np.testing.assert_allclose(new(mu), old(mu), rtol=1e-15)
+
+
+class TestBatchedMatchesPerUserLoops:
+    """Mixed stream counts on unequal cells: the padded stacks give the
+    per-user loops' values."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_helpers_match(self, seed):
+        spec, H = mixed_stream_network(seed)
+        V = init_transmitters(spec, RngStream(seed).substream(1))
+        G = H.gains[:, list(spec.user_cell)]
+        cov, own = _signal_stack(spec, G, _pad(spec, V))
+        for u in range(spec.n_users):
+            np.testing.assert_allclose(cov[u], loop_received_covariance(spec, H, V, u),
+                                       rtol=0, atol=1e-12)
+        U = [mmse_receiver(spec, H, V, u) for u in range(spec.n_users)]
+        for u in range(spec.n_users):
+            assert U[u].shape == (3, spec.streams[u])
+            np.testing.assert_allclose(U[u], loop_mmse_receiver(spec, H, V, u),
+                                       rtol=0, atol=1e-12)
+        W = []
+        for u in range(spec.n_users):
+            E = mse_matrix(spec, H, V, U, u)
+            np.testing.assert_allclose(E, loop_mse_matrix(spec, H, V, U, u),
+                                       rtol=0, atol=1e-12)
+            W.append(np.linalg.inv(E))
+        np.testing.assert_allclose(sum_rate(spec, H, V), loop_sum_rate(spec, H, V),
+                                   rtol=0, atol=1e-12)
+        new = update_transmitters(spec, H, U, W)
+        for u, (got, want) in enumerate(zip(new, loop_update_transmitters(spec, H, U, W))):
+            assert got.shape == (3, spec.streams[u])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_run_to_convergence_matches(self, seed):
+        spec, H = mixed_stream_network(seed)
+        V0 = init_transmitters(spec, RngStream(seed).substream(1))
+        opts = SolveOptions(max_iters=1000, tol=1e-9)  # seed 1 takes 801 half-steps
+        state, trace = run_wmmse(spec, H, V0, opts)
+        _, oracle = loop_run_wmmse(spec, H, V0, opts)
+        assert trace.terminal_status == oracle.terminal_status == "converged"
+        assert trace.n_iterations == oracle.n_iterations
+        for rec, ref in zip(trace.records, oracle.records):
+            assert rec.block == ref.block
+            assert abs(rec.objective - ref.objective) <= 1e-9 * (1 + abs(ref.objective))
+            assert abs(rec.extras["sum_rate_nats"] - ref.extras["sum_rate_nats"]) \
+                <= 1e-9 * (1 + abs(ref.extras["sum_rate_nats"]))
+        assert [v.shape for v in state.V] == [(3, d) for d in spec.streams]
+        assert np.all(power_per_cell(spec, state.V) <= np.asarray(spec.power) * (1 + 1e-9))
