@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import (
     BlockIndex,
@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _GRAM_COND_LIMIT = 1e12
+# Residuals remembered per surrogate: a misum step adds three candidates,
+# and the driver then asks for the chosen one and the next anchor's.
+_RESIDUAL_MEMO = 8
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,9 @@ def als_factor_update(t: DenseTensor3, f: CpFactors, mode: int,
 
     Solves (gram + lam I) on the right where gram is the Hadamard product of
     the frozen factors' Gram matrices; lam = 0 is the plain alternating
-    least-squares step and requires a well-conditioned gram matrix.
+    least-squares step and requires a well-conditioned gram matrix
+    (2-norm condition number at most 1e12). Non-finite factors or lambda and
+    a system that is not positive definite raise SolverError.
     """
     if lam < 0:
         raise InvalidArgumentError("lambda must be nonnegative")
@@ -201,29 +206,43 @@ def als_factor_update(t: DenseTensor3, f: CpFactors, mode: int,
     x_mat = unfold(t, mode) if unfolded is None else unfolded
     gram = kr.T @ kr
     lhs = gram + lam * np.eye(gram.shape[0])
-    if lam == 0.0 and np.linalg.cond(lhs) > _GRAM_COND_LIMIT:
-        raise SolverError(
-            "gram matrix is numerically singular; add a proximal term (lambda > 0)")
     rhs = x_mat @ kr + lam * current
-    try:
-        factor = scipy.linalg.cho_factor(lhs, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise SolverError("factor update met non-finite factors or lambda")
+    if lam == 0.0:
+        # lhs is a symmetric Gram matrix: its eigenvalues are its singular
+        # values, so this is the 2-norm condition number without an SVD.
+        eig = np.linalg.eigvalsh(lhs)
+        if not eig[0] > 0.0 or eig[-1] / eig[0] > _GRAM_COND_LIMIT:
+            raise SolverError(
+                "gram matrix is numerically singular; add a proximal term (lambda > 0)")
+    # The LAPACK calls behind scipy.linalg.cho_factor/cho_solve, with the
+    # same arguments, minus their finiteness checks (done above).
+    chol, info = dpotrf(lhs, lower=1, clean=0)
+    if info != 0:
         raise SolverError(
-            "gram matrix is not positive definite; add a proximal term (lambda > 0)"
-        ) from exc
-    return scipy.linalg.cho_solve(factor, rhs.T).T
+            "gram matrix is not positive definite; add a proximal term (lambda > 0)")
+    solution, info = dpotrs(chol, rhs.T, lower=1)
+    if info != 0:
+        raise SolverError(f"Cholesky solve failed (LAPACK info {info})")
+    return solution.T
 
 
 def lambda_value(schedule: LambdaSchedule, t: DenseTensor3, f: CpFactors) -> float:
+    return _lambda(schedule, t.norm(), lambda: cp_residual(t, f))
+
+
+def _lambda(schedule: LambdaSchedule, norm: float, residual) -> float:
+    # ``norm`` is |X|_F and ``residual()`` the fit error at the factors;
+    # only the diminishing schedule calls it.
     if schedule.mode == "constant":
         return schedule.lam
     if schedule.mode != "diminishing":
         raise InvalidArgumentError(f"unknown lambda schedule {schedule.mode!r}")
-    norm = t.norm()
     if norm == 0.0:
         raise InvalidArgumentError(
             "diminishing lambda needs a nonzero tensor (relative residual undefined)")
-    return schedule.lam0 + schedule.lam1 * cp_residual(t, f) / norm
+    return schedule.lam0 + schedule.lam1 * residual() / norm
 
 
 def swamp_factors(theta: float) -> CpFactors:
@@ -301,6 +320,11 @@ class CpSurrogate:
 
     value(part, xi, y) = sqrt(|X - reconstruction|^2 + lam |xi - y_part|^2)
     where the reconstruction substitutes xi into factor block ``part``.
+
+    The anchor's factors and lambda are built once per anchor ``Point``, and
+    the fit error is remembered for the last few flat vectors it was
+    computed at, so a diminishing lambda reuses the residual of the step
+    that produced the anchor.
     """
 
     def __init__(self, tensor: DenseTensor3, rank: int, schedule: LambdaSchedule):
@@ -310,31 +334,70 @@ class CpSurrogate:
         self.rank = int(rank)
         self.schedule = schedule
         self.unfoldings = (unfold(tensor, 1), unfold(tensor, 2), unfold(tensor, 3))
+        self._norm = tensor.norm()
+        self._dims = tuple(n * self.rank for n in tensor.shape)
+        ends = np.cumsum(self._dims)
+        self._slices = tuple(slice(e - d, e) for d, e in zip(self._dims, ends))
+        self._anchor: tuple[Point, CpFactors, float] | None = None
+        self._residuals: dict[bytes, float] = {}
 
-    def _factors(self, x: Point) -> CpFactors:
-        return CpFactors.from_point(x, self.tensor.shape, self.rank)
+    def _split(self, v: np.ndarray) -> CpFactors:
+        (i, j, k), r = self.tensor.shape, self.rank
+        a, b, c = self._slices
+        return CpFactors(v[a].reshape(i, r), v[b].reshape(j, r), v[c].reshape(k, r))
+
+    def _residual(self, v: np.ndarray) -> float:
+        """Fit error at the flat factor vector ``v``."""
+        key = v.tobytes()
+        res = self._residuals.get(key)
+        if res is None:
+            res = cp_residual(self.tensor, self._split(v))
+            self._residuals[key] = res
+            if len(self._residuals) > _RESIDUAL_MEMO:
+                del self._residuals[next(iter(self._residuals))]
+        return res
+
+    def _at(self, anchor: Point) -> tuple[CpFactors, float]:
+        """The anchor's factors and lambda."""
+        state = self._anchor
+        if state is None or state[0] is not anchor:
+            if anchor.structure.dims != self._dims:
+                raise InvalidArgumentError(
+                    f"point blocks {anchor.structure.dims} are not factors of shape "
+                    f"{self.tensor.shape} at rank {self.rank}")
+            lam = _lambda(self.schedule, self._norm, lambda: self._residual(anchor.values))
+            state = self._anchor = (anchor, self._split(anchor.values), lam)
+        return state[1], state[2]
 
     def _as_int(self, part: BlockIndex) -> int:
-        if not isinstance(part, (int, np.integer)):
-            raise InvalidArgumentError("factor updates work on single blocks only")
+        if not isinstance(part, (int, np.integer)) or not 0 <= part < 3:
+            raise InvalidArgumentError("factor updates work on single blocks 0, 1, 2 only")
         return int(part)
+
+    def _model(self, i: int, xi: np.ndarray, anchor: Point, lam: float) -> float:
+        sl = self._slices[i]
+        merged = anchor.values.copy()
+        merged[sl] = xi
+        res = self._residual(merged)
+        diff = xi - anchor.values[sl]
+        return float(np.sqrt(res * res + lam * float(diff @ diff)))
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         i = self._as_int(part)
-        lam = lambda_value(self.schedule, self.tensor, self._factors(anchor))
-        merged = self._factors(anchor.with_part(i, xi))
-        res = cp_residual(self.tensor, merged)
-        diff = np.asarray(xi, dtype=np.float64).ravel() - anchor.block(i)
-        return float(np.sqrt(res * res + lam * float(diff @ diff)))
+        _, lam = self._at(anchor)
+        xi = np.asarray(xi, dtype=np.float64).ravel()
+        if xi.shape[0] != self._dims[i]:
+            raise InvalidArgumentError(
+                f"factor block {i} has {self._dims[i]} entries, got {xi.shape[0]}")
+        return self._model(i, xi, anchor, lam)
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
         i = self._as_int(part)
-        factors = self._factors(anchor)
-        lam = lambda_value(self.schedule, self.tensor, factors)
+        factors, lam = self._at(anchor)
         updated = als_factor_update(self.tensor, factors, mode=i + 1, lam=lam,
                                     unfolded=self.unfoldings[i])
         xi = updated.ravel()
-        return xi, self.value(i, xi, anchor, iteration)
+        return xi, self._model(i, xi, anchor, lam)
 
 
 CP_MODES = ("als", "const_prox", "dim_prox", "mbi", "misum")
@@ -384,10 +447,6 @@ def run_cp(t: DenseTensor3, rank: int, mode: str = "als",
         raise InvalidArgumentError("initial factors have the wrong rank")
     x0 = factors0.to_point()
     surrogate = CpSurrogate(t, rank, schedule)
-
-    def fit_error(v: np.ndarray) -> float:
-        x = Point(v, x0.structure)
-        return cp_residual(t, CpFactors.from_point(x, t.shape, rank))
-
-    x, trace = driver(ObjectiveOracle(value=fit_error), surrogate, x0, opts)
+    # The surrogate's residual at the chosen block update already is f there.
+    x, trace = driver(ObjectiveOracle(value=surrogate._residual), surrogate, x0, opts)
     return CpFactors.from_point(x, t.shape, rank), trace

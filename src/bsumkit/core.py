@@ -125,12 +125,23 @@ class BlockStructure:
 
     def part_indices(self, part: BlockIndex) -> np.ndarray:
         """Flat coordinate indices covered by a part, in block order."""
-        idx = [np.arange(self.offsets[i], self.offsets[i] + self.dims[i])
-               for i in self.part_blocks(part)]
-        return np.concatenate(idx)
+        return self._indices(self.part_blocks(part))
 
     def part_dim(self, part: BlockIndex) -> int:
         return sum(self.dims[i] for i in self.part_blocks(part))
+
+    def _indices(self, blocks: tuple[int, ...]) -> np.ndarray:
+        return np.concatenate([np.arange(self.offsets[i], self.offsets[i] + self.dims[i])
+                               for i in blocks])
+
+    def _locate(self, part: BlockIndex) -> tuple[BlockIndex, slice | np.ndarray, int]:
+        """Normalized part, its coordinates (a slice for one block) and its
+        dimension, with the part validated once."""
+        part = self.normalize_part(part)
+        if isinstance(part, int):
+            start, dim = self.offsets[part], self.dims[part]
+            return part, slice(start, start + dim), dim
+        return part, self._indices(part), sum(self.dims[i] for i in part)
 
 
 def make_block_structure(dims: Sequence[int]) -> BlockStructure:
@@ -173,21 +184,27 @@ class Point:
         return self.values[self.structure.block_slice(i)]
 
     def part(self, part: BlockIndex) -> np.ndarray:
-        part = self.structure.normalize_part(part)
-        if isinstance(part, int):
-            return self.block(part)
-        return self.values[self.structure.part_indices(part)]
+        return self.values[self.structure._locate(part)[1]]
 
     def with_part(self, part: BlockIndex, new_values: np.ndarray) -> "Point":
-        part = self.structure.normalize_part(part)
+        part, where, dim = self.structure._locate(part)
         new_values = np.asarray(new_values, dtype=np.float64).ravel()
-        if new_values.shape[0] != self.structure.part_dim(part):
+        if new_values.shape[0] != dim:
             raise InvalidArgumentError(
-                f"part {part} has dimension {self.structure.part_dim(part)}, "
-                f"got {new_values.shape[0]} values")
+                f"part {part} has dimension {dim}, got {new_values.shape[0]} values")
         out = self.values.copy()
-        out[self.structure.part_indices(part)] = new_values
-        return Point(out, self.structure)
+        out[where] = new_values
+        return Point._adopt(out, self.structure)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, structure: BlockStructure) -> "Point":
+        # ``values`` is a fresh float64 vector of length ``structure.total``
+        # that no caller holds, so it is frozen in place rather than copied.
+        values.setflags(write=False)
+        point = object.__new__(cls)
+        object.__setattr__(point, "values", values)
+        object.__setattr__(point, "structure", structure)
+        return point
 
     def with_values(self, values: np.ndarray) -> "Point":
         return Point(values, self.structure)

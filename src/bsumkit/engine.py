@@ -158,12 +158,13 @@ class ArmijoParams:
             raise InvalidArgumentError("max_backtracks must be nonnegative")
 
 
-def armijo_step(f: ObjectiveOracle, x: Point, d: np.ndarray, fprime: float,
-                params: ArmijoParams = ArmijoParams()) -> tuple[float, Point]:
+def armijo_step(f: ObjectiveOracle, x: Point, d: np.ndarray, fprime: float, fx: float,
+                params: ArmijoParams = ArmijoParams()) -> tuple[float, Point, float]:
     """Largest step alpha_init * beta^j whose decrease beats sigma * alpha * |f'|.
 
     Accepts alpha when f(x) - f(x + alpha d) >= -sigma * alpha * fprime,
-    with fprime the directional derivative of f at x along d (must be <= 0).
+    with fprime the directional derivative of f at x along d (must be <= 0)
+    and ``fx`` the caller's f(x). Returns (alpha, x + alpha d, f there).
     """
     d = np.asarray(d, dtype=np.float64)
     if d.shape != x.values.shape:
@@ -173,12 +174,12 @@ def armijo_step(f: ObjectiveOracle, x: Point, d: np.ndarray, fprime: float,
     fprime = float(fprime)
     if fprime > 0:
         raise DescentDirectionError(f"directional derivative {fprime} is positive")
-    fx = f.value_at(x.values)
     alpha = params.alpha_init
     for _ in range(params.max_backtracks + 1):
         trial = x.values + alpha * d
-        if fx - f.value_at(trial) >= -params.sigma * alpha * fprime:
-            return alpha, x.with_values(trial)
+        f_trial = f.value_at(trial)
+        if fx - f_trial >= -params.sigma * alpha * fprime:
+            return alpha, x.with_values(trial), f_trial
         alpha *= params.beta
     raise LineSearchError(
         f"no acceptable step after {params.max_backtracks} backtracks")
@@ -379,10 +380,9 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
         d_full = np.zeros(x.dim)
         d_full[idx] = d_part
         try:
-            alpha, x_new = armijo_step(f, x, d_full, fprime, opts.armijo)
+            alpha, x_new, f_new = armijo_step(f, x, d_full, fprime, fx, opts.armijo)
         except LineSearchError as exc:
             raise SolverError(str(exc), iteration=r) from exc
-        f_new = f.value_at(x_new.values)
         return x_new, f_new, part, alpha, {"directional_derivative": fprime}, False
 
     return _iterate(x0, f.value_at(x0.values), opts, step)

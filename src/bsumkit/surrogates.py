@@ -235,8 +235,10 @@ class QuadraticApprox:
             raise InvalidArgumentError("curvature parameter t must be positive")
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        xi = np.asarray(xi, dtype=np.float64)
-        g = self.f.gradient_at(anchor.values)
+        return self._model(part, np.asarray(xi, dtype=np.float64), anchor,
+                           self.f.gradient_at(anchor.values))
+
+    def _model(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
         idx = anchor.structure.part_indices(part)
         diff = xi - anchor.part(part)
         return (self.f.value_at(anchor.values) + float(g[idx] @ diff)
@@ -254,7 +256,7 @@ class QuadraticApprox:
                 v = self.feasible[i].project(v)
             pieces.append(v)
         xi = np.concatenate(pieces)
-        return xi, self.value(part, xi, anchor, iteration)
+        return xi, self._model(part, xi, anchor, g)
 
 
 def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsumkit import cli
 from bsumkit.app_wmmse import NetworkSpec, gen_channels, init_transmitters, run_wmmse
 from bsumkit.core import (
     DescentDirectionError,
@@ -313,20 +314,21 @@ class TestArmijoStep:
     def test_full_step_accepted(self):
         """f = x^2 at 1, d = -1, sigma = 0.5: alpha = 1 satisfies 1 >= 1."""
         f = ObjectiveOracle(value=lambda v: float(v[0] ** 2))
-        alpha, x_new = armijo_step(f, scalar_point(1.0), np.array([-1.0]),
-                                   fprime=-2.0,
-                                   params=ArmijoParams(alpha_init=1.0, beta=0.5,
-                                                       sigma=0.5))
+        alpha, x_new, f_new = armijo_step(f, scalar_point(1.0), np.array([-1.0]),
+                                          fprime=-2.0, fx=1.0,
+                                          params=ArmijoParams(alpha_init=1.0, beta=0.5,
+                                                              sigma=0.5))
         assert alpha == 1.0
         np.testing.assert_array_equal(x_new.values, [0.0])
+        assert f_new == 0.0
 
     def test_backtracks_match_scalar_scan(self):
         """Tight sigma forces backtracking; compare against a direct scan."""
         f = ObjectiveOracle(value=lambda v: float(v[0] ** 2))
         params = ArmijoParams(alpha_init=2.0, beta=0.5, sigma=0.99)
         fprime = -2.0
-        alpha, _ = armijo_step(f, scalar_point(1.0), np.array([-1.0]),
-                               fprime=fprime, params=params)
+        alpha, _, _ = armijo_step(f, scalar_point(1.0), np.array([-1.0]),
+                                  fprime=fprime, fx=1.0, params=params)
         expected = None
         for j in range(params.max_backtracks + 1):
             a = params.alpha_init * params.beta ** j
@@ -339,7 +341,7 @@ class TestArmijoStep:
     def test_ascent_direction_rejected(self):
         f = ObjectiveOracle(value=lambda v: float(v[0] ** 2))
         with pytest.raises(DescentDirectionError):
-            armijo_step(f, scalar_point(1.0), np.array([1.0]), fprime=2.0,
+            armijo_step(f, scalar_point(1.0), np.array([1.0]), fprime=2.0, fx=1.0,
                         params=ArmijoParams())
 
     def test_param_validation(self):
@@ -446,6 +448,26 @@ class TestRunBsca:
         x2, t2 = run_bsca(f, h, x0, SolveOptions(max_iters=40))
         np.testing.assert_array_equal(x1.values, x2.values)
         np.testing.assert_array_equal(t1.objectives(), t2.objectives())
+
+    def test_one_f_and_one_gradient_per_fact_on_cli_toy(self, monkeypatch):
+        """Per iteration without backtracks: f and the gradient at the anchor
+        (the model), f at the accepted step, and the gradient for f'."""
+        counts = {"f": 0, "grad": 0}
+
+        class CountingOracle(ObjectiveOracle):
+            def value_at(self, x):
+                counts["f"] += 1
+                return super().value_at(x)
+
+            def gradient_at(self, x):
+                counts["grad"] += 1
+                return super().gradient_at(x)
+
+        monkeypatch.setattr(cli, "ObjectiveOracle", CountingOracle)
+        trace = cli._toy_trace("bsca", SolveOptions(max_iters=50, tol=1e-8))
+        assert trace.n_iterations == 50
+        assert all(rec.step_size == 1.0 for rec in trace.records)
+        assert counts == {"f": 1 + 2 * 50, "grad": 2 * 50}
 
 
 DRIVERS = ("run_sum", "run_bsum", "run_misum", "run_bsca", "run_wmmse")

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from bsumkit import app_tensor, engine
 from bsumkit.app_tensor import (
     CP_MODES,
     CpFactors,
+    CpSurrogate,
     DenseTensor3,
     LambdaSchedule,
     als_factor_update,
@@ -148,6 +151,77 @@ class TestAlsFactorUpdate:
         with pytest.raises(InvalidArgumentError):
             als_factor_update(reconstruct(f), f, mode=1, lam=-0.1)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_factors_raise_solver_error(self, lam, mode, bad):
+        """Whichever factor holds the non-finite entry, the update raises
+        the package's SolverError, never a raw numpy or scipy error."""
+        t = build_swamp_instance(np.pi / 4)
+        good = swamp_factors(np.pi / 4)
+        for k in range(3):
+            blocks = [good.A.copy(), good.B.copy(), good.C.copy()]
+            blocks[k][0, 1] = bad
+            with pytest.raises(SolverError):
+                als_factor_update(t, CpFactors(*blocks), mode=mode, lam=lam)
+
+    @staticmethod
+    def _gram_lhs(f, mode):
+        others = {1: (f.C, f.B), 2: (f.C, f.A), 3: (f.B, f.A)}[mode]
+        kr = khatri_rao(*others)
+        return kr.T @ kr
+
+    def _assert_gate_matches_cond(self, t, factors):
+        raised = []
+        for f in factors:
+            for mode in (1, 2, 3):
+                singular = np.linalg.cond(self._gram_lhs(f, mode)) > 1e12
+                try:
+                    als_factor_update(t, f, mode=mode, lam=0.0)
+                    got = False
+                except SolverError:
+                    got = True
+                assert got == singular, (mode, np.linalg.cond(self._gram_lhs(f, mode)))
+                raised.append(got)
+        assert any(raised) and not all(raised)
+
+    def test_gate_matches_cond_on_swamp_theta_sweep(self):
+        t = build_swamp_instance(np.pi / 4)
+        thetas = np.pi / 4 * np.logspace(0, -9, 46)
+        self._assert_gate_matches_cond(t, [swamp_factors(th) for th in thetas])
+
+    def test_gate_matches_cond_on_near_rank_deficient_grams(self):
+        """Random factors, two of which have a last column that nearly
+        repeats the first: the third factor's Gram is near rank-deficient.
+        Below eps ~ 1e-8 some Grams get a computed eigenvalue <= 0 while
+        their Cholesky factorization still succeeds; those must raise too."""
+        rng = np.random.default_rng(8)
+        t = random_rank_instance((4, 3, 5), 3, RngStream(8))
+        factors = []
+        for eps in np.logspace(-1, -12, 56):
+            blocks = [rng.uniform(size=(n, 3)) for n in t.shape]
+            for k in rng.permutation(3)[:2]:
+                blocks[k][:, 2] = blocks[k][:, 0] + eps * rng.normal(size=t.shape[k])
+            factors.append(CpFactors(*blocks))
+        self._assert_gate_matches_cond(t, factors)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-7, 0.3])
+    def test_solve_bit_equal_to_scipy_cholesky(self, lam):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            shape = tuple(rng.integers(2, 6, size=3))
+            rank = int(rng.integers(1, 5))
+            t = DenseTensor3(rng.normal(size=shape))
+            f = CpFactors(*(rng.normal(size=(n, rank)) for n in shape))
+            for mode in (1, 2, 3):
+                current, kr = app_tensor._mode_pieces(f, mode)
+                lhs = kr.T @ kr + lam * np.eye(rank)
+                rhs = unfold(t, mode) @ kr + lam * current
+                expected = scipy.linalg.cho_solve(
+                    scipy.linalg.cho_factor(lhs, lower=True), rhs.T).T
+                np.testing.assert_array_equal(als_factor_update(t, f, mode, lam), expected)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_regularized_update_strictly_improves(self, seed):
         """With lam > 0 the penalized objective drops unless block-optimal."""
@@ -281,6 +355,80 @@ class TestRunCp:
                     assert trace.terminal_status == "converged"
                 counts[mode].append(trace.n_iterations)
         assert np.median(counts["dim_prox"]) < np.median(counts["als"])
+
+
+class TestCpOncePerAnchor:
+    """Each fact of a CP step is computed once per anchor."""
+
+    N_ITERS = 30
+
+    # Residuals in the first iteration and in each later one. With lambda = 0
+    # mbi re-solves the block it moved last to the same bits, so that
+    # candidate is the anchor, whose residual is already known.
+    @pytest.mark.parametrize("mode,first,per_iter", [
+        ("als", 1, 1), ("const_prox", 1, 1), ("dim_prox", 1, 1), ("mbi", 3, 2),
+        ("misum", 3, 3)])
+    def test_residual_and_lambda_counts(self, monkeypatch, mode, first, per_iter):
+        counts = {"residual": 0, "lambda": 0}
+        in_gap = []
+        anchors = {}
+
+        def count(name, fn):
+            def counted(*args, **kwargs):
+                if not in_gap:
+                    counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        def gap(*args, **kwargs):
+            in_gap.append(True)
+            try:
+                return stationarity_gap(*args, **kwargs)
+            finally:
+                in_gap.pop()
+
+        def minimize(self, part, anchor, iteration=1):
+            if not in_gap:
+                anchors[id(anchor)] = anchor
+            return surrogate_minimize(self, part, anchor, iteration)
+
+        stationarity_gap = engine._stationarity_gap
+        surrogate_minimize = CpSurrogate.minimize
+        monkeypatch.setattr(engine, "_stationarity_gap", gap)
+        monkeypatch.setattr(CpSurrogate, "minimize", minimize)
+        monkeypatch.setattr(app_tensor, "cp_residual", count("residual", cp_residual))
+        monkeypatch.setattr(app_tensor, "_lambda", count("lambda", app_tensor._lambda))
+        t = build_swamp_instance(np.pi / 4)
+        _, trace = run_cp(t, 3, mode=mode, rng=RngStream(0),
+                          opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-14))
+        assert trace.n_iterations == self.N_ITERS
+        # One residual at the start point, then the candidates' residuals.
+        assert counts["residual"] == 1 + first + per_iter * (self.N_ITERS - 1)
+        assert len(anchors) == self.N_ITERS
+        assert counts["lambda"] == len(anchors)
+
+    @pytest.mark.parametrize("instance", ["swamp", "random"])
+    @pytest.mark.parametrize("schedule", [LambdaSchedule.constant(0.0),
+                                          LambdaSchedule.constant(0.1),
+                                          LambdaSchedule.diminishing()])
+    def test_minimize_value_is_the_model_value(self, instance, schedule):
+        """minimize's min u equals value() at its argmin bit for bit, cached
+        or cold, and equals the model written out with the public helpers."""
+        t = (build_swamp_instance(np.pi / 4) if instance == "swamp"
+             else random_rank_instance((3, 4, 2), 3, RngStream(4)))
+        for seed in range(3):
+            f = init_factors(t, 3, RngStream(seed))
+            x = f.to_point()
+            u = CpSurrogate(t, 3, schedule)
+            lam = lambda_value(schedule, t, f)
+            for part in range(3):
+                xi, umin = u.minimize(part, x)
+                assert umin == u.value(part, xi, x)
+                assert umin == CpSurrogate(t, 3, schedule).value(part, xi, x)
+                merged = CpFactors.from_point(x.with_part(part, xi), t.shape, 3)
+                res = cp_residual(t, merged)
+                diff = xi - x.block(part)
+                assert umin == float(np.sqrt(res * res + lam * float(diff @ diff)))
 
 
 class TestTensorFileIO:
