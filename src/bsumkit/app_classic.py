@@ -7,6 +7,7 @@ splitting, the concave-convex procedure, and maximum-likelihood fitting of
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -146,9 +147,18 @@ def _weighted_log_densities(theta: GmmParams, data: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    m = np.max(a, axis=1, keepdims=True)
+    # Row logsumexp of the (T, J) matrix. Below 8 columns it goes column by
+    # column, which is what the max and sum along axis 1 compute bit for bit
+    # (the max is exact, and numpy adds fewer than 8 terms one after the
+    # other) without their per-row loop; numpy sums 8 or more pairwise.
+    if a.shape[1] >= 8:
+        m = np.max(a, axis=1, keepdims=True)
+        m = np.where(np.isfinite(m), m, 0.0)
+        return (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))).ravel()
+    cols = list(a.T)
+    m = functools.reduce(np.maximum, cols)
     m = np.where(np.isfinite(m), m, 0.0)
-    return (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))).ravel()
+    return m + np.log(functools.reduce(np.add, [np.exp(c - m) for c in cols]))
 
 
 def gmm_nll(theta: GmmParams, data: np.ndarray) -> float:
@@ -156,10 +166,62 @@ def gmm_nll(theta: GmmParams, data: np.ndarray) -> float:
     return float(-np.sum(_logsumexp(_weighted_log_densities(theta, data))))
 
 
-def _responsibilities(theta: GmmParams, data: np.ndarray) -> np.ndarray:
-    a = _weighted_log_densities(theta, data)
-    lse = _logsumexp(a)
-    return np.exp(a - lse[:, None])
+# Parameter vectors whose log-density matrix the memo holds: the anchor's
+# and the last candidate's.
+_MEMO_POINTS = 2
+
+
+class _LogDensityMemo:
+    """Log-density pieces of one sample, shared by the NLL and the Jensen bound.
+
+    Per parameter vector (keyed by its bytes) it keeps the weighted
+    log-density matrix ``a`` and, once asked for, its row logsumexp; for the
+    current anchor it keeps the responsibilities gamma and sum gamma log
+    gamma. A vector's ``a`` is dropped once its gamma is built. Each number
+    comes from the same expressions as in ``gmm_nll``, computed once.
+    """
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        self._points: dict[bytes, list] = {}  # key -> [a or None, lse or None]
+        self._anchor: tuple[bytes, np.ndarray, np.float64] | None = None
+
+    def _entry(self, key: bytes) -> list:
+        entry = self._points.get(key)
+        if entry is None:
+            entry = self._points[key] = [None, None]
+            if len(self._points) > _MEMO_POINTS:
+                del self._points[next(iter(self._points))]
+        return entry
+
+    def _matrix(self, entry: list, x: Point) -> np.ndarray:
+        if entry[0] is None:
+            entry[0] = _weighted_log_densities(GmmParams.from_point(x), self.data)
+        return entry[0]
+
+    def _lse(self, entry: list, x: Point) -> np.ndarray:
+        if entry[1] is None:
+            entry[1] = _logsumexp(self._matrix(entry, x))
+        return entry[1]
+
+    def log_densities(self, x: Point) -> np.ndarray:
+        return self._matrix(self._entry(x.values.tobytes()), x)
+
+    def nll(self, x: Point) -> float:
+        return float(-np.sum(self._lse(self._entry(x.values.tobytes()), x)))
+
+    def responsibilities(self, anchor: Point) -> tuple[np.ndarray, np.float64]:
+        """Gamma at the anchor and sum gamma log gamma."""
+        key = anchor.values.tobytes()
+        if self._anchor is None or self._anchor[0] != key:
+            entry = self._entry(key)
+            a = self._matrix(entry, anchor)
+            gamma = np.exp(a - self._lse(entry, anchor)[:, None])
+            entry[0] = None
+            with np.errstate(divide="ignore", invalid="ignore"):
+                entropy = np.sum(np.where(gamma > 0, gamma * np.log(gamma), 0.0))
+            self._anchor = (key, gamma, entropy)
+        return self._anchor[1], self._anchor[2]
 
 
 class GmmJensenSurrogate:
@@ -170,6 +232,10 @@ class GmmJensenSurrogate:
     tight at the anchor and above the negative log-likelihood everywhere.
     Block 0 is the weights, 1 the means, 2 the variances; minimizing a part
     is the familiar reweighted update restricted to those parameters.
+
+    Log-densities and responsibilities come from a per-instance memo, so an
+    anchor's gamma is built once and a candidate's log-densities are the
+    ones the objective (``em_gmm``'s, which shares the memo) reads next.
     """
 
     def __init__(self, data: np.ndarray, s_floor: float):
@@ -180,42 +246,47 @@ class GmmJensenSurrogate:
             raise InvalidArgumentError("variance floor must be positive")
         self.data = data
         self.s_floor = float(s_floor)
-        self.clamp_events: list[int] = []
+        self._memo = _LogDensityMemo(data)
+        self._minimize_calls = 0
+        # (minimize call number, iteration) of each call that clamped.
+        self._clamps: list[tuple[int, int]] = []
+
+    def _bound(self, gamma: np.ndarray, entropy: np.float64, candidate: Point) -> float:
+        logp = self._memo.log_densities(candidate)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.where(gamma > 0, gamma * logp, 0.0)
+        return float(-np.sum(cross) + entropy)
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        anchor_theta = GmmParams.from_point(anchor)
-        theta = GmmParams.from_point(anchor.with_part(part, xi))
-        gamma = _responsibilities(anchor_theta, self.data)
-        logp = _weighted_log_densities(theta, self.data)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            entropy = np.where(gamma > 0, gamma * np.log(gamma), 0.0)
-            cross = np.where(gamma > 0, gamma * logp, 0.0)
-        return float(-np.sum(cross) + np.sum(entropy))
+        gamma, entropy = self._memo.responsibilities(anchor)
+        return self._bound(gamma, entropy, anchor.with_part(part, xi))
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
-        structure = anchor.structure
-        blocks = structure.part_blocks(part)
-        anchor_theta = GmmParams.from_point(anchor)
-        gamma = _responsibilities(anchor_theta, self.data)
+        self._minimize_calls += 1
+        blocks = anchor.structure.part_blocks(part)
+        gamma, entropy = self._memo.responsibilities(anchor)
         mass = gamma.sum(axis=0)
         if np.any(mass < _COLLAPSE_MASS):
             j = int(np.argmin(mass))
             raise ComponentCollapseError(
                 f"component {j} holds responsibility mass {mass[j]:.3e}")
-        t_count = self.data.size
-        weights = mass / t_count
-        means = (gamma * self.data[:, None]).sum(axis=0) / mass
-        new_means = means if 1 in blocks else anchor_theta.means
-        diff = self.data[:, None] - new_means[None, :]
-        variances = (gamma * diff * diff).sum(axis=0) / mass
-        if np.any(variances < self.s_floor):
-            # The post-run stationarity check repeats the last iteration.
-            if 2 in blocks and self.clamp_events[-1:] != [iteration]:
-                self.clamp_events.append(iteration)
-            variances = np.maximum(variances, self.s_floor)
-        pieces = {0: weights, 1: new_means, 2: variances}
+        # Only the pieces of this part.
+        pieces = {}
+        if 0 in blocks:
+            pieces[0] = mass / self.data.size
+        if 1 in blocks:
+            pieces[1] = (gamma * self.data[:, None]).sum(axis=0) / mass
+        if 2 in blocks:
+            # Around the new means when the part holds them, else the anchor's.
+            means = pieces[1] if 1 in blocks else anchor.block(1)
+            diff = self.data[:, None] - means[None, :]
+            variances = (gamma * diff * diff).sum(axis=0) / mass
+            if np.any(variances < self.s_floor):
+                self._clamps.append((self._minimize_calls, iteration))
+                variances = np.maximum(variances, self.s_floor)
+            pieces[2] = variances
         xi = np.concatenate([pieces[i] for i in blocks])
-        return xi, self.value(part, xi, anchor, iteration)
+        return xi, self._bound(gamma, entropy, anchor.with_part(part, xi))
 
 
 def _default_start(data: np.ndarray, n_components: int) -> GmmParams:
@@ -260,12 +331,16 @@ def em_gmm(data: np.ndarray, n_components: int, theta0: GmmParams | None = None,
     surrogate = GmmJensenSurrogate(data, s_floor)
     x0 = theta0.to_point()
     structure = x0.structure
-    f = ObjectiveOracle(
-        value=lambda v: gmm_nll(GmmParams.from_point(Point(v, structure)), data))
+    # The surrogate's log-densities at the new iterate already give f there.
+    memo = surrogate._memo
+    f = ObjectiveOracle(value=lambda v: memo.nll(Point(v, structure)))
     if mode == "full":
         x, trace = run_sum(f, surrogate, x0, opts)
     else:
         x, trace = run_bsum(f, surrogate, x0, opts)
-    for it in surrogate.clamp_events:
-        trace.warnings.append(f"variance clamped at floor {s_floor:.3e} in iteration {it}")
+    # The drivers call minimize once per iteration; later calls are the
+    # post-run stationarity check, not iterations.
+    for call, it in surrogate._clamps:
+        if call <= trace.n_iterations:
+            trace.warnings.append(f"variance clamped at floor {s_floor:.3e} in iteration {it}")
     return GmmParams.from_point(x), trace

@@ -119,17 +119,22 @@ class DcLinearization:
         return ObjectiveOracle(
             value=lambda v: float(self.f_cvx.value(v)) + float(self.cve_value(v)))
 
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        xi = np.asarray(xi, dtype=np.float64)
+    def _grad(self, anchor: Point) -> np.ndarray:
+        return np.asarray(self.cve_grad(anchor.values), dtype=np.float64)
+
+    def _bound(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
+        # u at xi, given g = grad f_cve(anchor).
         z = anchor.with_part(part, xi)
-        g = np.asarray(self.cve_grad(anchor.values), dtype=np.float64)
         idx = anchor.structure.part_indices(part)
         lin = float(g[idx] @ (xi - anchor.part(part)))
         return float(self.f_cvx.value(z.values)) + lin + float(self.cve_value(anchor.values))
 
+    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
+        return self._bound(part, np.asarray(xi, dtype=np.float64), anchor, self._grad(anchor))
+
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
         part_n = anchor.structure.normalize_part(part)
-        g = np.asarray(self.cve_grad(anchor.values), dtype=np.float64)
+        g = self._grad(anchor)
         whole = anchor.structure.part_dim(part_n) == anchor.structure.total
         if whole:
             xi = np.asarray(self.f_cvx.minimize_linear(g), dtype=np.float64)
@@ -142,7 +147,7 @@ class DcLinearization:
             idx = anchor.structure.part_indices(part_n)
             xi = np.asarray(self.block_minimize_linear(part_n, g[idx], anchor),
                             dtype=np.float64)
-        return xi, self.value(part_n, xi, anchor, iteration)
+        return xi, self._bound(part_n, xi, anchor, g)
 
 
 @dataclass(frozen=True)
@@ -182,24 +187,27 @@ class LipschitzQuadraticSurrogate:
         return ObjectiveOracle(
             value=lambda v: float(self.nonsmooth_total(v)) + self.smooth.value_at(v))
 
-    def _quadratic(self, part: BlockIndex, xi: np.ndarray, anchor: Point) -> float:
-        g = self.smooth.gradient_at(anchor.values)
+    def _quadratic(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
+        # The smooth part of u at xi, given g = grad f2(anchor).
         idx = anchor.structure.part_indices(part)
         diff = xi - anchor.part(part)
         return (float(g[idx] @ diff) + float(diff @ diff) / (2.0 * self.gamma)
                 + self.smooth.value_at(anchor.values))
 
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        xi = np.asarray(xi, dtype=np.float64)
+    def _bound(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
         z = anchor.with_part(part, xi)
-        return float(self.nonsmooth_total(z.values)) + self._quadratic(part, xi, anchor)
+        return float(self.nonsmooth_total(z.values)) + self._quadratic(part, xi, anchor, g)
+
+    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
+        return self._bound(part, np.asarray(xi, dtype=np.float64), anchor,
+                           self.smooth.gradient_at(anchor.values))
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
         g = self.smooth.gradient_at(anchor.values)
         idx = anchor.structure.part_indices(part)
         v = anchor.part(part) - self.gamma * g[idx]
         xi = np.asarray(self.prox(part, v, self.gamma), dtype=np.float64)
-        return xi, self.value(part, xi, anchor, iteration)
+        return xi, self._bound(part, xi, anchor, g)
 
     def smooth_part(self) -> tuple["_SmoothQuadraticPart", ObjectiveOracle]:
         """The (u0, f0) pair whose tightness and bound imply the full properties."""
@@ -211,7 +219,8 @@ class _SmoothQuadraticPart:
     parent: LipschitzQuadraticSurrogate
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        return self.parent._quadratic(part, np.asarray(xi, dtype=np.float64), anchor)
+        return self.parent._quadratic(part, np.asarray(xi, dtype=np.float64), anchor,
+                                      self.parent.smooth.gradient_at(anchor.values))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bsumkit import app_classic
 from bsumkit.app_classic import (
+    GmmJensenSurrogate,
     GmmParams,
     alternating_proximal_solve,
     cccp_solve,
@@ -286,13 +288,25 @@ class TestEmGmm:
         named = [int(w.rsplit(" ", 1)[1]) for w in trace.warnings if "clamped" in w]
         assert named == clamped
 
+    def test_stationarity_check_clamp_not_named(self):
+        """At the default tol block mode stops after iteration 11, a means
+        update; the post-run check's variance step clamps, but it is no
+        iteration, so the warnings name 3, 6, 9 only."""
+        data = np.array([1.0] * 10 + list(np.linspace(-3.0, 3.0, 40)))
+        theta0 = GmmParams(weights=np.array([0.5, 0.5]), means=np.array([1.0, 0.0]),
+                           variances=np.array([1e-3, 3.0]))
+        _, trace = em_gmm(data, 2, theta0=theta0, mode="block", s_floor=1e-2,
+                          opts=SolveOptions(max_iters=12))
+        assert trace.n_iterations == 11
+        named = [int(w.rsplit(" ", 1)[1]) for w in trace.warnings if "clamped" in w]
+        assert named == [3, 6, 9]
+
     def test_data_shorter_than_components_rejected(self):
         with pytest.raises(InvalidArgumentError):
             em_gmm(np.array([1.0]), 2)
 
     def test_surrogate_tight_at_anchor(self):
         """The bound evaluated at the anchor equals the NLL there."""
-        from bsumkit.app_classic import GmmJensenSurrogate
         data = two_cluster_dataset(RngStream(1), n_per_cluster=50)
         theta = GmmParams(weights=np.array([0.4, 0.6]),
                           means=np.array([-4.0, 4.5]),
@@ -302,3 +316,127 @@ class TestEmGmm:
         part = (0, 1, 2)
         np.testing.assert_allclose(u.value(part, x.values, x),
                                    gmm_nll(theta, data), atol=1e-10)
+
+
+class TestEmOncePerPoint:
+    """Each EM iteration builds one log-density matrix, shared by the
+    objective and the Jensen bound, with the numbers of ``gmm_nll``."""
+
+    N_ITERS = 6
+
+    @staticmethod
+    def data():
+        return two_cluster_dataset(RngStream(2), n_per_cluster=150,
+                                   centers=(-1.5, 1.5))
+
+    @pytest.mark.parametrize("mode", ["full", "block"])
+    def test_log_density_count(self, monkeypatch, mode):
+        """1 at x0, 1 per iteration (the candidate, which f then reads) and
+        1 per block in the post-run stationarity check."""
+        calls = []
+        densities = app_classic._log_component_densities
+
+        def counted(*args):
+            calls.append(1)
+            return densities(*args)
+
+        monkeypatch.setattr(app_classic, "_log_component_densities", counted)
+        _, trace = em_gmm(self.data(), 2, mode=mode,
+                          opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-15))
+        assert trace.n_iterations == self.N_ITERS
+        assert len(calls) == 1 + self.N_ITERS + 3
+
+    @pytest.mark.parametrize("n_cols", range(1, 11))
+    def test_logsumexp_is_the_axis_reduction(self, n_cols):
+        """Bit for bit the max and sum along axis 1, -inf rows included."""
+        rng = np.random.default_rng(n_cols)
+        a = rng.normal(scale=30.0, size=(2000, n_cols))
+        a[rng.uniform(size=a.shape) < 0.1] = -np.inf
+        a[:3] = -np.inf
+        m = np.max(a, axis=1, keepdims=True)
+        m = np.where(np.isfinite(m), m, 0.0)
+        with np.errstate(divide="ignore"):
+            ref = (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))).ravel()
+            got = app_classic._logsumexp(a)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("mode", ["full", "block"])
+    def test_trace_objectives_are_gmm_nll(self, mode):
+        data = self.data()
+        _, trace = em_gmm(data, 2, mode=mode,
+                          opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-15))
+        assert trace.initial_objective == gmm_nll(
+            app_classic._default_start(data, 2), data)
+        for r, rec in enumerate(trace.records, start=1):
+            theta_r, _ = em_gmm(data, 2, mode=mode,
+                                opts=SolveOptions(max_iters=r, tol=1e-15))
+            assert rec.objective == gmm_nll(theta_r, data)
+
+    @pytest.mark.parametrize("mode", ["full", "block"])
+    def test_minimum_is_a_fresh_value(self, monkeypatch, mode):
+        """Each minimize's min u, stationarity check included, equals the
+        value of a new surrogate at that anchor bit for bit."""
+        data = self.data()
+        seen = []
+        minimize = GmmJensenSurrogate.minimize
+
+        def recorded(self, part, anchor, iteration=1):
+            xi, umin = minimize(self, part, anchor, iteration)
+            seen.append((part, anchor, xi, umin))
+            return xi, umin
+
+        monkeypatch.setattr(GmmJensenSurrogate, "minimize", recorded)
+        _, trace = em_gmm(data, 2, mode=mode,
+                          opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-15))
+        assert len(seen) == self.N_ITERS + 3
+        for part, anchor, xi, umin in seen:
+            assert umin == GmmJensenSurrogate(data, s_floor=1.0).value(part, xi, anchor)
+
+    @pytest.mark.parametrize("mode", ["full", "block"])
+    def test_memo_stays_bounded(self, monkeypatch, mode):
+        made = []
+
+        class Recorded(GmmJensenSurrogate):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(app_classic, "GmmJensenSurrogate", Recorded)
+        data = self.data()
+        x, _ = em_gmm(data, 2, mode=mode,
+                      opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-15))
+        memo = made[0]._memo
+        assert len(memo._points) <= 2
+        key, gamma, _ = memo._anchor
+        assert key == x.to_point().values.tobytes()
+        assert gamma.shape == (300, 2)
+        # An anchor keeps its logsumexp but not its matrix once gamma is built.
+        memo._points.clear()
+        memo._anchor = None
+        anchor = x.to_point()
+        made[0].value(1, anchor.block(1) + 1.0, anchor)
+        a, lse = memo._points[key]
+        assert a is None and lse.shape == (300,)
+
+    def test_cold_value_one_logsumexp(self, monkeypatch):
+        """A value at a fresh anchor runs one logsumexp (the anchor's), none
+        for the candidate; a second sample at that anchor runs none."""
+        calls = []
+        logsumexp = app_classic._logsumexp
+
+        def counted(a):
+            calls.append(1)
+            return logsumexp(a)
+
+        monkeypatch.setattr(app_classic, "_logsumexp", counted)
+        data = self.data()
+        u = GmmJensenSurrogate(data, s_floor=1e-9)
+        x = GmmParams(weights=np.array([0.4, 0.6]), means=np.array([-1.0, 2.0]),
+                      variances=np.array([1.2, 0.8])).to_point()
+        u.value(1, np.array([-1.5, 1.5]), x)
+        assert len(calls) == 1
+        u.value(2, np.array([1.0, 1.0]), x)
+        assert len(calls) == 1
+        y = x.with_part(1, np.array([0.0, 1.0]))
+        u.value((0, 1, 2), x.values, y)
+        assert len(calls) == 2

@@ -1,5 +1,7 @@
 """Tests for the surrogate constructors and their closed-form steps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,47 @@ class TestForwardBackward:
         xi = np.array([-0.25])
         gap = s.value(0, xi, y) - 0.5 * beta * xi[0] ** 2
         np.testing.assert_allclose(gap, 0.0, atol=1e-12)
+
+
+class TestOneGradientPerMinimize:
+    """A minimize computes the gradient at the anchor once, and its minimum
+    is what value returns at the argmin, bit for bit."""
+
+    PARTS = (0, 1, (0, 1))
+
+    def test_dc_linearization(self):
+        _, dc, _ = separable_quartic_dc([1, 1])
+        grads = []
+
+        def cve_grad(x):
+            grads.append(1)
+            return -x
+
+        dc = dataclasses.replace(dc, cve_grad=cve_grad)
+        x = Point(np.array([8.0, -3.0]), make_block_structure([1, 1]))
+        for part in self.PARTS:
+            grads.clear()
+            xi, umin = dc.minimize(part, x)
+            assert len(grads) == 1
+            assert umin == dc.value(part, xi, x)
+
+    def test_lipschitz_quadratic(self):
+        grads = []
+
+        class CountingOracle(ObjectiveOracle):
+            def gradient_at(self, x):
+                grads.append(1)
+                return super().gradient_at(x)
+
+        _, s, _ = lasso_problem(target=[2.0, -1.0], weight=0.5, gamma=0.8, dims=[1, 1])
+        s = dataclasses.replace(s, smooth=CountingOracle(value=s.smooth.value,
+                                                         gradient=s.smooth.gradient))
+        x = Point(np.array([3.0, 0.25]), make_block_structure([1, 1]))
+        for part in self.PARTS:
+            grads.clear()
+            xi, umin = s.minimize(part, x)
+            assert len(grads) == 1
+            assert umin == s.value(part, xi, x)
 
 
 class TestQuadraticApprox:
