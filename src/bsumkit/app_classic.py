@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.ma  # noqa: F401 - numpy loads it lazily; np.quantile reaches it via np.unique
 
 from .core import (
     BlockIndex,

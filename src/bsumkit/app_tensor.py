@@ -10,10 +10,10 @@ the recorded objective decreases monotonically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import (
     BlockIndex,
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _GRAM_COND_LIMIT = 1e12
+_EPS = float(np.finfo(np.float64).eps)
 # Residuals remembered per surrogate: a misum step adds three candidates,
 # and the driver then asks for the chosen one and the next anchor's.
 _RESIDUAL_MEMO = 8
@@ -98,6 +99,16 @@ class CpFactors:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
 
+    @classmethod
+    def _views(cls, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> "CpFactors":
+        # Float64 matrices of one column count, such as reshaped views of a
+        # checked factor vector: adopted without the checks.
+        f = object.__new__(cls)
+        object.__setattr__(f, "A", A)
+        object.__setattr__(f, "B", B)
+        object.__setattr__(f, "C", C)
+        return f
+
     @property
     def rank(self) -> int:
         return self.A.shape[1]
@@ -145,9 +156,12 @@ def khatri_rao(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     V = np.asarray(V, dtype=np.float64)
     if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[1]:
         raise InvalidArgumentError("khatri_rao needs matrices with equal column counts")
-    p, r = U.shape
-    q = V.shape[0]
-    return (U[:, None, :] * V[None, :, :]).reshape(p * q, r)
+    return _khatri_rao(U, V)
+
+
+def _khatri_rao(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    # khatri_rao for float64 matrices already known to share a column count.
+    return (U[:, None, :] * V[None, :, :]).reshape(U.shape[0] * V.shape[0], U.shape[1])
 
 
 def unfold(t: DenseTensor3, mode: int) -> np.ndarray:
@@ -177,16 +191,18 @@ def cp_residual(t: DenseTensor3, f: CpFactors) -> float:
     approx = np.einsum("ir,jr,kr->ijk", f.A, f.B, f.C)
     if approx.shape != t.shape:
         raise InvalidArgumentError("factor shapes do not match the tensor")
-    return float(np.linalg.norm(t.values - approx))
+    # np.linalg.norm's own arithmetic for a flat array, minus its dispatch.
+    d = (t.values - approx).ravel()
+    return math.sqrt(d.dot(d))
 
 
 def _mode_pieces(f: CpFactors, mode: int):
     if mode == 1:
-        return f.A, khatri_rao(f.C, f.B)
+        return f.A, _khatri_rao(f.C, f.B)
     if mode == 2:
-        return f.B, khatri_rao(f.C, f.A)
+        return f.B, _khatri_rao(f.C, f.A)
     if mode == 3:
-        return f.C, khatri_rao(f.B, f.A)
+        return f.C, _khatri_rao(f.B, f.A)
     raise InvalidArgumentError(f"mode must be 1, 2, or 3, got {mode}")
 
 
@@ -204,10 +220,22 @@ def als_factor_update(t: DenseTensor3, f: CpFactors, mode: int,
         raise InvalidArgumentError("lambda must be nonnegative")
     current, kr = _mode_pieces(f, mode)
     x_mat = unfold(t, mode) if unfolded is None else unfolded
-    gram = kr.T @ kr
-    lhs = gram + lam * np.eye(gram.shape[0])
-    rhs = x_mat @ kr + lam * current
-    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+    lhs = kr.T @ kr
+    rhs = x_mat @ kr
+    if lam == 0.0:
+        # The plain step does not read the current factor but refuses a
+        # non-finite one; the eigenvalue gate below proves definiteness.
+        finite, proven = np.isfinite(current).all(), True
+    else:
+        # Rounding moves the computed Gram's eigenvalues by at most
+        # (m + 1) eps trace(gram) for m rows of kr (elementwise bound on the
+        # dot products, plus the diagonal add); above twice that, gram + lam I
+        # is positive definite without a factorization.
+        proven = lam > 2.0 * (kr.shape[0] + 1) * _EPS * np.vdot(kr, kr)
+        lhs.flat[::lhs.shape[0] + 1] += lam
+        rhs += lam * current
+        finite = True
+    if not (finite and np.isfinite(lhs).all() and np.isfinite(rhs).all()):
         raise SolverError("factor update met non-finite factors or lambda")
     if lam == 0.0:
         # lhs is a symmetric Gram matrix: its eigenvalues are its singular
@@ -216,15 +244,13 @@ def als_factor_update(t: DenseTensor3, f: CpFactors, mode: int,
         if not eig[0] > 0.0 or eig[-1] / eig[0] > _GRAM_COND_LIMIT:
             raise SolverError(
                 "gram matrix is numerically singular; add a proximal term (lambda > 0)")
-    # The LAPACK calls behind scipy.linalg.cho_factor/cho_solve, with the
-    # same arguments, minus their finiteness checks (done above).
-    chol, info = dpotrf(lhs, lower=1, clean=0)
-    if info != 0:
+    try:
+        if not proven:
+            np.linalg.cholesky(lhs)
+        solution = np.linalg.solve(lhs, rhs.T)
+    except np.linalg.LinAlgError:
         raise SolverError(
-            "gram matrix is not positive definite; add a proximal term (lambda > 0)")
-    solution, info = dpotrs(chol, rhs.T, lower=1)
-    if info != 0:
-        raise SolverError(f"Cholesky solve failed (LAPACK info {info})")
+            "gram + lambda I is singular or not positive definite; raise lambda") from None
     return solution.T
 
 
@@ -324,7 +350,9 @@ class CpSurrogate:
     The anchor's factors and lambda are built once per anchor ``Point``, and
     the fit error is remembered for the last few flat vectors it was
     computed at, so a diminishing lambda reuses the residual of the step
-    that produced the anchor.
+    that produced the anchor. Each block's last lambda = 0 update is
+    remembered too: it reads only the other two factors, so a greedy step
+    does not re-solve the block it moved the iteration before.
     """
 
     def __init__(self, tensor: DenseTensor3, rank: int, schedule: LambdaSchedule):
@@ -340,11 +368,12 @@ class CpSurrogate:
         self._slices = tuple(slice(e - d, e) for d, e in zip(self._dims, ends))
         self._anchor: tuple[Point, CpFactors, float] | None = None
         self._residuals: dict[bytes, float] = {}
+        self._plain_updates: list[tuple[bytes | None, np.ndarray | None]] = [(None, None)] * 3
 
     def _split(self, v: np.ndarray) -> CpFactors:
         (i, j, k), r = self.tensor.shape, self.rank
         a, b, c = self._slices
-        return CpFactors(v[a].reshape(i, r), v[b].reshape(j, r), v[c].reshape(k, r))
+        return CpFactors._views(v[a].reshape(i, r), v[b].reshape(j, r), v[c].reshape(k, r))
 
     def _residual(self, v: np.ndarray) -> float:
         """Fit error at the flat factor vector ``v``."""
@@ -394,10 +423,26 @@ class CpSurrogate:
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
         i = self._as_int(part)
         factors, lam = self._at(anchor)
-        updated = als_factor_update(self.tensor, factors, mode=i + 1, lam=lam,
-                                    unfolded=self.unfoldings[i])
-        xi = updated.ravel()
+        xi = self._update(i, factors, lam, anchor.values)
         return xi, self._model(i, xi, anchor, lam)
+
+    def _update(self, i: int, factors: CpFactors, lam: float, v: np.ndarray) -> np.ndarray:
+        # With lam = 0 the update reads only the other two factors (the
+        # current one need only be finite), so the last one per block is
+        # remembered under their bytes.
+        key = None
+        if lam == 0.0:
+            sl = self._slices[i]
+            key = v[:sl.start].tobytes() + v[sl.stop:].tobytes()
+            last = self._plain_updates[i]
+            if last[0] == key and np.isfinite(v[sl]).all():
+                return last[1]
+        xi = als_factor_update(self.tensor, factors, mode=i + 1, lam=lam,
+                               unfolded=self.unfoldings[i]).ravel()
+        if key is not None:
+            xi.setflags(write=False)
+            self._plain_updates[i] = (key, xi)
+        return xi
 
 
 CP_MODES = ("als", "const_prox", "dim_prox", "mbi", "misum")

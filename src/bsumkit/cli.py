@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401 - argparse's gettext would import it inside each main() call
 import math
 import os
 import sys

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence, Union
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy loads it lazily; every RngStream needs it
 
 __all__ = [
     "BsumError",

@@ -347,11 +347,14 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
     Each iteration minimizes the convex model h over the scheduled part
     (the schedule defaults to cyclic), takes d = argmin - current part as a
     direction, and line-searches f along it. h need not upper-bound f; f
-    must expose a gradient.
+    must expose a gradient. A model with ``anchor_gradient(anchor)`` (grad f
+    at the anchor, as the model used it) hands the directional derivative
+    its gradient, so f's gradient is not evaluated twice per iteration.
     """
     if f.gradient is None:
         raise InvalidArgumentError("run_bsca requires an objective gradient")
     schedule = _cyclic_schedule(x0, feasible, schedule)
+    anchor_gradient = getattr(h, "anchor_gradient", None)
 
     def part_direction(part: BlockIndex, x: Point, r: int) -> np.ndarray:
         xi, _ = h.minimize(part, x, r)
@@ -371,7 +374,7 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
             raise _wrap_oracle_failure(exc, r) from exc
         if stalled:
             return x, fx, part, None, {}, all_small
-        g = f.gradient_at(x.values)
+        g = anchor_gradient(x) if anchor_gradient is not None else f.gradient_at(x.values)
         idx = x.structure.part_indices(part)
         fprime = float(g[idx] @ d_part)
         if fprime > 0:

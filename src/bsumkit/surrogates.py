@@ -9,7 +9,7 @@ the attained surrogate value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -230,12 +230,15 @@ class QuadraticApprox:
     h(xi, y) = f(y) + grad_i f(y) @ (xi - y_i) + |xi - y_i|^2 / (2 t); its
     minimizer is the (projected) gradient step y_i - t grad_i f(y). Strictly
     convex for t > 0, tight and gradient-matched at the anchor, but not an
-    upper bound in general.
+    upper bound in general. grad f is computed once per anchor ``Point``.
     """
 
     f: ObjectiveOracle
     t: float
     feasible: Sequence[FeasibleSetOracle] | None = None
+    # One slot holding (anchor, grad f(anchor)) for the last anchor seen.
+    _last: list = field(default_factory=lambda: [(None, None)], init=False,
+                        repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.gradient is None:
@@ -243,9 +246,16 @@ class QuadraticApprox:
         if not self.t > 0:
             raise InvalidArgumentError("curvature parameter t must be positive")
 
+    def anchor_gradient(self, anchor: Point) -> np.ndarray:
+        """grad f at the anchor, as the model uses it."""
+        last = self._last[0]
+        if last[0] is not anchor:
+            last = self._last[0] = (anchor, self.f.gradient_at(anchor.values))
+        return last[1]
+
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         return self._model(part, np.asarray(xi, dtype=np.float64), anchor,
-                           self.f.gradient_at(anchor.values))
+                           self.anchor_gradient(anchor))
 
     def _model(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
         idx = anchor.structure.part_indices(part)
@@ -254,7 +264,7 @@ class QuadraticApprox:
                 + float(diff @ diff) / (2.0 * self.t))
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
-        g = self.f.gradient_at(anchor.values)
+        g = self.anchor_gradient(anchor)
         structure = anchor.structure
         blocks = structure.part_blocks(part)
         pieces = []

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
@@ -516,3 +518,40 @@ def test_cli_exits_0_2_or_3(config, seeds):
     with tempfile.TemporaryDirectory() as tmp:
         code, _ = run_cli(experiment, params, seeds, tmp)
     assert code in (0, 2, 3)
+
+
+# Runs in a fresh interpreter: imports the CLI, then runs every experiment at
+# a tiny size, and reports the scipy modules the import loaded and the
+# numpy submodules each run imported first.
+COLD_START = """
+import contextlib, io, json, os, sys
+from bsumkit import cli
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+runs = [("cp", {"max_iters": 3}), ("wmmse", {"max_iters": 3}),
+        ("em", {"n_per_cluster": 50, "max_iters": 3}),
+        ("verify", {"n_samples": 20, "n_anchors": 5})]
+runs += [("toy", {"solver": s, "max_iters": 3}) for s in cli.TOY_SOLVERS]
+first = {}
+for k, (experiment, params) in enumerate(runs):
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run_experiment({"experiment": experiment, "params": params, "seeds": [0],
+                                   "output_dir": os.path.join(sys.argv[1], str(k))})
+    new = sorted(m for m in set(sys.modules) - before if m.startswith("numpy."))
+    if code or new:
+        first[experiment + " " + params.get("solver", "")] = [code, new]
+print(json.dumps({"scipy": scipy, "first_imports": first}))
+"""
+
+
+def test_cold_start_imports_no_scipy_and_runs_import_no_numpy_submodule(tmp_path):
+    """numpy loads some submodules (numpy.random, numpy.ma) on first use;
+    doing that inside a run costs it 20-40 ms, so the package imports them
+    up front. scipy is no runtime dependency and stays unimported."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=300, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"scipy": [], "first_imports": {}}

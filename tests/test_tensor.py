@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from bsumkit import app_tensor, engine
 from bsumkit.app_tensor import (
@@ -206,8 +205,43 @@ class TestAlsFactorUpdate:
             factors.append(CpFactors(*blocks))
         self._assert_gate_matches_cond(t, factors)
 
+    def test_proximal_gate_refuses_systems_not_positive_definite(self):
+        """With lam > 0 too small to lift a Gram matrix that rounding left
+        singular or indefinite, the update raises SolverError, never
+        LinAlgError, whenever Cholesky of gram + lam I fails (where a plain
+        solve may still return a number)."""
+        lam = 1e-300  # absorbed by every diagonal entry below
+        ones = np.ones((2, 2))  # equal columns: gram is [[4, 4], [4, 4]]
+        f = CpFactors(np.eye(2), ones, ones)
+        with pytest.raises(SolverError):
+            als_factor_update(reconstruct(f), f, mode=1, lam=lam)
+        rng = np.random.default_rng(0)
+        t = random_rank_instance((3, 4, 5), 3, RngStream(0))
+        not_pd, raised = [], []
+        for _ in range(40):
+            blocks = [rng.uniform(size=(n, 3)) for n in t.shape]
+            for k in (1, 2):
+                blocks[k][:, 2] = blocks[k][:, 0] + 1e-9 * rng.normal(size=t.shape[k])
+            f = CpFactors(*blocks)
+            try:
+                np.linalg.cholesky(self._gram_lhs(f, 1) + lam * np.eye(3))
+                not_pd.append(False)
+            except np.linalg.LinAlgError:
+                not_pd.append(True)
+            try:
+                als_factor_update(t, f, mode=1, lam=lam)
+                raised.append(False)
+            except SolverError:
+                raised.append(True)
+            assert raised[-1] or not not_pd[-1]
+        assert any(not_pd) and not all(raised)
+
     @pytest.mark.parametrize("lam", [0.0, 1e-7, 0.3])
-    def test_solve_bit_equal_to_scipy_cholesky(self, lam):
+    def test_solve_matches_scipy_cholesky(self, lam):
+        """Within 1e-12 relative of scipy's Cholesky solve, with a backward
+        stable residual: |X lhs - rhs| <= 4 R eps |X| |lhs| at rank R."""
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        eps = np.finfo(np.float64).eps
         rng = np.random.default_rng(3)
         for _ in range(20):
             shape = tuple(rng.integers(2, 6, size=3))
@@ -218,9 +252,13 @@ class TestAlsFactorUpdate:
                 current, kr = app_tensor._mode_pieces(f, mode)
                 lhs = kr.T @ kr + lam * np.eye(rank)
                 rhs = unfold(t, mode) @ kr + lam * current
-                expected = scipy.linalg.cho_solve(
-                    scipy.linalg.cho_factor(lhs, lower=True), rhs.T).T
-                np.testing.assert_array_equal(als_factor_update(t, f, mode, lam), expected)
+                expected = scipy_linalg.cho_solve(
+                    scipy_linalg.cho_factor(lhs, lower=True), rhs.T).T
+                got = als_factor_update(t, f, mode, lam)
+                assert (np.linalg.norm(got - expected)
+                        <= 1e-12 * np.linalg.norm(expected)), (mode, rank)
+                assert (np.linalg.norm(got @ lhs - rhs)
+                        <= 4 * rank * eps * np.linalg.norm(got) * np.linalg.norm(lhs))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_regularized_update_strictly_improves(self, seed):
@@ -406,6 +444,63 @@ class TestCpOncePerAnchor:
         assert counts["residual"] == 1 + first + per_iter * (self.N_ITERS - 1)
         assert len(anchors) == self.N_ITERS
         assert counts["lambda"] == len(anchors)
+
+    def test_mbi_solves_two_factors_per_iteration_after_the_first(self, monkeypatch):
+        """With lambda = 0 a factor update reads only the other two factors,
+        so mbi takes its re-solve of the block it moved last from memory,
+        bit for bit what a fresh solve gives."""
+        solves = []
+        quiet = []
+
+        def counted(*args, **kwargs):
+            if not quiet:
+                solves.append(1)
+            return update(*args, **kwargs)
+
+        def gap(*args, **kwargs):
+            quiet.append(True)
+            try:
+                return stationarity_gap(*args, **kwargs)
+            finally:
+                quiet.pop()
+
+        def minimize(self, part, anchor, iteration=1):
+            xi, umin = surrogate_minimize(self, part, anchor, iteration)
+            quiet.append(True)
+            try:
+                fresh = surrogate_minimize(CpSurrogate(self.tensor, self.rank, self.schedule),
+                                           part, anchor, iteration)
+            finally:
+                quiet.pop()
+            np.testing.assert_array_equal(xi, fresh[0])
+            assert umin == fresh[1]
+            return xi, umin
+
+        update = app_tensor.als_factor_update
+        stationarity_gap = engine._stationarity_gap
+        surrogate_minimize = CpSurrogate.minimize
+        monkeypatch.setattr(app_tensor, "als_factor_update", counted)
+        monkeypatch.setattr(engine, "_stationarity_gap", gap)
+        monkeypatch.setattr(CpSurrogate, "minimize", minimize)
+        t = build_swamp_instance(np.pi / 4)
+        _, trace = run_cp(t, 3, mode="mbi", rng=RngStream(0),
+                          opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-14))
+        assert trace.n_iterations == self.N_ITERS
+        assert len(solves) == 3 + 2 * (self.N_ITERS - 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_remembered_update_still_refuses_a_non_finite_factor(self, bad):
+        """A point that differs from a solved one only in the block being
+        updated reuses that update, unless the block is not finite."""
+        t = build_swamp_instance(np.pi / 4)
+        x = init_factors(t, 3, RngStream(0)).to_point()
+        u = CpSurrogate(t, 3, LambdaSchedule.constant(0.0))
+        xi, _ = u.minimize(0, x)
+        assert u.minimize(0, x.with_part(0, xi))[0] is xi
+        block = x.block(0).copy()
+        block[1] = bad
+        with pytest.raises(SolverError):
+            u.minimize(0, x.with_part(0, block))
 
     @pytest.mark.parametrize("instance", ["swamp", "random"])
     @pytest.mark.parametrize("schedule", [LambdaSchedule.constant(0.0),
