@@ -5,8 +5,8 @@ users of logdet of the signal error covariance, which equals minus the sum
 rate whenever the receivers are the fresh minimum-error ones. Alternation:
 odd trace iterations update all receivers exactly, even iterations update
 all transmitters by minimizing the tangent bound of logdet around the
-current covariances (a quadratic problem with a per-cell power constraint
-solved by bisection on the dual variable).
+current covariances (a quadratic problem with a per-cell power constraint,
+solved by one bisection on the dual variables of all cells at once).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "sum_rate",
     "mse_matrix",
     "mmse_receiver",
-    "logdet_surrogate",
     "update_transmitters",
     "init_transmitters",
     "power_per_cell",
@@ -201,18 +200,6 @@ def mmse_receiver(spec: NetworkSpec, H: ChannelSet, V, u: int) -> np.ndarray:
     return np.linalg.solve(cov, own)[u, :, :spec.streams[u]]
 
 
-def logdet_surrogate(E: np.ndarray, E_hat: np.ndarray) -> float:
-    """Tangent bound of logdet at E_hat, evaluated at E (logdet is concave)."""
-    E = np.asarray(E, dtype=np.complex128)
-    E_hat = np.asarray(E_hat, dtype=np.complex128)
-    try:
-        base = _logdet_pd(E_hat)
-        w = np.linalg.solve(E_hat, E - E_hat)
-    except (NumericFailure, np.linalg.LinAlgError) as exc:
-        raise InvalidArgumentError("anchor covariance must be positive definite") from exc
-    return float(base + np.real(np.trace(w)))
-
-
 def power_per_cell(spec: NetworkSpec, V) -> np.ndarray:
     user_power = np.sum(np.abs(_pad(spec, V)) ** 2, axis=(1, 2))
     return np.bincount(spec.user_cell, weights=user_power, minlength=spec.n_cells)
@@ -231,18 +218,63 @@ def init_transmitters(spec: NetworkSpec, rng) -> list[np.ndarray]:
     return out
 
 
-def _cell_power_curve(eigvals: np.ndarray, rows_norm2: np.ndarray):
-    # Power used by a cell as a function of the dual variable mu, in the
-    # eigenbasis of the quadratic term: sum_n rows_norm2[n] / (lam_n + mu)^2
-    # over the rows that carry power; a term that is not finite makes it inf.
+def _power_curve(eigvals: np.ndarray, rows_norm2: np.ndarray):
+    # Power used by each cell against its dual variable, in the eigenbasis of
+    # its quadratic term: p(mu)[k] = sum_n rows_norm2[k, n] / (eigvals[k, n] +
+    # mu[k])^2 over the rows that carry power, inf where not finite. Those rows
+    # move to the front and each sum stops at its cell's count: the same bits
+    # as a sum over them alone (numpy sums 8 or more terms pairwise).
     keep = rows_norm2 > 1e-30
-    lam, rows = eigvals[keep], rows_norm2[keep]
+    order = np.argsort(~keep, axis=1, kind="stable")
+    rows = np.take_along_axis(rows_norm2, order, axis=1)
+    lam = np.take_along_axis(eigvals, order, axis=1)
+    counts = keep.sum(axis=1)
+    groups = [(m, counts == m) for m in sorted(set(counts.tolist()))]
 
-    def p(mu: float) -> float:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = float((rows / (lam + mu) ** 2).sum())
-        return total if np.isfinite(total) else np.inf
+    def p(mu: np.ndarray) -> np.ndarray:
+        terms = rows / (lam + mu[:, None]) ** 2
+        if len(groups) == 1:  # the usual case, without a mask's copies
+            total = terms[:, :groups[0][0]].sum(axis=1)
+        else:
+            total = np.empty(len(terms))
+            for m, sel in groups:
+                total[sel] = terms[sel, :m].sum(axis=1)
+        return np.fmin(total, np.inf)  # nan becomes inf
     return p
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _dual_variables(eigvals: np.ndarray, rows_norm2: np.ndarray,
+                    budget: np.ndarray) -> np.ndarray:
+    # mu per cell: zero where the unconstrained solution fits the budget (lo =
+    # hi = 0), else the bisection root of p(mu) = budget in a bracket [0, hi]
+    # grown by doubling. A converged cell keeps its bracket and so its midpoint.
+    p = _power_curve(eigvals, rows_norm2)
+    tol = _POWER_REL_TOL * budget
+    lo = np.zeros(len(budget))
+    live = p(lo) > budget + tol
+    if not np.count_nonzero(live):
+        return lo
+    hi = live.astype(np.float64)
+    grow = live & (p(hi) > budget)
+    for _ in range(400):
+        if not np.count_nonzero(grow):
+            break
+        hi = np.where(grow, 2.0 * hi, hi)
+        grow &= p(hi) > budget
+    if np.count_nonzero(grow):
+        raise SolverError("power bisection failed to bracket the budget of cells "
+                          f"{np.flatnonzero(grow).tolist()}")
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        val = p(mid)
+        live &= np.abs(val - budget) > tol
+        if not np.count_nonzero(live):
+            return mid
+        go_lo = live & (val > budget)
+        lo = np.where(go_lo, mid, lo)
+        hi = np.where(live ^ go_lo, mid, hi)
+    raise SolverError(f"power bisection did not converge for cells {np.flatnonzero(live).tolist()}")
 
 
 def update_transmitters(spec: NetworkSpec, H: ChannelSet, U, W) -> list[np.ndarray]:
@@ -251,7 +283,9 @@ def update_transmitters(spec: NetworkSpec, H: ChannelSet, U, W) -> list[np.ndarr
     Per cell the unconstrained stationarity condition is (J + mu I) V = T;
     used power is strictly decreasing in mu, so mu is zero when the
     unconstrained solution fits the budget and otherwise found by bisection
-    to relative tolerance 1e-10. U and W may be per-user lists or stacks.
+    to relative tolerance 1e-10, one bisection for all cells at once; a cell
+    whose bisection fails raises SolverError naming it. U and W may be
+    per-user lists or stacks.
     """
     U, W = _pad(spec, U), _pad(spec, W)
     Uh = np.swapaxes(U, 1, 2).conj()
@@ -260,34 +294,13 @@ def update_transmitters(spec: NetworkSpec, H: ChannelSet, U, W) -> list[np.ndarr
     eigvals = np.maximum(eigvals, 0.0)
     own_gain = H.gains[np.arange(spec.n_users), list(spec.user_cell)]
     V = np.swapaxes(own_gain, 1, 2).conj() @ U @ W  # targets, then transmitters
+    Tt = [Q[k].conj().T @ V[cell] for k, cell in enumerate(spec._cell_slices)]
+    rows_norm2 = np.array([np.sum(np.abs(t) ** 2, axis=(0, 2)) for t in Tt])
+    mu = _dual_variables(eigvals, rows_norm2, np.asarray(spec.power))
+    denom = eigvals + mu[:, None]
+    scale = np.where(denom > 1e-300, 1.0 / np.where(denom > 1e-300, denom, 1.0), 0.0)
     for k, cell in enumerate(spec._cell_slices):
-        Tt = Q[k].conj().T @ V[cell]
-        p = _cell_power_curve(eigvals[k], np.sum(np.abs(Tt) ** 2, axis=(0, 2)))
-        budget = spec.power[k]
-        mu = 0.0
-        if p(0.0) > budget + _POWER_REL_TOL * budget:
-            lo, hi = 0.0, 1.0
-            grow = 0
-            while p(hi) > budget:
-                hi *= 2.0
-                grow += 1
-                if grow > 400:
-                    raise SolverError("power bisection failed to bracket the budget")
-            for _ in range(500):
-                mid = 0.5 * (lo + hi)
-                val = p(mid)
-                if abs(val - budget) <= _POWER_REL_TOL * budget:
-                    break
-                if val > budget:
-                    lo = mid
-                else:
-                    hi = mid
-            else:
-                raise SolverError("power bisection did not converge")
-            mu = mid
-        denom = eigvals[k] + mu
-        scale = np.where(denom > 1e-300, 1.0 / np.where(denom > 1e-300, denom, 1.0), 0.0)
-        V[cell] = Q[k] @ (scale[:, None] * Tt)
+        V[cell] = Q[k] @ (scale[k][:, None] * Tt[k])
     return _unpad(spec, V)
 
 
@@ -333,7 +346,10 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
                 W = np.linalg.inv(_mse_stack(U, cov, own))
             except np.linalg.LinAlgError as exc:
                 raise SolverError("error covariance is singular", iteration=r) from exc
-            V = _pad(spec, update_transmitters(spec, H, U, W))
+            try:
+                V = _pad(spec, update_transmitters(spec, H, U, W))
+            except SolverError as exc:
+                raise SolverError(str(exc), iteration=r) from exc
             cov, own = _signal_stack(spec, G, V)
             block = 1
         new_obj = _sum_in_order(_logdet_pd(_mse_stack(U, cov, own)))

@@ -44,12 +44,15 @@ class ExactBlockSurrogate:
     f: ObjectiveOracle
     solver: Callable[[BlockIndex, Point], np.ndarray]
 
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
+    def _objective(self, part: BlockIndex, xi: np.ndarray, anchor: Point) -> float:
         return self.f.value_at(anchor.with_part(part, xi).values)
+
+    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
+        return self._objective(part, xi, anchor)
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
         xi = np.asarray(self.solver(part, anchor), dtype=np.float64)
-        return xi, self.value(part, xi, anchor, iteration)
+        return xi, self._objective(part, xi, anchor)
 
 
 def _coefficient(c, iteration: int, anchor: Point) -> float:
@@ -75,17 +78,20 @@ class ProximalSurrogate:
     def coefficient(self, iteration: int, anchor: Point) -> float:
         return _coefficient(self.c, iteration, anchor)
 
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        c = self.coefficient(iteration, anchor)
-        xi = np.asarray(xi, dtype=np.float64)
+    def _bound(self, part: BlockIndex, xi: np.ndarray, anchor: Point, c: float) -> float:
+        # u at xi, given the coefficient c for this iteration and anchor.
         base = self.f.value_at(anchor.with_part(part, xi).values)
         diff = xi - anchor.part(part)
         return base + float(diff @ diff) / (2.0 * c)
 
+    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
+        c = self.coefficient(iteration, anchor)
+        return self._bound(part, np.asarray(xi, dtype=np.float64), anchor, c)
+
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
         c = self.coefficient(iteration, anchor)
         xi = np.asarray(self.inner_solver(part, anchor, c), dtype=np.float64)
-        return xi, self.value(part, xi, anchor, iteration)
+        return xi, self._bound(part, xi, anchor, c)
 
 
 @dataclass(frozen=True)

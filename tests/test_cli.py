@@ -456,6 +456,16 @@ def test_wmmse_large_power_budget_exits_0(tmp_path, power):
     assert code == 0, out
 
 
+def test_wmmse_unbracketable_budget_exits_3(tmp_path):
+    """A failed power bisection is a solver error naming the half-step and cells."""
+    code, out = run_cli("wmmse", {"noise_power": 1e-125, "power": 1e-125, "max_iters": 10},
+                        [0], str(tmp_path))
+    assert code == 3, out
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["errors"] == [{"seed": 0, "error": "iteration 2: power bisection "
+                                  "failed to bracket the budget of cells [0, 1]"}]
+
+
 # Bounds that keep each generated run well under a second.
 SIZE_BOUNDS = {"max_iters": 5, "n_per_cluster": 50, "n_samples": 20, "n_anchors": 5,
                "rank": 3, "n_cells": 3, "users_per_cell": 3, "n_antennas": 3,

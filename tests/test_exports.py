@@ -13,7 +13,7 @@ MODULES = ["bsumkit", "bsumkit.core", "bsumkit.engine", "bsumkit.surrogates",
 
 REMOVED = ["proximal_minimize", "dc_minimize", "forward_backward_step",
            "block_forward_backward_step", "directional_derivative_fd",
-           "check_quasiconvexity", "DcProblem"]
+           "check_quasiconvexity", "DcProblem", "logdet_surrogate"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -25,6 +25,12 @@ def test_all_names_resolve(name):
 
 def test_removed_helpers_not_exported():
     assert set(REMOVED).isdisjoint(bsumkit.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_removed_helpers_absent_from_every_module(name):
+    module = importlib.import_module(name)
+    assert [n for n in REMOVED if hasattr(module, n)] == []
 
 
 def test_solve_options_has_no_record_trace():

@@ -275,6 +275,52 @@ class TestOneGradientPerMinimize:
             assert umin == s.value(part, xi, x)
 
 
+class TestOneEvaluationPerMinimize:
+    """A minimize evaluates f once and the proximal coefficient once, without
+    calling value, and its minimum is what value returns at the argmin."""
+
+    PARTS = (0, 1, (0, 1))
+
+    @staticmethod
+    def counting(f, calls):
+        def value(v):
+            calls.append("f")
+            return f.value_at(v)
+        return ObjectiveOracle(value=value)
+
+    def test_proximal_surrogate(self, monkeypatch):
+        calls = []
+        prob = QuadraticProblem(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0]))
+
+        def c(iteration, anchor):
+            calls.append("c")
+            return 0.5 + iteration
+
+        u = ProximalSurrogate(self.counting(prob.objective(), calls),
+                              prob.prox_block_minimize, c=c)
+        x = Point(np.array([3.0, 0.25]), make_block_structure([1, 1]))
+        for part in self.PARTS:
+            with monkeypatch.context() as m:
+                m.setattr(ProximalSurrogate, "value", None)
+                calls.clear()
+                xi, umin = u.minimize(part, x, 2)
+            assert sorted(calls) == ["c", "f"]
+            assert umin == u.value(part, xi, x, 2)
+
+    def test_exact_block_surrogate(self, monkeypatch):
+        calls = []
+        prob = QuadraticProblem(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([1.0, -1.0]))
+        u = ExactBlockSurrogate(self.counting(prob.objective(), calls), prob.block_minimize)
+        x = Point(np.array([3.0, 0.25]), make_block_structure([1, 1]))
+        for part in self.PARTS:
+            with monkeypatch.context() as m:
+                m.setattr(ExactBlockSurrogate, "value", None)
+                calls.clear()
+                xi, umin = u.minimize(part, x)
+            assert calls == ["f"]
+            assert umin == u.value(part, xi, x)
+
+
 class TestQuadraticApprox:
 
     def make(self, t=0.5):

@@ -1,17 +1,20 @@
 """Tests for the multicell transceiver design solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from bsumkit import app_wmmse
 from bsumkit.app_wmmse import (
     ChannelSet,
     NetworkSpec,
-    _cell_power_curve,
+    _hermitian,
     _pad,
+    _power_curve,
     _signal_stack,
     gen_channels,
     init_transmitters,
-    logdet_surrogate,
     mmse_receiver,
     mse_matrix,
     power_per_cell,
@@ -19,7 +22,7 @@ from bsumkit.app_wmmse import (
     sum_rate,
     update_transmitters,
 )
-from bsumkit.core import InvalidArgumentError, NumericFailure, RngStream
+from bsumkit.core import InvalidArgumentError, NumericFailure, RngStream, SolverError
 from bsumkit.engine import SolveOptions, _iterate, _Stall
 from bsumkit.verify import audit_trace
 
@@ -128,6 +131,57 @@ def loop_update_transmitters(spec, H, U, W, tol=1e-10):
         for u, t in zip(users, targets):
             out[u] = Q @ (scale[:, None] * t)
     return out
+
+
+# The per-cell dual solve that the batched bisection replaced, kept as its
+# bit-level reference: same linear algebra, one cell after another.
+
+def cell_power_curve(eigvals, rows_norm2):
+    keep = rows_norm2 > 1e-30
+    lam, rows = eigvals[keep], rows_norm2[keep]
+
+    def p(mu):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = float((rows / (lam + mu) ** 2).sum())
+        return total if np.isfinite(total) else np.inf
+    return p
+
+
+def percell_update_transmitters(spec, H, U, W, tol=1e-10):
+    """Transmitters, and per cell mu, the curve evaluations that grew its
+    bracket and its bisection steps, and the rows dropped below the floor."""
+    U, W = _pad(spec, U), _pad(spec, W)
+    Uh = np.swapaxes(U, 1, 2).conj()
+    J = np.einsum("jkba,jbc,jkcd->kad", H.gains.conj(), U @ W @ Uh, H.gains, optimize=True)
+    eigvals, Q = np.linalg.eigh(_hermitian(J))
+    eigvals = np.maximum(eigvals, 0.0)
+    own_gain = H.gains[np.arange(spec.n_users), list(spec.user_cell)]
+    V = np.swapaxes(own_gain, 1, 2).conj() @ U @ W
+    stats = []
+    for k, cell in enumerate(spec._cell_slices):
+        Tt = Q[k].conj().T @ V[cell]
+        rows_norm2 = np.sum(np.abs(Tt) ** 2, axis=(0, 2))
+        p = cell_power_curve(eigvals[k], rows_norm2)
+        budget = spec.power[k]
+        mu, n_bracket, n_bisect = 0.0, 0, 0
+        if p(0.0) > budget + tol * budget:
+            lo, hi = 0.0, 1.0
+            n_bracket = 1
+            while p(hi) > budget:
+                hi *= 2.0
+                n_bracket += 1
+            for n_bisect in range(1, 501):
+                mu = 0.5 * (lo + hi)
+                val = p(mu)
+                if abs(val - budget) <= tol * budget:
+                    break
+                lo, hi = (mu, hi) if val > budget else (lo, mu)
+        denom = eigvals[k] + mu
+        scale = np.where(denom > 1e-300, 1.0 / np.where(denom > 1e-300, denom, 1.0), 0.0)
+        V[cell] = Q[k] @ (scale[:, None] * Tt)
+        stats.append({"mu": mu, "bracket": n_bracket, "bisect": n_bisect,
+                      "dropped": int(np.sum(rows_norm2 <= 1e-30))})
+    return [V[u, :, :d] for u, d in enumerate(spec.streams)], stats
 
 
 def loop_run_wmmse(spec, H, V0, opts):
@@ -288,37 +342,6 @@ class TestMmseReceiver:
         np.testing.assert_allclose(total, sum_rate(spec, H, V), atol=1e-9)
 
 
-class TestLogdetSurrogate:
-
-    def test_tangent_at_anchor(self):
-        e_hat = np.array([[2.0, 0.3], [0.3, 1.0]])
-        sign, val = np.linalg.slogdet(e_hat)
-        np.testing.assert_allclose(logdet_surrogate(e_hat, e_hat), val,
-                                   rtol=1e-12)
-
-    def test_scalar_values(self):
-        np.testing.assert_allclose(logdet_surrogate([[2.0]], [[1.0]]), 1.0,
-                                   rtol=1e-12)
-        np.testing.assert_allclose(logdet_surrogate([[1.0]], [[2.0]]),
-                                   np.log(2.0) - 0.5, rtol=1e-12)
-        assert logdet_surrogate([[2.0]], [[1.0]]) >= np.log(2.0)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_dominates_logdet_on_random_psd(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(20):
-            a = rng.normal(size=(3, 3))
-            b = rng.normal(size=(3, 3))
-            e = a @ a.T + 1e-3 * np.eye(3)
-            e_hat = b @ b.T + 1e-3 * np.eye(3)
-            sign, val = np.linalg.slogdet(e)
-            assert logdet_surrogate(e, e_hat) >= val - 1e-10
-
-    def test_singular_anchor_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            logdet_surrogate(np.eye(2), np.zeros((2, 2)))
-
-
 class TestUpdateTransmitters:
 
     def test_scalar_power_constraint_active(self):
@@ -358,6 +381,55 @@ class TestUpdateTransmitters:
         V_new = update_transmitters(spec, H, U, W)
         power = power_per_cell(spec, V_new)
         assert np.all(power <= np.asarray(spec.power) + 1e-9)
+
+
+def independent_cells(noise=(1.0, 1.0), power=(0.5, 1.0)):
+    """Two one-antenna cells with one user each and no interference."""
+    spec = NetworkSpec.build(n_cells=2, users_per_cell=1, n_antennas=1, streams=1,
+                             noise_power=noise, power=power)
+    gains = np.zeros((2, 2, 1, 1), dtype=np.complex128)
+    gains[0, 0] = gains[1, 1] = 1.0
+    return spec, ChannelSet(gains)
+
+
+class TestBisectionFailures:
+    """A cell whose budget the bisection cannot meet raises SolverError that
+    names the cell, while cell 0 (unit target, budget 0.5) bisects and
+    converges; run_wmmse adds the half-step."""
+
+    def test_budget_not_bracketed(self):
+        # Unit target against a budget of 1e-300: 1 / (1 + 2^400)^2 is still above it.
+        spec, H = independent_cells(power=(0.5, 1e-300))
+        one = [np.ones((1, 1), dtype=np.complex128)] * 2
+        with pytest.raises(SolverError, match=r"failed to bracket the budget of cells \[1\]$"):
+            update_transmitters(spec, H, one, one)
+
+    def test_bisection_out_of_steps(self):
+        # Eigenvalue 1e-152 and unit target against a budget of 2.5e303: the
+        # root mu = 1e-152 sits about 2^-505 into the bracket [0, 1].
+        spec, H = independent_cells(power=(0.5, 2.5e303))
+        U = [np.ones((1, 1), dtype=np.complex128), np.full((1, 1), 1e-152 + 0j)]
+        W = [np.ones((1, 1), dtype=np.complex128), np.full((1, 1), 1e152 + 0j)]
+        with pytest.raises(SolverError, match=r"did not converge for cells \[1\]$"):
+            update_transmitters(spec, H, U, W)
+
+    def test_run_names_the_halfstep(self):
+        # Noise and budget of 1e-125 put cell 1's root near 5e124, past 2^400.
+        spec, H = independent_cells(noise=(1.0, 1e-125), power=(1.0, 1e-125))
+        V0 = init_transmitters(spec, RngStream(0))
+        with pytest.raises(SolverError, match=r"bracket the budget of cells \[1\]$") as info:
+            run_wmmse(spec, H, V0, SolveOptions(max_iters=10))
+        assert info.value.iteration == 2
+
+    def test_run_names_the_halfstep_when_steps_run_out(self, monkeypatch):
+        # A zero tolerance asks for an exact hit, which no midpoint gives; the
+        # first transmitter half-step fits both budgets, the second bisects.
+        monkeypatch.setattr(app_wmmse, "_POWER_REL_TOL", 0.0)
+        spec, H = two_cell_network(seed=0)
+        V0 = init_transmitters(spec, RngStream(0))
+        with pytest.raises(SolverError, match=r"did not converge for cells \[0, 1\]$") as info:
+            run_wmmse(spec, H, V0, SolveOptions(max_iters=10))
+        assert info.value.iteration == 4
 
 
 class TestInitTransmitters:
@@ -432,7 +504,15 @@ class TestRunWmmse:
         assert after >= before - 1e-12
 
 
+def batched_curve(eigvals, rows_norm2, mu):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _power_curve(np.asarray(eigvals, dtype=float),
+                            np.asarray(rows_norm2, dtype=float))(np.asarray(mu, dtype=float))
+
+
 class TestCellPowerCurve:
+    """Each row of the batched curve is the per-cell curve of that row, bit
+    for bit, whatever the other rows hold."""
 
     @pytest.mark.parametrize("eigvals,rows,mu,finite", [
         ([0.0, 0.5, 2.0], [0.0, 0.3, 1.1], 0.0, True),    # zero eigenvalue, zero row
@@ -444,19 +524,122 @@ class TestCellPowerCurve:
         ([np.nan, 0.5, 2.0], [0.0, 0.3, 1.1], 0.0, True),   # nan on a zero row
     ])
     def test_matches_per_row_formula(self, eigvals, rows, mu, finite):
-        eigvals, rows = np.array(eigvals), np.array(rows)
-        got = _cell_power_curve(eigvals, rows)(mu)
-        assert np.isfinite(got) == finite
-        assert got == loop_power_curve(eigvals, rows)(mu)
+        other = ([1.0, 0.0, 3.0], [0.5, 0.0, 0.2])
+        got = batched_curve([eigvals, other[0]], [rows, other[1]], [mu, 0.3])
+        assert np.isfinite(got[0]) == finite
+        assert got[0] == loop_power_curve(np.array(eigvals), np.array(rows))(mu)
+        assert got[0] == cell_power_curve(np.array(eigvals), np.array(rows))(mu)
+        assert got[1] == cell_power_curve(*map(np.array, other))(0.3)
 
     def test_matches_per_row_formula_on_random_rows(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            eigvals = np.maximum(rng.normal(size=4), 0.0)
-            rows = np.where(rng.random(4) < 0.3, 0.0, rng.random(4))
-            new, old = _cell_power_curve(eigvals, rows), loop_power_curve(eigvals, rows)
-            for mu in (0.0, 1e-3, 0.7, 10.0):
-                np.testing.assert_allclose(new(mu), old(mu), rtol=1e-15)
+        for N, trial in itertools.product(range(1, 13), range(40)):
+            eigvals = np.maximum(rng.normal(size=(5, N)), 0.0)
+            rows = rng.random((5, N)) * 10.0 ** rng.integers(-3, 3, size=(5, N))
+            if trial % 2:  # one dropped row in every cell, at random places
+                rows[np.arange(5), rng.integers(0, N, size=5)] = 0.0
+            else:
+                rows[rng.random((5, N)) < 0.3] = 0.0
+                rows[rng.random((5, N)) < 0.1] = 1e-31
+                rows[0] = 0.0  # a cell whose every row is dropped
+            for scale in (0.0, 1e-3, 0.7, 10.0):
+                mu = scale * rng.random(5)
+                got = batched_curve(eigvals, rows, mu)
+                for k in range(5):
+                    assert got[k] == cell_power_curve(eigvals[k], rows[k])(mu[k])
+                    want = loop_power_curve(eigvals[k], rows[k])(mu[k])
+                    # numpy sums 8 or more terms pairwise, so a sum that keeps
+                    # the dropped rows as zeros in place rounds differently there.
+                    if N < 8:
+                        assert got[k] == want
+                    else:
+                        np.testing.assert_allclose(got[k], want, rtol=1e-15)
+
+
+def network_state(spec, H, seed):
+    V = init_transmitters(spec, RngStream(seed).substream(1))
+    U = [mmse_receiver(spec, H, V, u) for u in range(spec.n_users)]
+    W = [np.linalg.inv(mse_matrix(spec, H, V, U, u)) for u in range(spec.n_users)]
+    return U, W
+
+
+def bisection_case(name, seed):
+    """(spec, H, U, W) for one kind of transmitter half-step."""
+    if name == "dense":
+        spec = NetworkSpec.build(n_cells=8, users_per_cell=4, n_antennas=4)
+        H = gen_channels(spec, RngStream(seed))
+        return (spec, H, *network_state(spec, H, seed))
+    if name == "mixed":  # unequal cells, mixed stream counts
+        spec, H = mixed_stream_network(seed)
+        return (spec, H, *network_state(spec, H, seed))
+    if name == "slack":  # the middle cell's budget grows out of reach: mu = 0
+        spec, H = mixed_stream_network(seed)
+        U, W = network_state(spec, H, seed)
+        return (NetworkSpec.build(3, spec.users_per_cell, 3, spec.streams,
+                                  spec.noise_power, (1.0, 1e6, 0.5)), H, U, W)
+    # Diagonal channels and receivers with a zero last row: the last antenna
+    # carries no target, so rows drop; cell 2's receivers are all zero.
+    spec = NetworkSpec.build(n_cells=3, users_per_cell=2, n_antennas=3, streams=2,
+                             power=(1e-3, 1e-2, 1.0))
+    rng = np.random.default_rng(seed)
+    diag = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    H = ChannelSet(diag[..., None] * np.eye(3))
+    U = [np.vstack([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+                    np.zeros((1, 2))]) for _ in range(6)]
+    U[4][:] = U[5][:] = 0.0
+    W = [m @ m.conj().T + np.eye(2) for m in (rng.normal(size=(6, 2, 2)) + 0j)]
+    return spec, H, U, W
+
+
+BISECTION_CASES = ["dense", "mixed", "slack", "zero_rows"]
+
+
+class TestBatchedBisection:
+    """All cells bisect at once and land on the per-cell bisection's mu,
+    transmitters and bits."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", BISECTION_CASES)
+    def test_matches_per_cell_bisection(self, name, seed):
+        spec, H, U, W = bisection_case(name, seed)
+        want, stats = percell_update_transmitters(spec, H, U, W)
+        got = update_transmitters(spec, H, U, W)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert any(s["mu"] > 0 for s in stats)
+        if name == "slack":
+            assert stats[1]["mu"] == 0.0
+        if name == "zero_rows":
+            assert [s["dropped"] for s in stats] == [1, 1, 3]
+            assert stats[0]["mu"] > 0 and stats[2]["mu"] == 0.0
+
+    @pytest.mark.parametrize("name", BISECTION_CASES)
+    def test_curve_evaluations_bounded_by_slowest_cell(self, name, monkeypatch):
+        calls, curve = [], app_wmmse._power_curve
+
+        def counting_curve(eigvals, rows_norm2):
+            p = curve(eigvals, rows_norm2)
+
+            def counted(mu):
+                calls.append(1)
+                return p(mu)
+            return counted
+
+        spec, H, U, W = bisection_case(name, 0)
+        for _ in range(3):
+            _, stats = percell_update_transmitters(spec, H, U, W)
+            with monkeypatch.context() as m:
+                m.setattr(app_wmmse, "_power_curve", counting_curve)
+                calls.clear()
+                V = update_transmitters(spec, H, U, W)
+            assert len(calls) <= (1 + max(s["bracket"] for s in stats)
+                                  + max(s["bisect"] for s in stats))
+            if sum(s["mu"] > 0 for s in stats) > 1:  # fewer than the cells' sum
+                assert len(calls) < sum(1 + s["bracket"] + s["bisect"] for s in stats)
+            if name == "zero_rows":
+                break
+            U = [mmse_receiver(spec, H, V, u) for u in range(spec.n_users)]
+            W = [np.linalg.inv(mse_matrix(spec, H, V, U, u)) for u in range(spec.n_users)]
 
 
 class TestBatchedMatchesPerUserLoops:
