@@ -96,14 +96,12 @@ class GmmParams:
     variances: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        m = np.asarray(self.means, dtype=np.float64)
-        s = np.asarray(self.variances, dtype=np.float64)
+        w, m, s = (np.asarray(v, dtype=np.float64) for v in (self.weights, self.means, self.variances))
         if not (w.shape == m.shape == s.shape) or w.ndim != 1 or w.size < 1:
             raise InvalidArgumentError("weights, means, variances must be equal-length vectors")
-        if np.any(w < 0) or abs(float(np.sum(w)) - 1.0) > 1e-12 * max(1, w.size):
+        if (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-12 * max(1, w.size):
             raise InvalidArgumentError("weights must lie on the probability simplex")
-        if np.any(s <= 0):
+        if (s <= 0).any():
             raise InvalidArgumentError("variances must be positive")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
@@ -135,16 +133,31 @@ def two_cluster_dataset(rng, n_per_cluster: int = 500,
 
 def _log_component_densities(data: np.ndarray, means: np.ndarray,
                              variances: np.ndarray) -> np.ndarray:
-    # (T, J) matrix of log N(w_t; mu_j, s_j).
-    diff = data[:, None] - means[None, :]
-    return -0.5 * (np.log(2.0 * np.pi * variances)[None, :]
-                   + diff * diff / variances[None, :])
+    # (J, T) array, row j = log N(w_t; mu_j, s_j) = -0.5 (log 2 pi s_j + (w_t - mu_j)^2 / s_j),
+    # each operation in that order over contiguous rows: the bits of the (T, J) broadcast.
+    rows = data - means[:, None]
+    rows *= rows
+    rows /= variances[:, None]
+    rows += np.log(2.0 * np.pi * variances)[:, None]
+    rows *= -0.5
+    return rows
 
 
 def _weighted_log_densities(theta: GmmParams, data: np.ndarray) -> np.ndarray:
+    # The (T, J) matrix in C order, filled one component column at a time.
+    rows = _log_component_densities(data, theta.means, theta.variances)
     with np.errstate(divide="ignore"):
-        logw = np.log(theta.weights)
-    return logw[None, :] + _log_component_densities(data, theta.means, theta.variances)
+        rows += np.log(theta.weights)[:, None]
+    a = np.empty(rows.shape[::-1])
+    for j, row in enumerate(rows):
+        a[:, j] = row
+    return a
+
+
+def _column_sums(m: np.ndarray) -> np.ndarray:
+    # m.sum(axis=0) of a C-ordered (T, J) array, bit for bit. numpy sums one column pairwise; two or
+    # more it adds row after row from +0.0, as einsum does down each strided column (no row loop).
+    return m.sum(axis=0) if m.shape[1] == 1 else np.einsum("ij->j", m)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -159,7 +172,8 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     cols = list(a.T)
     m = functools.reduce(np.maximum, cols)
     m = np.where(np.isfinite(m), m, 0.0)
-    return m + np.log(functools.reduce(np.add, [np.exp(c - m) for c in cols]))
+    total = functools.reduce(np.add, [np.exp(t, out=t) for t in [c - m for c in cols]])
+    return np.add(m, np.log(total, out=total), out=total)
 
 
 def gmm_nll(theta: GmmParams, data: np.ndarray) -> float:
@@ -217,11 +231,14 @@ class _LogDensityMemo:
         if self._anchor is None or self._anchor[0] != key:
             entry = self._entry(key)
             a = self._matrix(entry, anchor)
-            gamma = np.exp(a - self._lse(entry, anchor)[:, None])
-            entry[0] = None
+            lse, gamma, terms = self._lse(entry, anchor), np.empty_like(a), np.empty_like(a)
             with np.errstate(divide="ignore", invalid="ignore"):
-                entropy = np.sum(np.where(gamma > 0, gamma * np.log(gamma), 0.0))
-            self._anchor = (key, gamma, entropy)
+                for j, t in enumerate([c - lse for c in a.T]):  # one column at a time
+                    gamma[:, j] = np.exp(t, out=t)
+                    np.multiply(np.log(t), t, out=terms[:, j])
+            entry[0] = None
+            terms[~(gamma > 0)] = 0.0
+            self._anchor = (key, gamma, np.sum(terms))
         return self._anchor[1], self._anchor[2]
 
 
@@ -254,8 +271,9 @@ class GmmJensenSurrogate:
 
     def _bound(self, gamma: np.ndarray, entropy: np.float64, candidate: Point) -> float:
         logp = self._memo.log_densities(candidate)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = np.where(gamma > 0, gamma * logp, 0.0)
+        with np.errstate(invalid="ignore"):
+            cross = gamma * logp
+        cross[~(gamma > 0)] = 0.0
         return float(-np.sum(cross) + entropy)
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
@@ -266,7 +284,7 @@ class GmmJensenSurrogate:
         self._minimize_calls += 1
         blocks = anchor.structure.part_blocks(part)
         gamma, entropy = self._memo.responsibilities(anchor)
-        mass = gamma.sum(axis=0)
+        mass = _column_sums(gamma)
         if np.any(mass < _COLLAPSE_MASS):
             j = int(np.argmin(mass))
             raise ComponentCollapseError(
@@ -275,13 +293,17 @@ class GmmJensenSurrogate:
         pieces = {}
         if 0 in blocks:
             pieces[0] = mass / self.data.size
+        terms = np.empty_like(gamma)  # (T, J) products with the data, for _column_sums
         if 1 in blocks:
-            pieces[1] = (gamma * self.data[:, None]).sum(axis=0) / mass
+            for j in range(gamma.shape[1]):
+                np.multiply(gamma[:, j], self.data, out=terms[:, j])
+            pieces[1] = _column_sums(terms) / mass
         if 2 in blocks:
             # Around the new means when the part holds them, else the anchor's.
             means = pieces[1] if 1 in blocks else anchor.block(1)
-            diff = self.data[:, None] - means[None, :]
-            variances = (gamma * diff * diff).sum(axis=0) / mass
+            diff = self.data - means[:, None]  # row j: w_t - mu_j
+            np.multiply(np.multiply(gamma.T, diff, out=terms.T), diff, out=terms.T)
+            variances = _column_sums(terms) / mass
             if np.any(variances < self.s_floor):
                 self._clamps.append((self._minimize_calls, iteration))
                 variances = np.maximum(variances, self.s_floor)

@@ -287,6 +287,10 @@ def update_transmitters(spec: NetworkSpec, H: ChannelSet, U, W) -> list[np.ndarr
     whose bisection fails raises SolverError naming it. U and W may be
     per-user lists or stacks.
     """
+    return _unpad(spec, _transmitter_stack(spec, H, U, W))
+
+
+def _transmitter_stack(spec: NetworkSpec, H: ChannelSet, U, W) -> np.ndarray:
     U, W = _pad(spec, U), _pad(spec, W)
     Uh = np.swapaxes(U, 1, 2).conj()
     J = np.einsum("jkba,jbc,jkcd->kad", H.gains.conj(), U @ W @ Uh, H.gains, optimize=True)
@@ -301,7 +305,7 @@ def update_transmitters(spec: NetworkSpec, H: ChannelSet, U, W) -> list[np.ndarr
     scale = np.where(denom > 1e-300, 1.0 / np.where(denom > 1e-300, denom, 1.0), 0.0)
     for k, cell in enumerate(spec._cell_slices):
         V[cell] = Q[k] @ (scale[k][:, None] * Tt[k])
-    return _unpad(spec, V)
+    return V
 
 
 def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
@@ -347,7 +351,7 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
             except np.linalg.LinAlgError as exc:
                 raise SolverError("error covariance is singular", iteration=r) from exc
             try:
-                V = _pad(spec, update_transmitters(spec, H, U, W))
+                V = _transmitter_stack(spec, H, U, W)
             except SolverError as exc:
                 raise SolverError(str(exc), iteration=r) from exc
             cov, own = _signal_stack(spec, G, V)

@@ -93,10 +93,9 @@ class SampleSpace:
 
     def sample_point(self, gen: np.random.Generator) -> Point:
         raw = gen.uniform(self.lo, self.hi, size=self.structure.total)
-        for i in range(self.structure.n_blocks):
-            sl = self.structure.block_slice(i)
-            raw[sl] = self.feasible[i].project(raw[sl])
-        return Point(raw, self.structure)
+        for o, d, feasible in zip(self.structure.offsets, self.structure.dims, self.feasible):
+            raw[o:o + d] = feasible.project(raw[o:o + d])
+        return Point._adopt(raw, self.structure)
 
     def sample_part(self, gen: np.random.Generator, part: BlockIndex) -> np.ndarray:
         pieces = []

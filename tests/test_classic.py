@@ -440,3 +440,98 @@ class TestEmOncePerPoint:
         y = x.with_part(1, np.array([0.0, 1.0]))
         u.value((0, 1, 2), x.values, y)
         assert len(calls) == 2
+
+
+def broadcast_weighted_log_densities(theta, data):
+    """The (T, J) log-densities as one broadcast over the data and the
+    components: the formula the per-column code must reproduce bit for bit."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(theta.weights)
+    diff = data[:, None] - theta.means[None, :]
+    return logw[None, :] + -0.5 * (np.log(2.0 * np.pi * theta.variances)[None, :]
+                                   + diff * diff / theta.variances[None, :])
+
+
+def broadcast_jensen_terms(a, logp):
+    """Responsibilities, sum gamma log gamma and the bound's cross term from
+    the log-density matrices at the anchor (``a``) and the candidate."""
+    m = np.max(a, axis=1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    lse = m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))
+    gamma = np.exp(a - lse)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy = np.sum(np.where(gamma > 0, gamma * np.log(gamma), 0.0))
+        cross = np.sum(np.where(gamma > 0, gamma * logp, 0.0))
+    return gamma, entropy, float(-cross + entropy)
+
+
+def mixture(n_components, rng):
+    w = rng.uniform(0.5, 1.5, size=n_components)
+    return GmmParams(weights=w / w.sum(), means=rng.normal(scale=3.0, size=n_components),
+                     variances=rng.uniform(0.3, 3.0, size=n_components))
+
+
+class TestEmColumnArithmetic:
+    """EM's per-point arithmetic runs one component at a time on length-T
+    vectors and gives the bits of the (T, J) broadcasts and axis-0 sums."""
+
+    @pytest.mark.parametrize("n_rows", [1, 7, 8, 9, 1000, 40001])
+    @pytest.mark.parametrize("n_cols", range(1, 11))
+    def test_column_sums_are_the_axis_reduction(self, n_rows, n_cols):
+        rng = np.random.default_rng(100 * n_rows + n_cols)
+        a = rng.uniform(size=(n_rows, n_cols)) * np.exp(rng.normal(scale=20.0, size=n_rows))[:, None]
+        a[rng.uniform(size=a.shape) < 0.2] = 0.0
+        a[rng.uniform(size=a.shape) < 0.1] = 5e-324
+        a[:, 0] = -0.0
+        ref = a.sum(axis=0)
+        assert app_classic._column_sums(a).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n_cols", range(1, 11))
+    def test_log_densities_and_bound_are_the_broadcasts(self, n_cols):
+        """A zero weight (a -inf column) included, and a far point whose
+        gamma underflows to zero in all but one component."""
+        rng = np.random.default_rng(n_cols)
+        data = np.concatenate([rng.normal(scale=4.0, size=999), [1e3]])
+        theta = mixture(n_cols, rng)
+        if n_cols > 1:
+            w = theta.weights.copy()
+            w[0], w[1] = 0.0, w[0] + w[1]
+            theta = dataclasses.replace(theta, weights=w)
+        a = app_classic._weighted_log_densities(theta, data)
+        assert a.flags.c_contiguous
+        assert a.tobytes() == broadcast_weighted_log_densities(theta, data).tobytes()
+
+        x = theta.to_point()
+        y = x.with_part(1, x.block(1) + 0.5)
+        u = GmmJensenSurrogate(data, s_floor=1e-9)
+        bound = u.value(1, y.block(1), x)
+        gamma, entropy = u._memo.responsibilities(x)
+        want = broadcast_jensen_terms(broadcast_weighted_log_densities(theta, data),
+                                      broadcast_weighted_log_densities(
+                                          GmmParams.from_point(y), data))
+        assert gamma.tobytes() == want[0].tobytes()
+        assert (entropy, bound) == want[1:]
+
+    @pytest.mark.parametrize("mode", ["full", "block"])
+    @pytest.mark.parametrize("n_components", [1, 2, 3])
+    def test_em_matches_the_broadcast_run(self, monkeypatch, mode, n_components):
+        """Trace objectives, final parameters and clamp warnings equal those
+        of a run with the broadcast log-densities and axis-0 sums."""
+        data = np.concatenate([
+            two_cluster_dataset(RngStream(n_components), n_per_cluster=250,
+                                centers=(-1.5, 1.5)), np.full(100, 1.5)])
+        opts = SolveOptions(max_iters=25, tol=1e-15)
+
+        def run():
+            theta, trace = em_gmm(data, n_components, mode=mode, opts=opts, s_floor=0.8)
+            return (np.concatenate([theta.weights, theta.means, theta.variances]).tobytes(),
+                    trace.initial_objective, [r.objective for r in trace.records],
+                    trace.warnings)
+
+        got = run()
+        monkeypatch.setattr(app_classic, "_weighted_log_densities",
+                            broadcast_weighted_log_densities)
+        monkeypatch.setattr(app_classic, "_column_sums", lambda m: m.sum(axis=0))
+        assert got == run()
+        # From two components on, the spike's component clamps.
+        assert bool(got[3]) == (n_components > 1)
