@@ -178,7 +178,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 def gmm_nll(theta: GmmParams, data: np.ndarray) -> float:
     """Negative log-likelihood of the sample, in nats."""
-    return float(-np.sum(_logsumexp(_weighted_log_densities(theta, data))))
+    return float(-_logsumexp(_weighted_log_densities(theta, data)).sum())
 
 
 # Parameter vectors whose log-density matrix the memo holds: the anchor's
@@ -223,7 +223,7 @@ class _LogDensityMemo:
         return self._matrix(self._entry(x.values.tobytes()), x)
 
     def nll(self, x: Point) -> float:
-        return float(-np.sum(self._lse(self._entry(x.values.tobytes()), x)))
+        return float(-self._lse(self._entry(x.values.tobytes()), x).sum())
 
     def responsibilities(self, anchor: Point) -> tuple[np.ndarray, np.float64]:
         """Gamma at the anchor and sum gamma log gamma."""
@@ -238,7 +238,7 @@ class _LogDensityMemo:
                     np.multiply(np.log(t), t, out=terms[:, j])
             entry[0] = None
             terms[~(gamma > 0)] = 0.0
-            self._anchor = (key, gamma, np.sum(terms))
+            self._anchor = (key, gamma, terms.sum())
         return self._anchor[1], self._anchor[2]
 
 
@@ -274,7 +274,7 @@ class GmmJensenSurrogate:
         with np.errstate(invalid="ignore"):
             cross = gamma * logp
         cross[~(gamma > 0)] = 0.0
-        return float(-np.sum(cross) + entropy)
+        return float(-cross.sum() + entropy)
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         gamma, entropy = self._memo.responsibilities(anchor)

@@ -522,7 +522,7 @@ def _verify_jobs(seed: int):
     # On the box [-2, 2]^2 the quartic's curvature tops out at 3*4 - 1 = 11,
     # so the 1/t = 20 quadratic model dominates there.
     f_quartic = ObjectiveOracle(
-        value=lambda x: float(np.sum(x ** 4) / 4.0 - np.sum(x ** 2) / 2.0),
+        value=lambda x: float((x ** 4).sum() / 4.0 - (x ** 2).sum() / 2.0),
         gradient=lambda x: x ** 3 - x)
     jobs["quadratic_approx"] = {
         "surrogate": QuadraticApprox(f_quartic, t=0.05),
@@ -569,7 +569,7 @@ def run_verify_suite(surrogate: str = "all", seed: int = 0, n_samples: int = 100
         space = job["space"]
         rng = RngStream(seed, key=(hash_name(name),))
         gen = rng.substream(0).generator()
-        anchors = [space.sample_point(gen) for _ in range(n_anchors)]
+        anchors = space.sample_points(gen, n_anchors)
         reports = []
         if "tightness" in job["checks"]:
             reports.append(verify.check_tightness(job["surrogate"], job["objective"],

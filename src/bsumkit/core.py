@@ -128,9 +128,6 @@ class BlockStructure:
         """Flat coordinate indices covered by a part, in block order."""
         return self._indices(self.part_blocks(part))
 
-    def part_dim(self, part: BlockIndex) -> int:
-        return sum(self.dims[i] for i in self.part_blocks(part))
-
     def _indices(self, blocks: tuple[int, ...]) -> np.ndarray:
         return np.concatenate([np.arange(self.offsets[i], self.offsets[i] + self.dims[i])
                                for i in blocks])
@@ -138,11 +135,12 @@ class BlockStructure:
     def _locate(self, part: BlockIndex) -> tuple[BlockIndex, slice | np.ndarray, int]:
         """Normalized part, its coordinates (a slice for one block) and its
         dimension, with the part validated once."""
-        part = self.normalize_part(part)
-        if isinstance(part, int):
-            start, dim = self.offsets[part], self.dims[part]
-            return part, slice(start, start + dim), dim
-        return part, self._indices(part), sum(self.dims[i] for i in part)
+        if not (type(part) is int and 0 <= part < len(self.dims)):
+            part = self.normalize_part(part)
+            if not isinstance(part, int):
+                return part, self._indices(part), sum(self.dims[i] for i in part)
+        start, dim = self.offsets[part], self.dims[part]
+        return part, slice(start, start + dim), dim
 
 
 def make_block_structure(dims: Sequence[int]) -> BlockStructure:
@@ -213,7 +211,11 @@ class Point:
 
 @dataclass(frozen=True)
 class FeasibleSetOracle:
-    """Closed convex set described by a membership test and a projection."""
+    """Closed convex set described by a membership test and a projection.
+
+    ``projection`` also takes a stack of points, one per row, and gives each
+    row the bits of projecting that row alone.
+    """
 
     membership: Callable[[np.ndarray], bool]
     projection: Callable[[np.ndarray], np.ndarray]
@@ -259,10 +261,9 @@ def ball(radius: float) -> FeasibleSetOracle:
         raise InvalidArgumentError("ball radius must be positive")
 
     def _proj(x):
-        nrm = float(np.linalg.norm(x))
-        if nrm <= radius:
-            return x
-        return x * (radius / nrm)
+        # Row norms from dot products, as np.linalg.norm of one vector; rows inside scale by 1.
+        nrm = np.sqrt(np.vecdot(x, x))[..., None]
+        return x * (radius / np.maximum(nrm, radius))
 
     return FeasibleSetOracle(
         membership=lambda x: bool(np.linalg.norm(x) <= radius + _MEMBER_TOL),
@@ -271,13 +272,16 @@ def ball(radius: float) -> FeasibleSetOracle:
 
 
 def _project_simplex(x: np.ndarray) -> np.ndarray:
-    # Euclidean projection onto {p : p >= 0, sum p = 1}, sort-based.
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, x.size + 1)
-    cond = u + (1.0 - css) / k > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    tau = (css[rho] - 1.0) / (rho + 1)
+    # Euclidean projection of each row onto {p : p >= 0, sum p = 1}, sort-based.
+    if not np.all(np.isfinite(x)):
+        raise NumericFailure("cannot project non-finite values onto the simplex")
+    u = np.sort(x, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    cond = u + (1.0 - css) / np.arange(1, x.shape[-1] + 1) > 0
+    if not np.all(cond[..., 0]):  # holds in exact arithmetic; a huge entry can swamp it
+        raise NumericFailure("simplex projection lost a row to rounding")
+    rho = x.shape[-1] - 1 - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)  # last True
+    tau = (np.take_along_axis(css, rho, axis=-1) - 1.0) / (rho + 1)
     return np.maximum(x - tau, 0.0)
 
 
@@ -292,7 +296,7 @@ def simplex(floor: float = 0.0) -> FeasibleSetOracle:
                     and abs(float(np.sum(x)) - 1.0) <= _MEMBER_TOL * max(1, x.size))
 
     def _proj(x):
-        n = x.size
+        n = x.shape[-1]
         scale = 1.0 - n * floor
         if scale <= 0:
             raise InvalidArgumentError("simplex floor too large for dimension")

@@ -89,18 +89,18 @@ def separable_quartic_dc(dims=(1,)) -> tuple[ObjectiveOracle, DcLinearization, P
     structure = make_block_structure(dims)
 
     def f_value(x):
-        return float(np.sum(x ** 4) / 4.0 - np.sum(x ** 2) / 2.0)
+        return float((x ** 4).sum() / 4.0 - (x ** 2).sum() / 2.0)
 
     def f_grad(x):
         return x ** 3 - x
 
     cvx = ConvexPartOracle(
-        value=lambda x: float(np.sum(x ** 4) / 4.0),
+        value=lambda x: float((x ** 4).sum() / 4.0),
         minimize_linear=lambda a: np.cbrt(-a),
     )
     dc = DcLinearization(
         f_cvx=cvx,
-        cve_value=lambda x: -float(np.sum(x ** 2) / 2.0),
+        cve_value=lambda x: -float((x ** 2).sum() / 2.0),
         cve_grad=lambda x: -x,
         block_minimize_linear=lambda part, a, anchor: np.cbrt(-a),
     )
@@ -123,12 +123,12 @@ def lasso_problem(target, weight: float = 1.0, gamma: float = 1.0,
         raise InvalidArgumentError("dims must cover the target vector")
 
     smooth = ObjectiveOracle(
-        value=lambda x: 0.5 * float(np.sum((x - target) ** 2)),
+        value=lambda x: 0.5 * float(((x - target) ** 2).sum()),
         gradient=lambda x: x - target,
     )
     surrogate = LipschitzQuadraticSurrogate(
         smooth=smooth,
-        nonsmooth_total=lambda x: weight * float(np.sum(np.abs(x))),
+        nonsmooth_total=lambda x: weight * float(np.abs(x).sum()),
         prox=lambda part, v, g: soft_threshold(v, weight * g),
         beta=1.0,
         gamma=gamma,

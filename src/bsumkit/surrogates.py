@@ -131,27 +131,24 @@ class DcLinearization:
     def _bound(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
         # u at xi, given g = grad f_cve(anchor).
         z = anchor.with_part(part, xi)
-        idx = anchor.structure.part_indices(part)
-        lin = float(g[idx] @ (xi - anchor.part(part)))
+        lin = float(g[anchor.structure._locate(part)[1]] @ (xi - anchor.part(part)))
         return float(self.f_cvx.value(z.values)) + lin + float(self.cve_value(anchor.values))
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         return self._bound(part, np.asarray(xi, dtype=np.float64), anchor, self._grad(anchor))
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
-        part_n = anchor.structure.normalize_part(part)
+        part_n, where, dim = anchor.structure._locate(part)
         g = self._grad(anchor)
-        whole = anchor.structure.part_dim(part_n) == anchor.structure.total
-        if whole:
+        if dim == anchor.structure.total:
             xi = np.asarray(self.f_cvx.minimize_linear(g), dtype=np.float64)
             # minimize_linear works on the whole vector; reorder to part order.
-            xi = xi[anchor.structure.part_indices(part_n)]
+            xi = xi[where]
         else:
             if self.block_minimize_linear is None:
                 raise InvalidArgumentError(
                     "block steps need a block_minimize_linear solver")
-            idx = anchor.structure.part_indices(part_n)
-            xi = np.asarray(self.block_minimize_linear(part_n, g[idx], anchor),
+            xi = np.asarray(self.block_minimize_linear(part_n, g[where], anchor),
                             dtype=np.float64)
         return xi, self._bound(part_n, xi, anchor, g)
 
@@ -195,10 +192,9 @@ class LipschitzQuadraticSurrogate:
 
     def _quadratic(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
         # The smooth part of u at xi, given g = grad f2(anchor).
-        idx = anchor.structure.part_indices(part)
         diff = xi - anchor.part(part)
-        return (float(g[idx] @ diff) + float(diff @ diff) / (2.0 * self.gamma)
-                + self.smooth.value_at(anchor.values))
+        return (float(g[anchor.structure._locate(part)[1]] @ diff)
+                + float(diff @ diff) / (2.0 * self.gamma) + self.smooth.value_at(anchor.values))
 
     def _bound(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
         z = anchor.with_part(part, xi)
@@ -210,8 +206,7 @@ class LipschitzQuadraticSurrogate:
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
         g = self.smooth.gradient_at(anchor.values)
-        idx = anchor.structure.part_indices(part)
-        v = anchor.part(part) - self.gamma * g[idx]
+        v = anchor.part(part) - self.gamma * g[anchor.structure._locate(part)[1]]
         xi = np.asarray(self.prox(part, v, self.gamma), dtype=np.float64)
         return xi, self._bound(part, xi, anchor, g)
 
@@ -264,9 +259,8 @@ class QuadraticApprox:
                            self.anchor_gradient(anchor))
 
     def _model(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
-        idx = anchor.structure.part_indices(part)
         diff = xi - anchor.part(part)
-        return (self.f.value_at(anchor.values) + float(g[idx] @ diff)
+        return (self.f.value_at(anchor.values) + float(g[anchor.structure._locate(part)[1]] @ diff)
                 + float(diff @ diff) / (2.0 * self.t))
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:

@@ -4,6 +4,10 @@ Sampling can only falsify, never prove: each check draws points from a
 ``SampleSpace`` and reports every violation with a witness. Reports are
 plain data and serialize to JSON. Given the same ``RngStream`` key, every
 check is bit-reproducible.
+
+A check draws its samples' uniforms in one generator call per chunk of
+``_CHUNK_ROWS`` samples, laid out as if each sample were drawn on its own,
+and projects each chunk block by block, so chunking never changes a report.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ class CheckReport:
 
 
 _MAX_WITNESSES = 25
+_CHUNK_ROWS = 4096  # samples drawn and projected together; bounds the sampler's memory
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,8 @@ class SampleSpace:
     def __post_init__(self):
         if len(self.feasible) != self.structure.n_blocks:
             raise InvalidArgumentError("one feasible set per block is required")
-        if not self.lo < self.hi:
-            raise InvalidArgumentError("need lo < hi")
+        if not 0.0 < self.hi - self.lo < np.inf:
+            raise InvalidArgumentError("need lo < hi with a finite width hi - lo")
 
     @staticmethod
     def boxed(structure: BlockStructure, lo: float = -5.0, hi: float = 5.0,
@@ -92,17 +97,39 @@ class SampleSpace:
         return SampleSpace(structure, tuple(feasible), float(lo), float(hi))
 
     def sample_point(self, gen: np.random.Generator) -> Point:
-        raw = gen.uniform(self.lo, self.hi, size=self.structure.total)
-        for o, d, feasible in zip(self.structure.offsets, self.structure.dims, self.feasible):
-            raw[o:o + d] = feasible.project(raw[o:o + d])
-        return Point._adopt(raw, self.structure)
+        return self.sample_points(gen, 1)[0]
 
-    def sample_part(self, gen: np.random.Generator, part: BlockIndex) -> np.ndarray:
-        pieces = []
-        for i in self.structure.part_blocks(part):
-            raw = gen.uniform(self.lo, self.hi, size=self.structure.dims[i])
-            pieces.append(self.feasible[i].project(raw))
-        return np.concatenate(pieces)
+    def sample_points(self, gen: np.random.Generator, n: int) -> list[Point]:
+        """``n`` feasible points, drawn as ``n`` calls of ``sample_point`` would."""
+        return [Point._adopt(y, self.structure) for y, _ in self.sample_rows(gen, n)]
+
+    def sample_rows(self, gen: np.random.Generator, n: int, parts: Sequence[BlockIndex] = ()):
+        """Yield ``n`` feasible points as rows, each with its candidate.
+
+        With ``parts``, row r's draw is followed by one of part ``parts[r %
+        len(parts)]``, and the candidate is the row with that part replaced
+        by its projected draw. Without, the candidate is the row itself.
+        """
+        s, located = self.structure, [self.structure._locate(p) for p in parts]
+        for start in range(0, n, _CHUNK_ROWS):
+            which = (start + np.arange(min(_CHUNK_ROWS, n - start))) % max(len(located), 1)
+            widths = s.total + np.array([dim for _, _, dim in located] or [0])[which]
+            starts = np.cumsum(widths) - widths
+            raw = gen.uniform(self.lo, self.hi, size=int(widths.sum()))
+            points = self._project(raw[starts[:, None] + np.arange(s.total)], range(s.n_blocks))
+            cands = points.copy() if located else points
+            for k, (part, where, dim) in enumerate(located):
+                rows = np.flatnonzero(which == k)[:, None]
+                xi = self._project(raw[starts[rows] + s.total + np.arange(dim)], s.part_blocks(part))
+                cands[rows, np.arange(s.total)[where]] = xi
+            yield from zip(points, cands)
+
+    def _project(self, rows: np.ndarray, blocks) -> np.ndarray:
+        # Project in place the runs of columns that hold ``blocks``, one after another.
+        cols = np.cumsum([0] + [self.structure.dims[i] for i in blocks])
+        for i, a, b in zip(blocks, cols, cols[1:]):
+            rows[:, a:b] = self.feasible[i].project(rows[:, a:b])
+        return rows
 
 
 def _default_parts(structure: BlockStructure, parts) -> list[BlockIndex]:
@@ -154,16 +181,15 @@ def check_upper_bound(u, f: ObjectiveOracle, space: SampleSpace, rng: RngStream,
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be >= 1")
     parts = _default_parts(space.structure, parts)
-    gen = rng.generator()
+    rows = space.sample_rows(rng.generator(), n_samples, parts)
     worst = np.inf
     witnesses: list[dict] = []
     n_viol = 0
-    for s_idx in range(n_samples):
+    for s_idx, (y_row, x_row) in enumerate(rows):
         part = parts[s_idx % len(parts)]
-        y = space.sample_point(gen)
-        xi = space.sample_part(gen, part)
-        uval = float(u.value(part, xi, y))
-        fval = f.value_at(y.with_part(part, xi).values)
+        y = Point._adopt(y_row, space.structure)
+        uval = float(u.value(part, x_row[space.structure._locate(part)[1]], y))
+        fval = f.value_at(x_row)
         slack = uval - fval
         worst = min(worst, slack)
         if slack < -tol:
@@ -193,21 +219,20 @@ def check_first_order_match(u, f: ObjectiveOracle, samples: Sequence[Point],
     if not steps or steps[0] <= 0:
         raise InvalidArgumentError("steps must be positive")
     parts = _default_parts(space.structure, parts)
-    gen = rng.generator()
+    directions = space.sample_rows(rng.generator(), len(samples) * len(parts))
     worst = 0.0
     witnesses: list[dict] = []
     n = 0
     n_viol = 0
     for s_idx, y in enumerate(samples):
         for part in parts:
-            z = space.sample_point(gen)
-            d_part = z.part(part) - y.part(part)
+            idx = y.structure._locate(part)[1]
+            d_part = next(directions)[0][idx] - y.part(part)
             nrm = float(np.linalg.norm(d_part))
             if nrm < 1e-2:
                 continue  # degenerate draw, direction too short to trust
             d_part = d_part / nrm
             n += 1
-            idx = y.structure.part_indices(part)
             step_full = np.zeros(y.dim)
             quotients = []
             for h in steps:
@@ -230,6 +255,8 @@ def check_first_order_match(u, f: ObjectiveOracle, samples: Sequence[Point],
                             {"h": h, "u_quotient": du, "f_quotient": df}
                             for h, du, df in quotients],
                     })
+    if n == 0:
+        raise InvalidArgumentError("no sampled direction was long enough to test")
     return CheckReport("first_order_match", n, n_viol, worst, witnesses)
 
 

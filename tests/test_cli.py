@@ -1,6 +1,7 @@
 """Tests for the experiment runner: config checks, artifacts, summaries."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -258,6 +259,18 @@ class TestRunExperiment:
         assert "proximal.tightness: PASS" in capsys.readouterr().out
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["all_passed"] is True
+
+    def test_verify_report_bits_are_pinned(self, tmp_path):
+        """The battery's report at a small size keeps its bytes; a sampler
+        refactor that moves a single draw changes this hash."""
+        out_dir = tmp_path / "out"
+        config = {"experiment": "verify", "seeds": [0],
+                  "params": {"n_samples": 50, "n_anchors": 12},
+                  "output_dir": str(out_dir)}
+        assert run_experiment(config) == 0
+        blob = (out_dir / "verify_report.json").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "2118eacb386dae03448b85fd4fc42813a2a8ceb1e577ef49ed88eee86a0187c5")
 
     def test_wmmse_artifacts(self, tmp_path):
         out_dir = tmp_path / "out"

@@ -71,7 +71,7 @@ class TestBlockStructure:
     def test_part_indices_group(self):
         s = make_block_structure([2, 3, 1])
         np.testing.assert_array_equal(s.part_indices((0, 2)), [0, 1, 5])
-        assert s.part_dim((0, 2)) == 3
+        assert s._locate((0, 2))[2] == 3
 
 
 class TestPoint:
@@ -147,6 +147,55 @@ class TestFeasibleSets:
     def test_membership_tolerance(self):
         assert nonnegative().contains(np.array([-1e-11, 2.0]))
         assert not nonnegative().contains(np.array([-1e-3, 2.0]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 40])
+    def test_row_stack_projects_each_row_alone(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = rng.uniform(-5.0, 5.0, size=(300, dim)) * rng.uniform(0.01, 3.0, size=(300, 1))
+        rows[:3] = np.array([[0.0], [1e-300], [0.5]])  # the origin, a tiny row, a row of ties
+        oracles = [unconstrained(), box(-1.0, 1.0), box(np.linspace(-2, 0, dim), 1.5),
+                   nonnegative(), ball(2.0), ball(1e-3), simplex()]
+        if dim * 0.05 < 1:
+            oracles.append(simplex(floor=0.05))
+        for oracle in oracles:
+            stacked = oracle.project(rows)
+            assert np.array_equal(stacked, np.array([oracle.project(r) for r in rows]))
+            # A column slice of a wider stack is a strided view; the bits hold there too.
+            wide = np.concatenate([rows, rows], axis=1)[:, :dim]
+            assert np.array_equal(oracle.project(wide), stacked)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9, 200])
+    def test_one_vector_keeps_the_scalar_formulas(self, dim):
+        # The per-vector ball and simplex projections before they took row stacks.
+        def ball_ref(x, radius):
+            nrm = float(np.linalg.norm(x))
+            return x if nrm <= radius else x * (radius / nrm)
+
+        def simplex_ref(x):
+            u = np.sort(x)[::-1]
+            css = np.cumsum(u)
+            cond = u + (1.0 - css) / np.arange(1, x.size + 1) > 0
+            rho = int(np.nonzero(cond)[0][-1])
+            return np.maximum(x - (css[rho] - 1.0) / (rho + 1), 0.0)
+
+        rng = np.random.default_rng(100 + dim)
+        for x in rng.normal(size=(200, dim)) * rng.uniform(0.01, 5.0, size=(200, 1)):
+            assert np.array_equal(ball(1.5).project(x), ball_ref(x, 1.5))
+            assert np.array_equal(simplex().project(x), simplex_ref(x))
+
+    def test_simplex_rejects_non_finite_input(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.array([0.2, bad, 0.5])
+            with pytest.raises(NumericFailure):
+                simplex().project(x)
+            with pytest.raises(NumericFailure):
+                simplex(floor=0.1).project(np.stack([np.full(3, 0.3), x]))
+
+    def test_simplex_rejects_a_row_lost_to_rounding(self):
+        # 1e20 + (1 - 1e20) rounds to 0, so no coordinate passes the support test.
+        for x in (np.array([1e20, 0.0, 0.0]), np.array([[0.2, 0.3, 0.5], [0.0, -1e20, 1e20]])):
+            with pytest.raises(NumericFailure):
+                simplex().project(x)
 
 
 class TestObjectiveOracle:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bsumkit import verify
 from bsumkit.core import (
     InvalidArgumentError,
     ObjectiveOracle,
@@ -10,8 +11,12 @@ from bsumkit.core import (
     RngStream,
     Trace,
     TraceRecord,
+    ball,
+    box,
     make_block_structure,
     nonnegative,
+    simplex,
+    unconstrained,
 )
 from bsumkit.problems import QuadraticProblem, lasso_problem, separable_quartic_dc
 from bsumkit.verify import (
@@ -148,6 +153,14 @@ class TestCheckFirstOrderMatch:
         assert not report.passed
         assert report.worst_gap > 0.1
 
+    def test_space_too_narrow_for_any_direction_rejected(self):
+        """No draw passes the length filter, so nothing was tested: not a PASS."""
+        f, u, structure, _ = scalar_setup()
+        narrow = SampleSpace.boxed(structure, lo=0.0, hi=1e-3)
+        with pytest.raises(InvalidArgumentError, match="direction"):
+            check_first_order_match(u, f, narrow.sample_points(RngStream(1).generator(), 5),
+                                    narrow, RngStream(0))
+
     def test_nonpositive_step_rejected(self):
         f, u, structure, space = scalar_setup()
         with pytest.raises(InvalidArgumentError):
@@ -217,6 +230,12 @@ class TestSampleSpace:
             assert p.values.min() >= 0.0
             assert p.values.max() <= 1.0
 
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308),
+                                        (np.nan, 1.0), (1.0, 1.0), (2.0, 1.0)])
+    def test_bounds_need_a_finite_positive_width(self, lo, hi):
+        with pytest.raises(InvalidArgumentError):
+            SampleSpace.boxed(make_block_structure([2]), lo=lo, hi=hi)
+
     def test_feasible_count_must_match_blocks(self):
         structure = make_block_structure([1, 1])
         with pytest.raises(InvalidArgumentError):
@@ -228,3 +247,104 @@ class TestSampleSpace:
         blob = report.to_json()
         assert {"check", "n_samples", "n_violations", "worst_gap",
                 "witnesses"} <= set(blob)
+
+
+# The per-sample sampler that the array sampler replaced, kept as the reference
+# for its stream layout: each point, then (for the upper-bound check) its part,
+# each drawn and projected block by block on its own.
+
+def reference_point(space, gen):
+    raw = gen.uniform(space.lo, space.hi, size=space.structure.total)
+    for o, d, feasible in zip(space.structure.offsets, space.structure.dims, space.feasible):
+        raw[o:o + d] = feasible.project(raw[o:o + d])
+    return raw
+
+
+def reference_part(space, gen, part):
+    return np.concatenate([
+        space.feasible[i].project(gen.uniform(space.lo, space.hi, size=space.structure.dims[i]))
+        for i in space.structure.part_blocks(part)])
+
+
+def reference_upper_bound_rows(space, gen, n, parts):
+    points, cands = [], []
+    for s_idx in range(n):
+        part = parts[s_idx % len(parts)]
+        y = reference_point(space, gen)
+        xi = reference_part(space, gen, part)
+        points.append(y)
+        cands.append(Point(y, space.structure).with_part(part, xi).values)
+    return np.array(points), np.array(cands)
+
+
+def stacked(rows):
+    points, cands = zip(*rows)
+    return np.array(points), np.array(cands)
+
+
+MIXED_SPACES = {
+    "box_simplex": (box([-1.0], [2.0]), simplex(floor=0.05)),
+    "nonnegative_ball": (nonnegative(), ball(1.5)),
+    "unconstrained": (unconstrained(), unconstrained()),
+}
+
+
+class TestArraySampler:
+    """The array sampler gives the bits of the per-sample reference loop."""
+
+    N_ACROSS_CHUNKS = verify._CHUNK_ROWS + 50
+
+    @pytest.mark.parametrize("sets", MIXED_SPACES)
+    def test_upper_bound_layout_across_a_chunk_boundary(self, sets):
+        structure = make_block_structure([1, 2])
+        space = SampleSpace(structure, MIXED_SPACES[sets], -3.0, 3.0)
+        parts = [0, 1, (0, 1)]  # 4096 % 3 = 1, so the second chunk starts mid-cycle
+        n = self.N_ACROSS_CHUNKS
+        want = reference_upper_bound_rows(space, RngStream(5).generator(), n, parts)
+        got = stacked(space.sample_rows(RngStream(5).generator(), n, parts))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_upper_bound_check_uses_that_layout(self):
+        """Every (part, xi, anchor) the check hands u matches the reference."""
+        structure = make_block_structure([1, 2])
+        space = SampleSpace(structure, MIXED_SPACES["box_simplex"], -3.0, 3.0)
+        parts = [0, 1, (0, 1)]
+        seen = []
+
+        class Recorder:
+            def value(self, part, xi, anchor, iteration=1):
+                seen.append((part, np.array(xi), anchor.values.copy()))
+                return 0.0
+
+        f = ObjectiveOracle(value=lambda v: -1.0)
+        check_upper_bound(Recorder(), f, space, RngStream(9), n_samples=40, parts=parts)
+        points, cands = reference_upper_bound_rows(space, RngStream(9).generator(), 40, parts)
+        for s_idx, (part, xi, anchor) in enumerate(seen):
+            assert part == parts[s_idx % 3]
+            assert np.array_equal(anchor, points[s_idx])
+            assert np.array_equal(xi, cands[s_idx][structure.part_indices(part)])
+
+    def test_first_order_directions(self):
+        # check_first_order_match draws one point per (anchor, part), anchors outermost.
+        structure = make_block_structure([2, 1, 3])
+        space = SampleSpace(structure, (simplex(), box(-1.0, 1.0), ball(2.0)), -4.0, 4.0)
+        n = 3 * (verify._CHUNK_ROWS // 3 + 7)
+        gen = RngStream(11).generator()
+        want = np.array([reference_point(space, gen) for _ in range(n)])
+        got, same = stacked(space.sample_rows(RngStream(11).generator(), n))
+        assert np.array_equal(got, want)
+        assert np.array_equal(same, got)
+
+    def test_anchors(self):
+        structure = make_block_structure([2, 2, 2])
+        space = SampleSpace(structure, (simplex(floor=0.05), box([-4.0, -4.0], [4.0, 4.0]),
+                                        box([0.3, 0.3], [3.0, 3.0])), -4.0, 4.0)
+        gen = RngStream(12).generator()
+        want = [reference_point(space, gen) for _ in range(60)]
+        got = space.sample_points(RngStream(12).generator(), 60)
+        assert all(p.structure is structure for p in got)
+        assert np.array_equal(np.array([p.values for p in got]), np.array(want))
+        one = space.sample_point(RngStream(12).generator())
+        assert np.array_equal(one.values, want[0])
+        assert not one.values.flags.writeable
