@@ -99,9 +99,13 @@ class GmmParams:
         w, m, s = (np.asarray(v, dtype=np.float64) for v in (self.weights, self.means, self.variances))
         if not (w.shape == m.shape == s.shape) or w.ndim != 1 or w.size < 1:
             raise InvalidArgumentError("weights, means, variances must be equal-length vectors")
-        if (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-12 * max(1, w.size):
+        # Each test fails on a NaN: min() and sum() propagate it, and every
+        # comparison with it is False.
+        if not (w.min() >= 0 and abs(float(w.sum()) - 1.0) <= 1e-12 * max(1, w.size)):
             raise InvalidArgumentError("weights must lie on the probability simplex")
-        if (s <= 0).any():
+        if not (np.isfinite(m).all() and np.isfinite(s).all()):
+            raise InvalidArgumentError("means and variances must be finite")
+        if not s.min() > 0:
             raise InvalidArgumentError("variances must be positive")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
@@ -342,6 +346,8 @@ def em_gmm(data: np.ndarray, n_components: int, theta0: GmmParams | None = None,
         raise InvalidArgumentError("need at least one component")
     if data.size < 2:
         raise InvalidArgumentError("need at least two observations")
+    if not np.isfinite(data).all():
+        raise InvalidArgumentError("data must be finite")
     if mode not in ("full", "block"):
         raise InvalidArgumentError(f"mode must be 'full' or 'block', got {mode!r}")
     if s_floor is None:

@@ -26,8 +26,6 @@ __all__ = [
     "QuadraticProblem",
     "separable_quartic_dc",
     "lasso_problem",
-    "AffineLogdetSurrogate",
-    "affine_logdet_family",
 ]
 
 
@@ -134,66 +132,3 @@ def lasso_problem(target, weight: float = 1.0, gamma: float = 1.0,
         gamma=gamma,
     )
     return surrogate.objective(), surrogate, Point(np.zeros(structure.total), structure)
-
-
-@dataclass(frozen=True)
-class AffineLogdetSurrogate:
-    """Tangent bound of logdet along an affine positive definite family.
-
-    E(x) = base + sum_k x_k coeffs[k]; since logdet is concave in E and E is
-    affine in x, linearizing at the anchor dominates f(x) = logdet E(x).
-    """
-
-    base: np.ndarray
-    coeffs: tuple[np.ndarray, ...]
-
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        e = self.base.copy()
-        for xk, ck in zip(np.asarray(x, dtype=np.float64), self.coeffs):
-            e = e + xk * ck
-        return e
-
-    def _logdet(self, e: np.ndarray) -> float:
-        sign, val = np.linalg.slogdet(e)
-        if sign <= 0:
-            raise InvalidArgumentError("matrix family left the positive definite cone")
-        return float(val)
-
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        z = anchor.with_part(part, xi)
-        e = self.matrix(z.values)
-        e_hat = self.matrix(anchor.values)
-        base = self._logdet(e_hat)
-        return base + float(np.trace(np.linalg.solve(e_hat, e - e_hat)))
-
-    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
-        # Linear in x over a box; demo family minimizes at the lower corner.
-        raise InvalidArgumentError("linear model has no interior minimizer; "
-                                   "this surrogate is for evaluation checks")
-
-
-def affine_logdet_family():
-    """Demo instance of the logdet tangent bound plus its objective and box.
-
-    Returns (objective, surrogate, sample space) where the sample space
-    draws coordinates from [0, 2], keeping the family positive definite.
-    """
-    from .verify import SampleSpace
-    from . import core
-
-    base = np.eye(2)
-    coeffs = (
-        np.array([[1.0, 0.3], [0.3, 0.5]]),
-        np.array([[0.5, -0.2], [-0.2, 1.0]]),
-    )
-    surrogate = AffineLogdetSurrogate(base=base, coeffs=coeffs)
-    structure = make_block_structure([1, 1])
-
-    def f_value(x):
-        return surrogate._logdet(surrogate.matrix(x))
-
-    space = SampleSpace(
-        structure=structure,
-        feasible=(core.box([0.0], [2.0]), core.box([0.0], [2.0])),
-        lo=0.0, hi=2.0)
-    return ObjectiveOracle(value=f_value), surrogate, space

@@ -67,7 +67,7 @@ def test_01_surrogate_check_battery():
     results = run_verify_suite()
     elapsed = time.perf_counter() - t0
     expected = {"proximal", "dc", "lipschitz", "quadratic_approx",
-                "logdet", "em_jensen"}
+                "cp", "em_jensen"}
     reports = [r for rs in results.values() for r in rs]
     enough_samples = all(r.n_samples >= 1000 for r in reports
                          if r.check == "upper_bound")

@@ -214,6 +214,18 @@ class TestGmmParams:
             GmmParams(weights=np.array([1.0]), means=np.zeros(1),
                       variances=np.zeros(1))
 
+    @pytest.mark.parametrize("field,values", [
+        ("weights", [np.nan]), ("weights", [np.inf, 0.0]),
+        ("means", [np.inf]), ("means", [np.nan]),
+        ("variances", [np.nan, 1.0]), ("variances", [np.inf])])
+    def test_non_finite_values_rejected(self, field, values):
+        """NaN fails every comparison, so each check is written to fail on it."""
+        n = len(values)
+        fields = {"weights": np.full(n, 1.0 / n), "means": np.zeros(n),
+                  "variances": np.ones(n), field: np.array(values)}
+        with pytest.raises(InvalidArgumentError):
+            GmmParams(**fields)
+
     def test_point_roundtrip(self):
         theta = GmmParams(weights=np.array([0.25, 0.75]),
                           means=np.array([-1.0, 3.0]),
@@ -300,6 +312,11 @@ class TestEmGmm:
         assert trace.n_iterations == 11
         named = [int(w.rsplit(" ", 1)[1]) for w in trace.warnings if "clamped" in w]
         assert named == [3, 6, 9]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            em_gmm(np.array([1.0, bad, 2.0]), 2)
 
     def test_data_shorter_than_components_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -28,7 +28,7 @@ from bsumkit.cli import (
     summarize,
     validate_config,
 )
-from bsumkit.core import Trace, TraceRecord
+from bsumkit.core import RngStream, Trace, TraceRecord
 from bsumkit.engine import SolveOptions
 
 
@@ -270,7 +270,7 @@ class TestRunExperiment:
         assert run_experiment(config) == 0
         blob = (out_dir / "verify_report.json").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == (
-            "2118eacb386dae03448b85fd4fc42813a2a8ceb1e577ef49ed88eee86a0187c5")
+            "cb2938c2835ede46c63681ec28e57eae1e5a33e455134ed365eec6dbe4adc258")
 
     def test_wmmse_artifacts(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -459,6 +459,42 @@ def test_bad_params_exit_2(tmp_path, experiment, params, key):
     assert code == 2
     errors = [line for line in out.splitlines() if line.startswith("config error")]
     assert len(errors) == 1 and key in errors[0]
+
+
+def test_em_non_finite_data_file_exits_2(tmp_path):
+    """A data file holding nan is bad input, as a bad tensor_file is."""
+    data = tmp_path / "data.txt"
+    data.write_text("1.0\nnan\n2.0\n")
+    code, out = run_cli("em", {"data_file": str(data)}, [0], str(tmp_path))
+    assert code == 2
+    errors = [line for line in out.splitlines() if line.startswith("config error")]
+    assert len(errors) == 1 and "data_file" in errors[0] and "non-finite" in errors[0]
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--max-iters", "5"]])
+def test_verify_refuses_solver_knobs(tmp_path, flag):
+    """The battery runs no solver, so verify has no max_iters or tol to set."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", *flag, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown parameter" in out.getvalue()
+
+
+def test_battery_jobs_are_the_verify_targets():
+    assert tuple(cli._verify_jobs(0)) == VERIFY_TARGETS
+
+
+@pytest.mark.parametrize("name", VERIFY_TARGETS)
+def test_battery_job_minimizes_every_block(name):
+    """Each battery job is a surrogate a driver can run: its minimize gives
+    a finite argmin of the block's size for every block at a sampled anchor."""
+    u, _, space = cli._verify_jobs(0)[name]
+    y = space.sample_point(RngStream(0).generator())
+    for block, dim in enumerate(space.structure.dims):
+        xi, value = u.minimize(block, y)
+        assert np.shape(xi) == (dim,)
+        assert np.isfinite(xi).all() and np.isfinite(value)
 
 
 @pytest.mark.parametrize("power", [1e8, 1e10])

@@ -13,7 +13,8 @@ MODULES = ["bsumkit", "bsumkit.core", "bsumkit.engine", "bsumkit.surrogates",
 
 REMOVED = ["proximal_minimize", "dc_minimize", "forward_backward_step",
            "block_forward_backward_step", "directional_derivative_fd",
-           "check_quasiconvexity", "DcProblem", "logdet_surrogate"]
+           "check_quasiconvexity", "DcProblem", "logdet_surrogate",
+           "AffineLogdetSurrogate", "affine_logdet_family"]
 
 
 @pytest.mark.parametrize("name", MODULES)

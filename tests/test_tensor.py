@@ -24,9 +24,22 @@ from bsumkit.app_tensor import (
     unfold,
     write_tensor,
 )
-from bsumkit.core import InvalidArgumentError, RngStream, SolverError
+from bsumkit.core import (
+    InvalidArgumentError,
+    ObjectiveOracle,
+    Point,
+    RngStream,
+    SolverError,
+    make_block_structure,
+)
 from bsumkit.engine import SolveOptions
-from bsumkit.verify import audit_trace
+from bsumkit.verify import (
+    SampleSpace,
+    audit_trace,
+    check_first_order_match,
+    check_tightness,
+    check_upper_bound,
+)
 
 
 def rank1_factors(a, b, c):
@@ -524,6 +537,32 @@ class TestCpOncePerAnchor:
                 res = cp_residual(t, merged)
                 diff = xi - x.block(part)
                 assert umin == float(np.sqrt(res * res + lam * float(diff @ diff)))
+
+
+class TestCpSurrogateContract:
+
+    @pytest.mark.parametrize("schedule", [LambdaSchedule.constant(0.0),
+                                          LambdaSchedule.constant(0.1),
+                                          LambdaSchedule.diminishing()],
+                             ids=["als_mbi", "const_prox", "dim_prox_misum"])
+    def test_sampled_contract(self, schedule):
+        """Under each CP mode's lambda the model is tight, bounds the fit
+        error from above and matches its slope. f is the public cp_residual,
+        not the surrogate's memo that run_cp hands the driver."""
+        t = build_swamp_instance(np.pi / 36)
+        structure = make_block_structure([n * 3 for n in t.shape])
+        f = ObjectiveOracle(value=lambda v: cp_residual(
+            t, CpFactors.from_point(Point(v, structure), t.shape, 3)))
+        u = CpSurrogate(t, 3, schedule)
+        space = SampleSpace.boxed(structure)
+        rng = RngStream(5)
+        anchors = space.sample_points(rng.substream(0).generator(), 8)
+        reports = [check_tightness(u, f, anchors),
+                   check_upper_bound(u, f, space, rng.substream(1), n_samples=200),
+                   check_first_order_match(u, f, anchors, space, rng.substream(2))]
+        assert [(r.check, r.n_violations) for r in reports] == [
+            ("tightness", 0), ("upper_bound", 0), ("first_order_match", 0)]
+        assert [r.n_samples for r in reports] == [24, 200, 24]
 
 
 class TestTensorFileIO:
