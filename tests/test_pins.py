@@ -1,0 +1,102 @@
+"""SHA-256 pins of every experiment's artifacts.
+
+Each run below writes its artifacts through ``run_experiment``; the test
+compares the SHA-256 of every file the run writes (``summary.json``, the
+trace and rates CSVs, the exported cp instance) with the digest pinned
+here. A change that moves a single bit of any artifact fails; such a change
+re-pins only with a note that states the worst relative difference per
+artifact.
+"""
+
+import hashlib
+import math
+import os
+
+import pytest
+
+from bsumkit.cli import TOY_SOLVERS, run_experiment
+
+# A fixed sample for the data_file run: a spread cluster around -2 and a
+# spike of 20 copies of 3.0, whose component's variance clamps at the floor.
+DATA_FILE_VALUES = [-2.0 + ((i * 37) % 11 - 5) / 7.0 for i in range(40)] + [3.0] * 20
+
+RUNS = {
+    "cp_swamp_pi4": ("cp", {"instance": "swamp", "theta": math.pi / 4, "max_iters": 300}),
+    "cp_swamp_pi36": ("cp", {"instance": "swamp", "theta": math.pi / 36, "max_iters": 300}),
+    "cp_random": ("cp", {"instance": "random", "dims": [3, 4, 2], "rank": 2,
+                         "max_iters": 300}),
+    "em_j2": ("em", {"n_components": 2, "n_per_cluster": 150, "centers": [-1.5, 1.5],
+                     "max_iters": 80}),
+    "em_j3": ("em", {"n_components": 3, "n_per_cluster": 150, "centers": [-1.5, 1.5],
+                     "max_iters": 80}),
+    "em_data_file": ("em", {"data_file": "data.txt", "n_components": 2, "max_iters": 80}),
+    **{f"toy_{solver}": ("toy", {"solver": solver}) for solver in TOY_SOLVERS},
+    "wmmse_default": ("wmmse", {}),
+}
+
+PINS = {
+    'cp_random': {'cp_als_seed0.csv': 'dab344f152edc27cd741d116a20fa12551eaa8a69c27d8f4ee778e7bc77b346e',
+                  'cp_const_prox_seed0.csv': 'c4b02112fc0f3045fe0fc557663348dc3479b80c70d4a37cf74e7dbd7495c131',
+                  'cp_dim_prox_seed0.csv': '5282035b0ae684fbbc83f80507c15b18b5988e5b454718bedd57ea81ace67762',
+                  'cp_instance.txt': '39a73eb18a5844d41a14d4eef1b837a1e32775d731f75e5f49c358946c45f410',
+                  'cp_mbi_seed0.csv': '4c55448ebde3bea161866aac560b61e55113bc54ccc607022e51c57e498cf717',
+                  'cp_misum_seed0.csv': '5596911511dab6a4d48d71a9f64e86d956ad53664ac87db0c266af4928222fad',
+                  'summary.json': '5b97f23fedceb7183ed5ea146c9e0dd8fb64a350877287c1c51c633b47d9626f'},
+    'cp_swamp_pi36': {'cp_als_seed0.csv': '4bf4bc2195aa3dca166e721610a5ab901dfa1db111dbfbb9d73a9e02e2fbe920',
+                      'cp_const_prox_seed0.csv': '719f3d96e455f327f47525067e1322f875e4ce8cb001ba4cc900853b2051dbd1',
+                      'cp_dim_prox_seed0.csv': '2b1b43a706b37335647e698bb9163aaee6f70cf46a10833de7472eb471cc10b9',
+                      'cp_instance.txt': 'ea9e0c5e7a3585ec37c344089f0d8dfe7f2c185355a6f2e4ce71037e0c979099',
+                      'cp_mbi_seed0.csv': '1d2152eea59a24e05dd1ff03df70c7f4d9b2dc987316b439120b0ee475a8f940',
+                      'cp_misum_seed0.csv': '7441f24a6f4dcc9e6e33e5322250f4a91f27c8cd5d07345b0c804c41d0b5d17c',
+                      'summary.json': '072639186c2fb613bec844b1f1fc626e721e53d03ff65c56f41ae02abab30796'},
+    'cp_swamp_pi4': {'cp_als_seed0.csv': '71557f3498dd0bc90807508e2b9b70cfbf8fe636621b1efb07ca78bfa76630fc',
+                     'cp_const_prox_seed0.csv': '08c3574204a0917a14b76ee43438c189a32bfdef5f942b7befc73966472f4562',
+                     'cp_dim_prox_seed0.csv': '95b49679ae3fe10fec3d3af7d1bc323639813b61104168041bfa2b52cb79a181',
+                     'cp_instance.txt': '133a505434f590c2ffd757f5fb585f26c45a14980e2cebe080f841f5b011c331',
+                     'cp_mbi_seed0.csv': '5a1160f050444df5b1acdec6dd26ea9eabfda521a661048a9f68cbd98705240a',
+                     'cp_misum_seed0.csv': '2d7dcf40b777a10c174924fc613b8aa88be065c6ef750b1ecd0a9449af174ca2',
+                     'summary.json': 'a145fd8d95bc35304ba9eba714174385282c828085b0c896260b43b835230f06'},
+    'em_data_file': {'em_block_seed0.csv': 'bd5c4aaf33a5c7493ab543eb389541a64c38d2eacfb41f336d6a9a802e271fac',
+                     'em_full_seed0.csv': '583e7134cfeb78a537323c4a142bf1546a3e4c0034a17e606e560db5a8b6d3b3',
+                     'summary.json': '5d92903b091c10fff24323b5346d81d1559f9581980a2160ff5f11f58c5d471e'},
+    'em_j2': {'em_block_seed0.csv': '84217ab2d3bf9ae5c51938e976aa84da6badc55e7da42ef8f8f9285c10eccf68',
+              'em_full_seed0.csv': '670ea7aac66aaafafdd7bc55d52d44be7921a4884e923a08ac1edddae6a72091',
+              'summary.json': 'e97f64492bb1c364c7a72fe2353f6db773ae99715415e9cfea08392e790c0fac'},
+    'em_j3': {'em_block_seed0.csv': '8fd72fd12871abaea10fca6b64a1d6bd412c7e0aa2d2e85fa9a3534e7ff6a510',
+              'em_full_seed0.csv': '59d99c42c1af32e5ef0275fb60e173d5357b94f3f10f2ee0fa85c23c292a61d8',
+              'summary.json': '16e0a83c9db25a7e62cffacf8d3ad45f3e766e3fd81d0127ffc9323918f5187e'},
+    'toy_alternating_prox': {'summary.json': 'd41555418f43a99e4e2996eb8a04b4e7d71dbc26ef204ab29006d805de08fcd3',
+                             'toy_alternating_prox_seed0.csv': '10e042562fe0aa2045ddb9919dfd3d8c63d5630c0f6dfe9607c125a271fa6d60'},
+    'toy_bsca': {'summary.json': '5300eb38d9e618f2cbe09b80dcbffff1a13bdd61acb3b04011c73a0b84e7a03e',
+                 'toy_bsca_seed0.csv': '2421452d41f709f4a3a5833b25b9163a29707b471e3c9a3d40b61c764f314231'},
+    'toy_cccp': {'summary.json': '4f95cd0507fcc562294dd8b4e0f8492749aa65a73a5400dc89cf1d30a9770cc9',
+                 'toy_cccp_seed0.csv': '7efd530e4d295dd4b10944b396cb0144e4e8b3980eeaf09119470a2cd05e14e9'},
+    'toy_prox': {'summary.json': 'edeaf0b43126e2c949380c217ac9b5f4c91801b8f8c33c206687a35b0ddb1ac4',
+                 'toy_prox_seed0.csv': '49914ba73b86adb0484c6b4203c0a7aa90ac37403c43a4a3538c296d5d7938f3'},
+    'toy_splitting': {'summary.json': 'd480e51bc550bc6a06af895f46f53291f8a72ec65caefb132dad0de2c48f7d18',
+                      'toy_splitting_seed0.csv': 'e176dde1fa14bcfb5f8f4fad27758215ee91b46587d86c6d9c803315bad22e73'},
+    'wmmse_default': {'summary.json': 'ab5f6599acd34405a8b8d69daf24ee3d4f7f5e0f3cacb8d294255aaa3ad1b98e',
+                      'wmmse_rates_seed0.csv': '167718e91640176abb6030743d3f88c410e8641beb3766b3e2782c68654f9a6e',
+                      'wmmse_seed0.csv': '3831aa306fc205b0dc9f3143e1445135416ab097c972b07ee030a515ee638445'}}
+
+
+def artifact_digests(name: str, work_dir) -> dict[str, str]:
+    """SHA-256 of each artifact of run ``name``, written under ``work_dir``
+    (which must be the working directory: the data file path is relative, so
+    ``summary.json`` does not depend on where the run happens)."""
+    experiment, params = RUNS[name]
+    if "data_file" in params:
+        with open(params["data_file"], "w", encoding="ascii") as fh:
+            fh.write("\n".join(repr(v) for v in DATA_FILE_VALUES) + "\n")
+    out_dir = os.path.join(str(work_dir), "out")
+    config = {"experiment": experiment, "params": dict(params), "seeds": [0],
+              "output_dir": out_dir}
+    assert run_experiment(config) == 0
+    return {f: hashlib.sha256(open(os.path.join(out_dir, f), "rb").read()).hexdigest()
+            for f in sorted(os.listdir(out_dir))}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_artifact_bits_are_pinned(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    assert artifact_digests(name, tmp_path) == PINS[name]
