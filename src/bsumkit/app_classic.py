@@ -185,67 +185,6 @@ def gmm_nll(theta: GmmParams, data: np.ndarray) -> float:
     return float(-_logsumexp(_weighted_log_densities(theta, data)).sum())
 
 
-# Parameter vectors whose log-density matrix the memo holds: the anchor's
-# and the last candidate's.
-_MEMO_POINTS = 2
-
-
-class _LogDensityMemo:
-    """Log-density pieces of one sample, shared by the NLL and the Jensen bound.
-
-    Per parameter vector (keyed by its bytes) it keeps the weighted
-    log-density matrix ``a`` and, once asked for, its row logsumexp; for the
-    current anchor it keeps the responsibilities gamma and sum gamma log
-    gamma. A vector's ``a`` is dropped once its gamma is built. Each number
-    comes from the same expressions as in ``gmm_nll``, computed once.
-    """
-
-    def __init__(self, data: np.ndarray):
-        self.data = data
-        self._points: dict[bytes, list] = {}  # key -> [a or None, lse or None]
-        self._anchor: tuple[bytes, np.ndarray, np.float64] | None = None
-
-    def _entry(self, key: bytes) -> list:
-        entry = self._points.get(key)
-        if entry is None:
-            entry = self._points[key] = [None, None]
-            if len(self._points) > _MEMO_POINTS:
-                del self._points[next(iter(self._points))]
-        return entry
-
-    def _matrix(self, entry: list, x: Point) -> np.ndarray:
-        if entry[0] is None:
-            entry[0] = _weighted_log_densities(GmmParams.from_point(x), self.data)
-        return entry[0]
-
-    def _lse(self, entry: list, x: Point) -> np.ndarray:
-        if entry[1] is None:
-            entry[1] = _logsumexp(self._matrix(entry, x))
-        return entry[1]
-
-    def log_densities(self, x: Point) -> np.ndarray:
-        return self._matrix(self._entry(x.values.tobytes()), x)
-
-    def nll(self, x: Point) -> float:
-        return float(-self._lse(self._entry(x.values.tobytes()), x).sum())
-
-    def responsibilities(self, anchor: Point) -> tuple[np.ndarray, np.float64]:
-        """Gamma at the anchor and sum gamma log gamma."""
-        key = anchor.values.tobytes()
-        if self._anchor is None or self._anchor[0] != key:
-            entry = self._entry(key)
-            a = self._matrix(entry, anchor)
-            lse, gamma, terms = self._lse(entry, anchor), np.empty_like(a), np.empty_like(a)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for j, t in enumerate([c - lse for c in a.T]):  # one column at a time
-                    gamma[:, j] = np.exp(t, out=t)
-                    np.multiply(np.log(t), t, out=terms[:, j])
-            entry[0] = None
-            terms[~(gamma > 0)] = 0.0
-            self._anchor = (key, gamma, terms.sum())
-        return self._anchor[1], self._anchor[2]
-
-
 class GmmJensenSurrogate:
     """Expected complete-data bound around the anchor parameters.
 
@@ -255,9 +194,12 @@ class GmmJensenSurrogate:
     Block 0 is the weights, 1 the means, 2 the variances; minimizing a part
     is the familiar reweighted update restricted to those parameters.
 
-    Log-densities and responsibilities come from a per-instance memo, so an
-    anchor's gamma is built once and a candidate's log-densities are the
-    ones the objective (``em_gmm``'s, which shares the memo) reads next.
+    ``minimize`` keeps the weighted log-density matrix of the point it
+    returns, so ``objective()``, the negative log-likelihood, takes its row
+    logsumexp from it, and the responsibilities at that point as the next
+    anchor come from the same numbers. An anchor's matrix is dropped once
+    its gamma is built. Each number comes from the same expressions as in
+    ``gmm_nll``, computed once.
     """
 
     def __init__(self, data: np.ndarray, s_floor: float):
@@ -268,26 +210,75 @@ class GmmJensenSurrogate:
             raise InvalidArgumentError("variance floor must be positive")
         self.data = data
         self.s_floor = float(s_floor)
-        self._memo = _LogDensityMemo(data)
+        # (vector, [log-density matrix or None, row logsumexp or None]) for the
+        # anchor and the points minimize returned at it, matched with ``is``.
+        self._points: list[tuple[np.ndarray, list]] = []
+        # (anchor vector, gamma, sum gamma log gamma).
+        self._anchor: tuple[np.ndarray, np.ndarray, np.float64] | None = None
         self._minimize_calls = 0
         # (minimize call number, iteration) of each call that clamped.
         self._clamps: list[tuple[int, int]] = []
 
-    def _bound(self, gamma: np.ndarray, entropy: np.float64, candidate: Point) -> float:
-        logp = self._memo.log_densities(candidate)
+    def objective(self) -> ObjectiveOracle:
+        """The negative log-likelihood over the flat parameter vector."""
+        return ObjectiveOracle(value=self._nll)
+
+    def _log_densities(self, v: np.ndarray) -> np.ndarray:
+        j = v.size // 3
+        theta = GmmParams(weights=v[:j], means=v[j:2 * j], variances=v[2 * j:])
+        return _weighted_log_densities(theta, self.data)
+
+    def _facts(self, v: np.ndarray) -> list:
+        """The log-density entry of the point with vector ``v``."""
+        entry = next((entry for w, entry in self._points if w is v), None)
+        if entry is None:
+            entry = [self._log_densities(v), None]
+            if self._anchor is None and not v.flags.writeable and v.base is None:
+                self._points.append((v, entry))  # the start point, which the first anchor reads
+        return entry
+
+    def _lse(self, entry: list) -> np.ndarray:
+        if entry[1] is None:
+            entry[1] = _logsumexp(entry[0])
+        return entry[1]
+
+    def _nll(self, v: np.ndarray) -> float:
+        return float(-self._lse(self._facts(v)).sum())
+
+    def _responsibilities(self, anchor: Point) -> tuple[np.ndarray, np.float64]:
+        """Gamma at the anchor and sum gamma log gamma."""
+        v = anchor.values
+        if self._anchor is None or self._anchor[0] is not v:
+            entry = self._facts(v)
+            if entry[0] is None:  # an earlier anchor's, whose matrix went with its gamma
+                entry[0] = self._log_densities(v)
+            a, lse = entry[0], self._lse(entry)
+            gamma, terms = np.empty_like(a), np.empty_like(a)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for j, t in enumerate([c - lse for c in a.T]):  # one column at a time
+                    gamma[:, j] = np.exp(t, out=t)
+                    np.multiply(np.log(t), t, out=terms[:, j])
+            entry[0] = None
+            terms[~(gamma > 0)] = 0.0
+            self._anchor = (v, gamma, terms.sum())
+        return self._anchor[1], self._anchor[2]
+
+    def _bound(self, gamma: np.ndarray, entropy: np.float64, logp: np.ndarray) -> float:
+        # u at the candidate whose log-density matrix is ``logp``.
         with np.errstate(invalid="ignore"):
             cross = gamma * logp
         cross[~(gamma > 0)] = 0.0
         return float(-cross.sum() + entropy)
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        gamma, entropy = self._memo.responsibilities(anchor)
-        return self._bound(gamma, entropy, anchor.with_part(part, xi))
+        gamma, entropy = self._responsibilities(anchor)
+        return self._bound(gamma, entropy,
+                           self._log_densities(anchor.with_part(part, xi).values))
 
-    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
+    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         self._minimize_calls += 1
         blocks = anchor.structure.part_blocks(part)
-        gamma, entropy = self._memo.responsibilities(anchor)
+        gamma, entropy = self._responsibilities(anchor)
         mass = _column_sums(gamma)
         if np.any(mass < _COLLAPSE_MASS):
             j = int(np.argmin(mass))
@@ -312,8 +303,13 @@ class GmmJensenSurrogate:
                 self._clamps.append((self._minimize_calls, iteration))
                 variances = np.maximum(variances, self.s_floor)
             pieces[2] = variances
-        xi = np.concatenate([pieces[i] for i in blocks])
-        return xi, self._bound(gamma, entropy, anchor.with_part(part, xi))
+        z = anchor.with_part(part, np.concatenate([pieces[i] for i in blocks]))
+        # The previous anchor's logsumexp goes only now, just before the new
+        # matrix: freed at the anchor change, it costs more page faults.
+        self._points = [p for p in self._points if p[0] is anchor.values]
+        entry = [self._log_densities(z.values), None]
+        self._points.append((z.values, entry))
+        return z, self._bound(gamma, entropy, entry[0])
 
 
 def _default_start(data: np.ndarray, n_components: int) -> GmmParams:
@@ -359,14 +355,8 @@ def em_gmm(data: np.ndarray, n_components: int, theta0: GmmParams | None = None,
         raise InvalidArgumentError("theta0 has the wrong component count")
     surrogate = GmmJensenSurrogate(data, s_floor)
     x0 = theta0.to_point()
-    structure = x0.structure
-    # The surrogate's log-densities at the new iterate already give f there.
-    memo = surrogate._memo
-    f = ObjectiveOracle(value=lambda v: memo.nll(Point(v, structure)))
-    if mode == "full":
-        x, trace = run_sum(f, surrogate, x0, opts)
-    else:
-        x, trace = run_bsum(f, surrogate, x0, opts)
+    driver = run_sum if mode == "full" else run_bsum
+    x, trace = driver(surrogate.objective(), surrogate, x0, opts)
     # The drivers call minimize once per iteration; later calls are the
     # post-run stationarity check, not iterations.
     for call, it in surrogate._clamps:

@@ -50,9 +50,6 @@ __all__ = [
 
 _GRAM_COND_LIMIT = 1e12
 _EPS = float(np.finfo(np.float64).eps)
-# Residuals remembered per surrogate: a misum step adds three candidates,
-# and the driver then asks for the chosen one and the next anchor's.
-_RESIDUAL_MEMO = 8
 
 
 @dataclass(frozen=True)
@@ -347,12 +344,13 @@ class CpSurrogate:
     value(part, xi, y) = sqrt(|X - reconstruction|^2 + lam |xi - y_part|^2)
     where the reconstruction substitutes xi into factor block ``part``.
 
-    The anchor's factors and lambda are built once per anchor ``Point``, and
-    the fit error is remembered for the last few flat vectors it was
-    computed at, so a diminishing lambda reuses the residual of the step
-    that produced the anchor. Each block's last lambda = 0 update is
-    remembered too: it reads only the other two factors, so a greedy step
-    does not re-solve the block it moved the iteration before.
+    The anchor's factors and lambda are built once per anchor ``Point``.
+    ``minimize`` remembers the fit error at the point it returns, so
+    ``objective()`` reads it there and a diminishing lambda reuses it when
+    that point is the next anchor. A point made by a lambda = 0 update of
+    block i is remembered as such: that update reads only the other two
+    factors, so at that point it gives block i back, and a greedy step does
+    not re-solve the block it moved the iteration before.
     """
 
     def __init__(self, tensor: DenseTensor3, rank: int, schedule: LambdaSchedule):
@@ -367,23 +365,31 @@ class CpSurrogate:
         ends = np.cumsum(self._dims)
         self._slices = tuple(slice(e - d, e) for d, e in zip(self._dims, ends))
         self._anchor: tuple[Point, CpFactors, float] | None = None
-        self._residuals: dict[bytes, float] = {}
-        self._plain_updates: list[tuple[bytes | None, np.ndarray | None]] = [(None, None)] * 3
+        # (vector, fit error, block of the lambda = 0 update that made it or
+        # None) for the anchor and the points minimize returned at it,
+        # matched with ``is``.
+        self._points: list[tuple[np.ndarray, float, int | None]] = []
+
+    def objective(self) -> ObjectiveOracle:
+        """The fit error |X - [A, B, C]|_F over the flat factor vector."""
+        return ObjectiveOracle(value=self._residual)
 
     def _split(self, v: np.ndarray) -> CpFactors:
         (i, j, k), r = self.tensor.shape, self.rank
         a, b, c = self._slices
         return CpFactors._views(v[a].reshape(i, r), v[b].reshape(j, r), v[c].reshape(k, r))
 
+    def _facts(self, v: np.ndarray) -> tuple[np.ndarray, float, int | None] | None:
+        return next((entry for entry in self._points if entry[0] is v), None)
+
     def _residual(self, v: np.ndarray) -> float:
         """Fit error at the flat factor vector ``v``."""
-        key = v.tobytes()
-        res = self._residuals.get(key)
-        if res is None:
-            res = cp_residual(self.tensor, self._split(v))
-            self._residuals[key] = res
-            if len(self._residuals) > _RESIDUAL_MEMO:
-                del self._residuals[next(iter(self._residuals))]
+        entry = self._facts(v)
+        if entry is not None:
+            return entry[1]
+        res = cp_residual(self.tensor, self._split(v))
+        if self._anchor is None and not v.flags.writeable and v.base is None:
+            self._points.append((v, res, None))  # the start point, which the first anchor reads
         return res
 
     def _at(self, anchor: Point) -> tuple[CpFactors, float]:
@@ -395,6 +401,7 @@ class CpSurrogate:
                     f"point blocks {anchor.structure.dims} are not factors of shape "
                     f"{self.tensor.shape} at rank {self.rank}")
             lam = _lambda(self.schedule, self._norm, lambda: self._residual(anchor.values))
+            self._points = [e for e in self._points if e[0] is anchor.values]
             state = self._anchor = (anchor, self._split(anchor.values), lam)
         return state[1], state[2]
 
@@ -403,13 +410,15 @@ class CpSurrogate:
             raise InvalidArgumentError("factor updates work on single blocks 0, 1, 2 only")
         return int(part)
 
-    def _model(self, i: int, xi: np.ndarray, anchor: Point, lam: float) -> float:
+    def _model(self, i: int, xi: np.ndarray, anchor: Point,
+               lam: float) -> tuple[np.ndarray, float, float]:
+        # The anchor's vector with block i set to xi, the fit error there and u there.
         sl = self._slices[i]
         merged = anchor.values.copy()
         merged[sl] = xi
-        res = self._residual(merged)
+        res = cp_residual(self.tensor, self._split(merged))
         diff = xi - anchor.values[sl]
-        return float(np.sqrt(res * res + lam * float(diff @ diff)))
+        return merged, res, float(np.sqrt(res * res + lam * float(diff @ diff)))
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         i = self._as_int(part)
@@ -418,31 +427,22 @@ class CpSurrogate:
         if xi.shape[0] != self._dims[i]:
             raise InvalidArgumentError(
                 f"factor block {i} has {self._dims[i]} entries, got {xi.shape[0]}")
-        return self._model(i, xi, anchor, lam)
+        return self._model(i, xi, anchor, lam)[2]
 
-    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
+    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         i = self._as_int(part)
         factors, lam = self._at(anchor)
-        xi = self._update(i, factors, lam, anchor.values)
-        return xi, self._model(i, xi, anchor, lam)
-
-    def _update(self, i: int, factors: CpFactors, lam: float, v: np.ndarray) -> np.ndarray:
-        # With lam = 0 the update reads only the other two factors (the
-        # current one need only be finite), so the last one per block is
-        # remembered under their bytes.
-        key = None
-        if lam == 0.0:
-            sl = self._slices[i]
-            key = v[:sl.start].tobytes() + v[sl.stop:].tobytes()
-            last = self._plain_updates[i]
-            if last[0] == key and np.isfinite(v[sl]).all():
-                return last[1]
+        facts = self._facts(anchor.values)
+        if lam == 0.0 and facts is not None and facts[2] == i:
+            # Made by this very update, which reads only the other factors;
+            # u there is _model's sqrt(res^2 + lam * 0), rounded the same way.
+            return anchor, float(np.sqrt(facts[1] * facts[1]))
         xi = als_factor_update(self.tensor, factors, mode=i + 1, lam=lam,
                                unfolded=self.unfoldings[i]).ravel()
-        if key is not None:
-            xi.setflags(write=False)
-            self._plain_updates[i] = (key, xi)
-        return xi
+        merged, res, umin = self._model(i, xi, anchor, lam)
+        z = Point._adopt(merged, anchor.structure)
+        self._points.append((z.values, res, i if lam == 0.0 else None))
+        return z, umin
 
 
 CP_MODES = ("als", "const_prox", "dim_prox", "mbi", "misum")
@@ -492,6 +492,5 @@ def run_cp(t: DenseTensor3, rank: int, mode: str = "als",
         raise InvalidArgumentError("initial factors have the wrong rank")
     x0 = factors0.to_point()
     surrogate = CpSurrogate(t, rank, schedule)
-    # The surrogate's residual at the chosen block update already is f there.
-    x, trace = driver(ObjectiveOracle(value=surrogate._residual), surrogate, x0, opts)
+    x, trace = driver(surrogate.objective(), surrogate, x0, opts)
     return CpFactors.from_point(x, t.shape, rank), trace

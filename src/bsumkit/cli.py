@@ -405,6 +405,7 @@ def _run_em(params: dict, seeds: list[int], out_dir: str) -> dict:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read data_file: {exc}", "data_file") from exc
         _expect(np.isfinite(fixed_data).all(), "data_file holds a non-finite value", "data_file")
+        _expect(fixed_data.size >= 2, "data_file needs at least two observations", "data_file")
 
     def solve(mode, seed):
         data = fixed_data
@@ -500,7 +501,7 @@ def _verify_jobs(seed: int):
         gradient=lambda x: x ** 3 - x)
 
     # The headline cp run's instance and dim_prox/misum lambda, checked
-    # against the public fit error rather than the surrogate's own memo.
+    # against the public fit error rather than the surrogate's own objective().
     cp = {key: default for key, (_, default) in _PARAM_TABLES["cp"].items()}
     tensor = app_tensor.build_swamp_instance(cp["theta"])
     cp_structure = make_block_structure([n * cp["rank"] for n in tensor.shape])

@@ -11,9 +11,11 @@ block surrogate u built around the current iterate:
   direction and an Armijo backtracking search picks the step size.
 
 A surrogate oracle exposes ``value(part, xi, anchor, iteration)`` and
-``minimize(part, anchor, iteration) -> (argmin, min value)`` where ``part``
-is an int block index or a tuple of indices, and the anchor is the current
-``Point``. For the upper-bound drivers the surrogate must touch f at the
+``minimize(part, anchor, iteration) -> (point, min value)`` where ``part``
+is an int block index or a tuple of indices, the anchor is the current
+``Point``, and ``point`` is the anchor with the part moved to the argmin:
+the next iterate, so a surrogate can keep facts about it for the next
+anchor. For the upper-bound drivers the surrogate must touch f at the
 anchor and dominate it elsewhere; those properties are not assumed silently,
 ``bsumkit.verify`` checks them by sampling.
 
@@ -70,7 +72,7 @@ __all__ = [
 class BlockSurrogateOracle(Protocol):
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float: ...
 
-    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]: ...
+    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]: ...
 
 
 @dataclass(frozen=True)
@@ -270,16 +272,15 @@ class _Stall:
 
 def _upper_bound_loop(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
                       opts: SolveOptions, choose, period: int) -> tuple[Point, Trace]:
-    # ``choose(r, x) -> (part, argmin, min u, extras)`` solves the
+    # ``choose(r, x) -> (part, next iterate, min u, extras)`` solves the
     # subproblem(s) of iteration r and picks the part to move.
     stall = _Stall(opts.tol, period)
 
     def step(r: int, x: Point, fx: float):
         try:
-            part, xi, umin, extras = choose(r, x)
+            part, x_new, umin, extras = choose(r, x)
         except Exception as exc:  # noqa: BLE001 - rewrapped with the iteration index
             raise _wrap_oracle_failure(exc, r) from exc
-        x_new = x.with_part(part, xi)
         f_new = f.value_at(x_new.values)
         return x_new, f_new, part, None, extras, stall(fx, f_new, umin)
 
@@ -314,8 +315,8 @@ def run_bsum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
 
     def choose(r: int, x: Point):
         part = schedule_next(schedule, r)
-        xi, umin = u.minimize(part, x, r)
-        return part, xi, float(umin), {}
+        z, umin = u.minimize(part, x, r)
+        return part, z, float(umin), {}
 
     return _upper_bound_loop(f, u, x0, opts, choose, schedule.period)
 
@@ -357,8 +358,8 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
     anchor_gradient = getattr(h, "anchor_gradient", None)
 
     def part_direction(part: BlockIndex, x: Point, r: int) -> np.ndarray:
-        xi, _ = h.minimize(part, x, r)
-        return np.asarray(xi, dtype=np.float64) - x.part(part)
+        z, _ = h.minimize(part, x, r)
+        return z.part(part) - x.part(part)
 
     def step(r: int, x: Point, fx: float):
         part = schedule_next(schedule, r)

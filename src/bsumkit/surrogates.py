@@ -3,8 +3,8 @@
 Every class here follows the ``BlockSurrogateOracle`` shape: ``value(part,
 xi, anchor, iteration)`` evaluates the surrogate for the given part at
 ``xi`` with the rest of the variable frozen at the anchor, and
-``minimize(part, anchor, iteration)`` returns the part argmin together with
-the attained surrogate value.
+``minimize(part, anchor, iteration)`` returns the anchor with the part
+moved to the argmin, together with the attained surrogate value.
 """
 
 from __future__ import annotations
@@ -44,15 +44,12 @@ class ExactBlockSurrogate:
     f: ObjectiveOracle
     solver: Callable[[BlockIndex, Point], np.ndarray]
 
-    def _objective(self, part: BlockIndex, xi: np.ndarray, anchor: Point) -> float:
+    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         return self.f.value_at(anchor.with_part(part, xi).values)
 
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        return self._objective(part, xi, anchor)
-
-    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
-        xi = np.asarray(self.solver(part, anchor), dtype=np.float64)
-        return xi, self._objective(part, xi, anchor)
+    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
+        z = anchor.with_part(part, self.solver(part, anchor))
+        return z, self.f.value_at(z.values)
 
 
 def _coefficient(c, iteration: int, anchor: Point) -> float:
@@ -78,20 +75,20 @@ class ProximalSurrogate:
     def coefficient(self, iteration: int, anchor: Point) -> float:
         return _coefficient(self.c, iteration, anchor)
 
-    def _bound(self, part: BlockIndex, xi: np.ndarray, anchor: Point, c: float) -> float:
-        # u at xi, given the coefficient c for this iteration and anchor.
-        base = self.f.value_at(anchor.with_part(part, xi).values)
-        diff = xi - anchor.part(part)
-        return base + float(diff @ diff) / (2.0 * c)
+    def _bound(self, part: BlockIndex, z: Point, anchor: Point, c: float) -> float:
+        # u at z (the anchor with the part moved), given the coefficient c
+        # for this iteration and anchor.
+        diff = z.part(part) - anchor.part(part)
+        return self.f.value_at(z.values) + float(diff @ diff) / (2.0 * c)
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         c = self.coefficient(iteration, anchor)
-        return self._bound(part, np.asarray(xi, dtype=np.float64), anchor, c)
+        return self._bound(part, anchor.with_part(part, xi), anchor, c)
 
-    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
+    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         c = self.coefficient(iteration, anchor)
-        xi = np.asarray(self.inner_solver(part, anchor, c), dtype=np.float64)
-        return xi, self._bound(part, xi, anchor, c)
+        z = anchor.with_part(part, self.inner_solver(part, anchor, c))
+        return z, self._bound(part, z, anchor, c)
 
 
 @dataclass(frozen=True)
@@ -128,29 +125,27 @@ class DcLinearization:
     def _grad(self, anchor: Point) -> np.ndarray:
         return np.asarray(self.cve_grad(anchor.values), dtype=np.float64)
 
-    def _bound(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
-        # u at xi, given g = grad f_cve(anchor).
-        z = anchor.with_part(part, xi)
-        lin = float(g[anchor.structure._locate(part)[1]] @ (xi - anchor.part(part)))
+    def _bound(self, part: BlockIndex, z: Point, anchor: Point, g: np.ndarray) -> float:
+        # u at z (the anchor with the part moved), given g = grad f_cve(anchor).
+        where = anchor.structure._locate(part)[1]
+        lin = float(g[where] @ (z.values[where] - anchor.values[where]))
         return float(self.f_cvx.value(z.values)) + lin + float(self.cve_value(anchor.values))
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        return self._bound(part, np.asarray(xi, dtype=np.float64), anchor, self._grad(anchor))
+        return self._bound(part, anchor.with_part(part, xi), anchor, self._grad(anchor))
 
-    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
+    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         part_n, where, dim = anchor.structure._locate(part)
         g = self._grad(anchor)
         if dim == anchor.structure.total:
-            xi = np.asarray(self.f_cvx.minimize_linear(g), dtype=np.float64)
-            # minimize_linear works on the whole vector; reorder to part order.
-            xi = xi[where]
+            # minimize_linear works on the whole vector.
+            z = anchor.with_values(self.f_cvx.minimize_linear(g))
         else:
             if self.block_minimize_linear is None:
                 raise InvalidArgumentError(
                     "block steps need a block_minimize_linear solver")
-            xi = np.asarray(self.block_minimize_linear(part_n, g[where], anchor),
-                            dtype=np.float64)
-        return xi, self._bound(part_n, xi, anchor, g)
+            z = anchor.with_part(part_n, self.block_minimize_linear(part_n, g[where], anchor))
+        return z, self._bound(part_n, z, anchor, g)
 
 
 @dataclass(frozen=True)
@@ -196,19 +191,20 @@ class LipschitzQuadraticSurrogate:
         return (float(g[anchor.structure._locate(part)[1]] @ diff)
                 + float(diff @ diff) / (2.0 * self.gamma) + self.smooth.value_at(anchor.values))
 
-    def _bound(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
-        z = anchor.with_part(part, xi)
-        return float(self.nonsmooth_total(z.values)) + self._quadratic(part, xi, anchor, g)
+    def _bound(self, part: BlockIndex, z: Point, anchor: Point, g: np.ndarray) -> float:
+        # u at z (the anchor with the part moved), given g = grad f2(anchor).
+        return (float(self.nonsmooth_total(z.values))
+                + self._quadratic(part, z.part(part), anchor, g))
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        return self._bound(part, np.asarray(xi, dtype=np.float64), anchor,
+        return self._bound(part, anchor.with_part(part, xi), anchor,
                            self.smooth.gradient_at(anchor.values))
 
-    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
+    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         g = self.smooth.gradient_at(anchor.values)
         v = anchor.part(part) - self.gamma * g[anchor.structure._locate(part)[1]]
-        xi = np.asarray(self.prox(part, v, self.gamma), dtype=np.float64)
-        return xi, self._bound(part, xi, anchor, g)
+        z = anchor.with_part(part, self.prox(part, v, self.gamma))
+        return z, self._bound(part, z, anchor, g)
 
     def smooth_part(self) -> tuple["_SmoothQuadraticPart", ObjectiveOracle]:
         """The (u0, f0) pair whose tightness and bound imply the full properties."""
@@ -263,7 +259,7 @@ class QuadraticApprox:
         return (self.f.value_at(anchor.values) + float(g[anchor.structure._locate(part)[1]] @ diff)
                 + float(diff @ diff) / (2.0 * self.t))
 
-    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[np.ndarray, float]:
+    def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         g = self.anchor_gradient(anchor)
         structure = anchor.structure
         blocks = structure.part_blocks(part)
@@ -275,7 +271,7 @@ class QuadraticApprox:
                 v = self.feasible[i].project(v)
             pieces.append(v)
         xi = np.concatenate(pieces)
-        return xi, self._model(part, xi, anchor, g)
+        return anchor.with_part(part, xi), self._model(part, xi, anchor, g)
 
 
 def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:

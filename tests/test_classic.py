@@ -398,9 +398,9 @@ class TestEmOncePerPoint:
         minimize = GmmJensenSurrogate.minimize
 
         def recorded(self, part, anchor, iteration=1):
-            xi, umin = minimize(self, part, anchor, iteration)
-            seen.append((part, anchor, xi, umin))
-            return xi, umin
+            z, umin = minimize(self, part, anchor, iteration)
+            seen.append((part, anchor, z.part(part), umin))
+            return z, umin
 
         monkeypatch.setattr(GmmJensenSurrogate, "minimize", recorded)
         _, trace = em_gmm(data, 2, mode=mode,
@@ -411,6 +411,8 @@ class TestEmOncePerPoint:
 
     @pytest.mark.parametrize("mode", ["full", "block"])
     def test_memo_stays_bounded(self, monkeypatch, mode):
+        """The surrogate keeps facts only about the last anchor and the point
+        minimize returned at it, and keeps them on those very vectors."""
         made = []
 
         class Recorded(GmmJensenSurrogate):
@@ -422,17 +424,16 @@ class TestEmOncePerPoint:
         data = self.data()
         x, _ = em_gmm(data, 2, mode=mode,
                       opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-15))
-        memo = made[0]._memo
-        assert len(memo._points) <= 2
-        key, gamma, _ = memo._anchor
-        assert key == x.to_point().values.tobytes()
+        u = made[0]
+        # The post-run stationarity check ran minimize last, at the final iterate.
+        anchor, gamma, _ = u._anchor
+        assert anchor.tobytes() == x.to_point().values.tobytes()
         assert gamma.shape == (300, 2)
+        assert len(u._points) == 2 and u._points[0][0] is anchor
+        for v, _ in u._points:
+            assert not v.flags.writeable and v.base is None
         # An anchor keeps its logsumexp but not its matrix once gamma is built.
-        memo._points.clear()
-        memo._anchor = None
-        anchor = x.to_point()
-        made[0].value(1, anchor.block(1) + 1.0, anchor)
-        a, lse = memo._points[key]
+        a, lse = u._points[0][1]
         assert a is None and lse.shape == (300,)
 
     def test_cold_value_one_logsumexp(self, monkeypatch):
@@ -522,7 +523,7 @@ class TestEmColumnArithmetic:
         y = x.with_part(1, x.block(1) + 0.5)
         u = GmmJensenSurrogate(data, s_floor=1e-9)
         bound = u.value(1, y.block(1), x)
-        gamma, entropy = u._memo.responsibilities(x)
+        gamma, entropy = u._responsibilities(x)
         want = broadcast_jensen_terms(broadcast_weighted_log_densities(theta, data),
                                       broadcast_weighted_log_densities(
                                           GmmParams.from_point(y), data))

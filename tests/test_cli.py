@@ -231,12 +231,13 @@ class TestRunExperiment:
         assert summary["iterations_to_threshold"] == summarize({"als": counts})
 
     def test_em_bad_data_exits_3(self, tmp_path, capsys):
-        """A solver failure is reported per run and flips the exit code."""
+        """A solver failure is reported per run and flips the exit code: three
+        components on two observations, one of which loses all its mass."""
         data = tmp_path / "data.txt"
-        data.write_text("0.5\n")
+        data.write_text("0.0\n1.0\n")
         out_dir = tmp_path / "out"
         config = {"experiment": "em", "seeds": [0],
-                  "params": {"data_file": str(data), "n_components": 2,
+                  "params": {"data_file": str(data), "n_components": 3,
                              "modes": ["full"]},
                   "output_dir": str(out_dir)}
         assert run_experiment(config) == 3
@@ -471,6 +472,18 @@ def test_em_non_finite_data_file_exits_2(tmp_path):
     assert len(errors) == 1 and "data_file" in errors[0] and "non-finite" in errors[0]
 
 
+@pytest.mark.parametrize("text", ["", "0.5\n"])
+def test_em_data_file_of_fewer_than_two_values_exits_2(tmp_path, text):
+    """EM needs two observations; a shorter data file is bad input, not a
+    solver failure."""
+    data = tmp_path / "data.txt"
+    data.write_text(text)
+    code, out = run_cli("em", {"data_file": str(data)}, [0], str(tmp_path))
+    assert code == 2
+    errors = [line for line in out.splitlines() if line.startswith("config error")]
+    assert len(errors) == 1 and "data_file" in errors[0] and "two observations" in errors[0]
+
+
 @pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--max-iters", "5"]])
 def test_verify_refuses_solver_knobs(tmp_path, flag):
     """The battery runs no solver, so verify has no max_iters or tol to set."""
@@ -488,13 +501,16 @@ def test_battery_jobs_are_the_verify_targets():
 @pytest.mark.parametrize("name", VERIFY_TARGETS)
 def test_battery_job_minimizes_every_block(name):
     """Each battery job is a surrogate a driver can run: its minimize gives
-    a finite argmin of the block's size for every block at a sampled anchor."""
+    the anchor with a finite argmin in place of the block, for every block
+    at a sampled anchor."""
     u, _, space = cli._verify_jobs(0)[name]
     y = space.sample_point(RngStream(0).generator())
-    for block, dim in enumerate(space.structure.dims):
-        xi, value = u.minimize(block, y)
-        assert np.shape(xi) == (dim,)
-        assert np.isfinite(xi).all() and np.isfinite(value)
+    for block in range(space.structure.n_blocks):
+        z, value = u.minimize(block, y)
+        assert z.structure == y.structure
+        assert np.isfinite(z.block(block)).all() and np.isfinite(value)
+        others = [i for i in range(space.structure.n_blocks) if i != block]
+        assert all((z.block(i) == y.block(i)).all() for i in others)
 
 
 @pytest.mark.parametrize("power", [1e8, 1e10])

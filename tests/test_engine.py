@@ -255,6 +255,46 @@ class TestRunBsum:
         assert seen[-3:] == [trace.n_iterations] * 3
 
 
+class TestPowellCounterexample:
+    """Powell (1973): exact cyclic coordinate minimization of
+    f = -(x1 x2 + x2 x3 + x3 x1) + sum_i (|x_i| - 1)_+^2 from near the cube's
+    vertices circles them and stalls at a point that is not stationary. The
+    paper's point is that BCD with non-unique block minimizers can stop
+    there; the post-run stationarity gap is what reports it."""
+
+    EPS = 1e-2
+
+    @staticmethod
+    def value(x):
+        return float(-(x[0] * x[1] + x[1] * x[2] + x[2] * x[0])
+                     + np.sum(np.maximum(np.abs(x) - 1.0, 0.0) ** 2))
+
+    @staticmethod
+    def gradient(x):
+        return -(x.sum() - x) + 2.0 * np.sign(x) * np.maximum(np.abs(x) - 1.0, 0.0)
+
+    @staticmethod
+    def solver(part, anchor):
+        # argmin over x_i of -s x_i + (|x_i| - 1)_+^2 with s the other two
+        # coordinates' sum: sign(s) (1 + |s| / 2).
+        s = anchor.values.sum() - anchor.values[part]
+        return np.array([np.sign(s) * (1.0 + abs(s) / 2.0)])
+
+    def test_cyclic_exact_bcd_stops_at_a_non_stationary_point(self):
+        eps = self.EPS
+        x0 = Point(np.array([-1.0 - eps, 1.0 + eps / 2.0, -1.0 - eps / 4.0]),
+                   make_block_structure([1, 1, 1]))
+        f = ObjectiveOracle(value=self.value)
+        x, trace = run_bsum(f, ExactBlockSurrogate(f, self.solver), x0,
+                            SolveOptions(max_iters=1000, tol=1e-14))
+        # Each sweep shrinks the offsets from the vertices, until the
+        # decrease drops below the stop rule's bound.
+        assert trace.terminal_status == "converged" and trace.n_iterations == 42
+        np.testing.assert_allclose(x.values, [-1.0, 1.0, 1.0], atol=1e-12)
+        assert np.linalg.norm(self.gradient(x.values)) >= 1.0
+        assert trace.stationarity_gap >= 1.0
+
+
 def two_block_exact(weights, targets):
     """Exact surrogate for sum_i w_i (x_i - t_i)^2 on scalar blocks."""
     w = np.asarray(weights, dtype=np.float64)

@@ -46,21 +46,21 @@ class TestProximalMinimize:
         """min x^2 + (x - 2)^2 / 2  =>  2/3."""
         prob = QuadraticProblem(np.array([[2.0]]), np.array([0.0]))
         got, _ = prob.proximal_surrogate(c=1.0).minimize(0, scalar_point(2.0))
-        np.testing.assert_allclose(got, [2.0 / 3.0], rtol=1e-12)
+        np.testing.assert_allclose(got.part(0), [2.0 / 3.0], rtol=1e-12)
 
     def test_zero_objective_is_identity(self):
         zero = ObjectiveOracle(value=lambda v: 0.0)
         u = ProximalSurrogate(zero, lambda part, anchor, c: anchor.part(part), c=3.5)
         y = Point(np.array([4.0, -2.0]), make_block_structure([2]))
         got, _ = u.minimize(0, y)
-        np.testing.assert_array_equal(got, [4.0, -2.0])
+        np.testing.assert_array_equal(got.part(0), [4.0, -2.0])
 
     def test_coupled_quadratic_first_block(self):
         """(x1 + x2 - 1)^2 with x2 = 0: min (x1-1)^2 + x1^2/2  =>  2/3."""
         prob = QuadraticProblem(2.0 * np.ones((2, 2)), 2.0 * np.ones(2))
         y = Point(np.zeros(2), make_block_structure([1, 1]))
         got, _ = prob.proximal_surrogate(c=1.0).minimize(0, y)
-        np.testing.assert_allclose(got, [2.0 / 3.0], rtol=1e-12)
+        np.testing.assert_allclose(got.part(0), [2.0 / 3.0], rtol=1e-12)
 
     def test_nonpositive_coefficient_rejected(self):
         zero = ObjectiveOracle(value=lambda v: 0.0)
@@ -90,8 +90,8 @@ class TestProximalSurrogate:
                               c=lambda r, anchor: 1.0 / r)
         assert u.coefficient(1, scalar_point(0.0)) == 1.0
         assert u.coefficient(4, scalar_point(0.0)) == 0.25
-        xi, _ = u.minimize(0, scalar_point(2.0), iteration=1)
-        np.testing.assert_allclose(xi, [2.0 / 3.0], rtol=1e-12)
+        z, _ = u.minimize(0, scalar_point(2.0), iteration=1)
+        np.testing.assert_allclose(z.part(0), [2.0 / 3.0], rtol=1e-12)
 
     def test_nonpositive_schedule_value_rejected(self):
         prob = QuadraticProblem(np.array([[2.0]]), np.array([0.0]))
@@ -107,23 +107,23 @@ class TestDcMinimize:
         """f_cvx = x^4/4, f_cve = -x^2/2, anchor 8: solves x^3 = 8."""
         _, dc, _ = separable_quartic_dc([1])
         got, _ = dc.minimize(0, scalar_point(8.0))
-        np.testing.assert_allclose(got, [2.0], rtol=1e-12)
+        np.testing.assert_allclose(got.part(0), [2.0], rtol=1e-12)
 
     def test_origin_is_fixed(self):
         _, dc, x0 = separable_quartic_dc([1])
-        np.testing.assert_array_equal(dc.minimize(0, x0)[0], [0.0])
+        np.testing.assert_array_equal(dc.minimize(0, x0)[0].part(0), [0.0])
 
     def test_unit_fixed_point(self):
         _, dc, _ = separable_quartic_dc([1])
         got, _ = dc.minimize(0, scalar_point(1.0))
-        np.testing.assert_allclose(got, [1.0], rtol=1e-12)
+        np.testing.assert_allclose(got.part(0), [1.0], rtol=1e-12)
 
     def test_fixed_point_balances_gradients(self):
         """Iterates approach a point with grad f_cvx + grad f_cve = 0."""
         _, dc, _ = separable_quartic_dc([1])
         x = scalar_point(8.0)
         for _ in range(30):
-            x = scalar_point(dc.minimize(0, x)[0][0])
+            x, _ = dc.minimize(0, x)
         residual = x.values[0] ** 3 - x.values[0]
         assert abs(residual) <= 1e-8
 
@@ -150,17 +150,17 @@ class TestForwardBackward:
                                    gradient=lambda v: np.zeros_like(v)),
             nonsmooth_total=s.nonsmooth_total, prox=s.prox, beta=1.0, gamma=1.0)
         got, _ = flat.minimize(0, scalar_point(3.0))
-        np.testing.assert_allclose(got, [2.0], rtol=1e-12)
+        np.testing.assert_allclose(got.part(0), [2.0], rtol=1e-12)
         got, _ = flat.minimize(0, scalar_point(0.5))
-        np.testing.assert_array_equal(got, [0.0])
+        np.testing.assert_array_equal(got.part(0), [0.0])
 
     def test_lasso_step_and_fixed_point(self):
         """f1 = |x|, f2 = (x-2)^2/2: step from 0 gives 1, which is fixed."""
         _, s, x0 = lasso_problem(target=[2.0], weight=1.0, gamma=1.0)
         x1, _ = s.minimize(0, x0)
-        np.testing.assert_allclose(x1, [1.0], rtol=1e-12)
-        x2, _ = s.minimize(0, scalar_point(x1[0]))
-        np.testing.assert_allclose(x2, x1, atol=1e-14)
+        np.testing.assert_allclose(x1.values, [1.0], rtol=1e-12)
+        x2, _ = s.minimize(0, x1)
+        np.testing.assert_allclose(x2.values, x1.values, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_step_equals_surrogate_argmin(self, seed):
@@ -168,8 +168,8 @@ class TestForwardBackward:
         rng = np.random.default_rng(seed)
         _, s, _ = lasso_problem(target=[rng.normal() * 2], weight=0.7, gamma=0.8)
         x = scalar_point(rng.normal() * 3)
-        argmin, umin = s.minimize(0, x)
-        assert umin == s.value(0, argmin, x)
+        z, umin = s.minimize(0, x)
+        assert umin == s.value(0, z.part(0), x)
         for xi in np.linspace(-8.0, 8.0, 321):
             assert s.value(0, np.array([xi]), x) >= umin - 1e-10
 
@@ -183,8 +183,8 @@ class TestForwardBackward:
             prox=lambda part, v, g: soft_threshold(v, g),
             beta=1.0, gamma=1.0)
         x = Point(np.array([3.0, -3.0]), structure)
-        np.testing.assert_allclose(s.minimize(0, x)[0], [2.0])
-        np.testing.assert_allclose(s.minimize(1, x)[0], [-2.0])
+        np.testing.assert_allclose(s.minimize(0, x)[0].part(0), [2.0])
+        np.testing.assert_allclose(s.minimize(1, x)[0].part(1), [-2.0])
 
     def test_block_step_with_coupled_smooth_part(self):
         """f3 = (x1+x2)^2/2, gamma = 0.5 at (1, 1): block 0 moves to 0."""
@@ -197,7 +197,7 @@ class TestForwardBackward:
             prox=lambda part, v, g: v,
             beta=2.0, gamma=0.5)
         x = Point(np.ones(2), structure)
-        np.testing.assert_allclose(s.minimize(0, x)[0], [0.0], atol=1e-15)
+        np.testing.assert_allclose(s.minimize(0, x)[0].part(0), [0.0], atol=1e-15)
 
     def test_gamma_range_enforced(self):
         obj = ObjectiveOracle(value=lambda v: 0.0,
@@ -252,9 +252,9 @@ class TestOneGradientPerMinimize:
         x = Point(np.array([8.0, -3.0]), make_block_structure([1, 1]))
         for part in self.PARTS:
             grads.clear()
-            xi, umin = dc.minimize(part, x)
+            z, umin = dc.minimize(part, x)
             assert len(grads) == 1
-            assert umin == dc.value(part, xi, x)
+            assert umin == dc.value(part, z.part(part), x)
 
     def test_lipschitz_quadratic(self):
         grads = []
@@ -270,9 +270,9 @@ class TestOneGradientPerMinimize:
         x = Point(np.array([3.0, 0.25]), make_block_structure([1, 1]))
         for part in self.PARTS:
             grads.clear()
-            xi, umin = s.minimize(part, x)
+            z, umin = s.minimize(part, x)
             assert len(grads) == 1
-            assert umin == s.value(part, xi, x)
+            assert umin == s.value(part, z.part(part), x)
 
 
 class TestOneEvaluationPerMinimize:
@@ -303,9 +303,9 @@ class TestOneEvaluationPerMinimize:
             with monkeypatch.context() as m:
                 m.setattr(ProximalSurrogate, "value", None)
                 calls.clear()
-                xi, umin = u.minimize(part, x, 2)
+                z, umin = u.minimize(part, x, 2)
             assert sorted(calls) == ["c", "f"]
-            assert umin == u.value(part, xi, x, 2)
+            assert umin == u.value(part, z.part(part), x, 2)
 
     def test_exact_block_surrogate(self, monkeypatch):
         calls = []
@@ -316,9 +316,9 @@ class TestOneEvaluationPerMinimize:
             with monkeypatch.context() as m:
                 m.setattr(ExactBlockSurrogate, "value", None)
                 calls.clear()
-                xi, umin = u.minimize(part, x)
+                z, umin = u.minimize(part, x)
             assert calls == ["f"]
-            assert umin == u.value(part, xi, x)
+            assert umin == u.value(part, z.part(part), x)
 
 
 class TestQuadraticApprox:
@@ -337,8 +337,8 @@ class TestQuadraticApprox:
     def test_minimizer_is_gradient_step(self):
         f, h = self.make(t=0.5)
         y = scalar_point(2.0)
-        xi, _ = h.minimize(0, y)
-        np.testing.assert_allclose(xi, [2.0 - 0.5 * 8.0], rtol=1e-12)
+        z, _ = h.minimize(0, y)
+        np.testing.assert_allclose(z.part(0), [2.0 - 0.5 * 8.0], rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_strictly_convex_in_xi(self, seed):
@@ -377,6 +377,6 @@ class TestExactBlockSurrogate:
         prob = QuadraticProblem(2.0 * np.eye(2), np.array([2.0, -2.0]))
         u = prob.exact_surrogate()
         y = Point(np.zeros(2), make_block_structure([1, 1]))
-        xi, val = u.minimize(0, y)
-        np.testing.assert_allclose(xi, [1.0], rtol=1e-12)
-        np.testing.assert_allclose(val, u.value(0, xi, y), rtol=1e-12)
+        z, val = u.minimize(0, y)
+        np.testing.assert_allclose(z.part(0), [1.0], rtol=1e-12)
+        np.testing.assert_allclose(val, u.value(0, z.part(0), y), rtol=1e-12)

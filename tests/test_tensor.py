@@ -458,10 +458,25 @@ class TestCpOncePerAnchor:
         assert len(anchors) == self.N_ITERS
         assert counts["lambda"] == len(anchors)
 
+    @pytest.mark.parametrize("mode", CP_MODES)
+    def test_trace_objectives_are_cp_residual(self, mode):
+        """Each trace objective is the public cp_residual at that iterate,
+        bit for bit, although the run reads the fit error the surrogate kept."""
+        t = build_swamp_instance(np.pi / 4)
+        init = init_factors(t, 3, RngStream(0))
+        _, trace = run_cp(t, 3, mode=mode, init=init,
+                          opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-14))
+        assert trace.n_iterations == self.N_ITERS
+        assert trace.initial_objective == cp_residual(t, init)
+        for r, rec in enumerate(trace.records, start=1):
+            factors_r, _ = run_cp(t, 3, mode=mode, init=init,
+                                  opts=SolveOptions(max_iters=r, tol=1e-14))
+            assert rec.objective == cp_residual(t, factors_r)
+
     def test_mbi_solves_two_factors_per_iteration_after_the_first(self, monkeypatch):
         """With lambda = 0 a factor update reads only the other two factors,
-        so mbi takes its re-solve of the block it moved last from memory,
-        bit for bit what a fresh solve gives."""
+        so at the point it made, mbi's re-solve of the block it moved last
+        gives that point back, bit for bit what a fresh solve gives."""
         solves = []
         quiet = []
 
@@ -478,16 +493,16 @@ class TestCpOncePerAnchor:
                 quiet.pop()
 
         def minimize(self, part, anchor, iteration=1):
-            xi, umin = surrogate_minimize(self, part, anchor, iteration)
+            z, umin = surrogate_minimize(self, part, anchor, iteration)
             quiet.append(True)
             try:
                 fresh = surrogate_minimize(CpSurrogate(self.tensor, self.rank, self.schedule),
                                            part, anchor, iteration)
             finally:
                 quiet.pop()
-            np.testing.assert_array_equal(xi, fresh[0])
+            np.testing.assert_array_equal(z.values, fresh[0].values)
             assert umin == fresh[1]
-            return xi, umin
+            return z, umin
 
         update = app_tensor.als_factor_update
         stationarity_gap = engine._stationarity_gap
@@ -503,13 +518,16 @@ class TestCpOncePerAnchor:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_remembered_update_still_refuses_a_non_finite_factor(self, bad):
-        """A point that differs from a solved one only in the block being
-        updated reuses that update, unless the block is not finite."""
+        """Only the point a lambda = 0 update returned gives itself back for
+        that block; an equal point built elsewhere is solved afresh, and one
+        whose block is not finite is refused."""
         t = build_swamp_instance(np.pi / 4)
         x = init_factors(t, 3, RngStream(0)).to_point()
         u = CpSurrogate(t, 3, LambdaSchedule.constant(0.0))
-        xi, _ = u.minimize(0, x)
-        assert u.minimize(0, x.with_part(0, xi))[0] is xi
+        z, _ = u.minimize(0, x)
+        assert u.minimize(0, z)[0] is z
+        again, _ = u.minimize(0, x.with_part(0, z.block(0)))
+        assert again is not z and again.values.tobytes() == z.values.tobytes()
         block = x.block(0).copy()
         block[1] = bad
         with pytest.raises(SolverError):
@@ -530,7 +548,8 @@ class TestCpOncePerAnchor:
             u = CpSurrogate(t, 3, schedule)
             lam = lambda_value(schedule, t, f)
             for part in range(3):
-                xi, umin = u.minimize(part, x)
+                z, umin = u.minimize(part, x)
+                xi = z.block(part)
                 assert umin == u.value(part, xi, x)
                 assert umin == CpSurrogate(t, 3, schedule).value(part, xi, x)
                 merged = CpFactors.from_point(x.with_part(part, xi), t.shape, 3)
@@ -548,7 +567,7 @@ class TestCpSurrogateContract:
     def test_sampled_contract(self, schedule):
         """Under each CP mode's lambda the model is tight, bounds the fit
         error from above and matches its slope. f is the public cp_residual,
-        not the surrogate's memo that run_cp hands the driver."""
+        not the surrogate's objective() that run_cp hands the driver."""
         t = build_swamp_instance(np.pi / 36)
         structure = make_block_structure([n * 3 for n in t.shape])
         f = ObjectiveOracle(value=lambda v: cp_residual(
