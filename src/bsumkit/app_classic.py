@@ -7,7 +7,6 @@ splitting, the concave-convex procedure, and maximum-likelihood fitting of
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -137,8 +136,7 @@ def two_cluster_dataset(rng, n_per_cluster: int = 500,
 
 def _log_component_densities(data: np.ndarray, means: np.ndarray,
                              variances: np.ndarray) -> np.ndarray:
-    # (J, T) array, row j = log N(w_t; mu_j, s_j) = -0.5 (log 2 pi s_j + (w_t - mu_j)^2 / s_j),
-    # each operation in that order over contiguous rows: the bits of the (T, J) broadcast.
+    # (J, T) array, row j = log N(w_t; mu_j, s_j) = -0.5 (log 2 pi s_j + (w_t - mu_j)^2 / s_j).
     rows = data - means[:, None]
     rows *= rows
     rows /= variances[:, None]
@@ -148,35 +146,20 @@ def _log_component_densities(data: np.ndarray, means: np.ndarray,
 
 
 def _weighted_log_densities(theta: GmmParams, data: np.ndarray) -> np.ndarray:
-    # The (T, J) matrix in C order, filled one component column at a time.
+    # (J, T) array, row j = log pi_j + log N(w_t; mu_j, s_j).
     rows = _log_component_densities(data, theta.means, theta.variances)
     with np.errstate(divide="ignore"):
         rows += np.log(theta.weights)[:, None]
-    a = np.empty(rows.shape[::-1])
-    for j, row in enumerate(rows):
-        a[:, j] = row
-    return a
-
-
-def _column_sums(m: np.ndarray) -> np.ndarray:
-    # m.sum(axis=0) of a C-ordered (T, J) array, bit for bit. numpy sums one column pairwise; two or
-    # more it adds row after row from +0.0, as einsum does down each strided column (no row loop).
-    return m.sum(axis=0) if m.shape[1] == 1 else np.einsum("ij->j", m)
+    return rows
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    # Row logsumexp of the (T, J) matrix. Below 8 columns it goes column by
-    # column, which is what the max and sum along axis 1 compute bit for bit
-    # (the max is exact, and numpy adds fewer than 8 terms one after the
-    # other) without their per-row loop; numpy sums 8 or more pairwise.
-    if a.shape[1] >= 8:
-        m = np.max(a, axis=1, keepdims=True)
-        m = np.where(np.isfinite(m), m, 0.0)
-        return (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))).ravel()
-    cols = list(a.T)
-    m = functools.reduce(np.maximum, cols)
+    # logsumexp over the components (axis 0) of the (J, T) matrix, shifted by
+    # the exact max; numpy adds the J contiguous rows one after the other.
+    m = np.max(a, axis=0)
     m = np.where(np.isfinite(m), m, 0.0)
-    total = functools.reduce(np.add, [np.exp(t, out=t) for t in [c - m for c in cols]])
+    t = np.subtract(a, m)
+    total = np.sum(np.exp(t, out=t), axis=0)
     return np.add(m, np.log(total, out=total), out=total)
 
 
@@ -194,12 +177,14 @@ class GmmJensenSurrogate:
     Block 0 is the weights, 1 the means, 2 the variances; minimizing a part
     is the familiar reweighted update restricted to those parameters.
 
+    Every per-point array is (J, T), one contiguous row per component.
     ``minimize`` keeps the weighted log-density matrix of the point it
-    returns, so ``objective()``, the negative log-likelihood, takes its row
+    returns, so ``objective()``, the negative log-likelihood, takes its
     logsumexp from it, and the responsibilities at that point as the next
-    anchor come from the same numbers. An anchor's matrix is dropped once
-    its gamma is built. Each number comes from the same expressions as in
-    ``gmm_nll``, computed once.
+    anchor come from the same numbers: gamma is built in place on the
+    anchor's matrix. Each number comes from the same expressions as in
+    ``gmm_nll``, computed once. The M-step's sums over the sample are numpy's
+    pairwise sums of contiguous rows.
     """
 
     def __init__(self, data: np.ndarray, s_floor: float):
@@ -252,34 +237,34 @@ class GmmJensenSurrogate:
             entry = self._facts(v)
             if entry[0] is None:  # an earlier anchor's, whose matrix went with its gamma
                 entry[0] = self._log_densities(v)
-            a, lse = entry[0], self._lse(entry)
-            gamma, terms = np.empty_like(a), np.empty_like(a)
+            lse, gamma = self._lse(entry), entry[0]
+            entry[0] = None  # the matrix becomes gamma
+            np.exp(np.subtract(gamma, lse, out=gamma), out=gamma)
             with np.errstate(divide="ignore", invalid="ignore"):
-                for j, t in enumerate([c - lse for c in a.T]):  # one column at a time
-                    gamma[:, j] = np.exp(t, out=t)
-                    np.multiply(np.log(t), t, out=terms[:, j])
-            entry[0] = None
+                terms = np.log(gamma)
+                terms *= gamma
             terms[~(gamma > 0)] = 0.0
             self._anchor = (v, gamma, terms.sum())
         return self._anchor[1], self._anchor[2]
 
-    def _bound(self, gamma: np.ndarray, entropy: np.float64, logp: np.ndarray) -> float:
-        # u at the candidate whose log-density matrix is ``logp``.
+    def _bound(self, gamma: np.ndarray, entropy: np.float64, logp: np.ndarray,
+               out: np.ndarray) -> float:
+        # u at the candidate whose log-density matrix is ``logp``; the cross terms go to ``out``.
         with np.errstate(invalid="ignore"):
-            cross = gamma * logp
+            cross = np.multiply(gamma, logp, out=out)
         cross[~(gamma > 0)] = 0.0
         return float(-cross.sum() + entropy)
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         gamma, entropy = self._responsibilities(anchor)
-        return self._bound(gamma, entropy,
-                           self._log_densities(anchor.with_part(part, xi).values))
+        logp = self._log_densities(anchor.with_part(part, xi).values)
+        return self._bound(gamma, entropy, logp, out=logp)
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         self._minimize_calls += 1
         blocks = anchor.structure.part_blocks(part)
         gamma, entropy = self._responsibilities(anchor)
-        mass = _column_sums(gamma)
+        mass = gamma.sum(axis=1)
         if np.any(mass < _COLLAPSE_MASS):
             j = int(np.argmin(mass))
             raise ComponentCollapseError(
@@ -288,17 +273,15 @@ class GmmJensenSurrogate:
         pieces = {}
         if 0 in blocks:
             pieces[0] = mass / self.data.size
-        terms = np.empty_like(gamma)  # (T, J) products with the data, for _column_sums
+        terms = np.empty_like(gamma)  # the summands, then the bound's cross terms
         if 1 in blocks:
-            for j in range(gamma.shape[1]):
-                np.multiply(gamma[:, j], self.data, out=terms[:, j])
-            pieces[1] = _column_sums(terms) / mass
+            pieces[1] = np.multiply(gamma, self.data, out=terms).sum(axis=1) / mass
         if 2 in blocks:
             # Around the new means when the part holds them, else the anchor's.
             means = pieces[1] if 1 in blocks else anchor.block(1)
-            diff = self.data - means[:, None]  # row j: w_t - mu_j
-            np.multiply(np.multiply(gamma.T, diff, out=terms.T), diff, out=terms.T)
-            variances = _column_sums(terms) / mass
+            np.subtract(self.data, means[:, None], out=terms)  # row j: w_t - mu_j
+            terms *= terms
+            variances = np.multiply(gamma, terms, out=terms).sum(axis=1) / mass
             if np.any(variances < self.s_floor):
                 self._clamps.append((self._minimize_calls, iteration))
                 variances = np.maximum(variances, self.s_floor)
@@ -309,7 +292,7 @@ class GmmJensenSurrogate:
         self._points = [p for p in self._points if p[0] is anchor.values]
         entry = [self._log_densities(z.values), None]
         self._points.append((z.values, entry))
-        return z, self._bound(gamma, entropy, entry[0])
+        return z, self._bound(gamma, entropy, entry[0], out=terms)
 
 
 def _default_start(data: np.ndarray, n_components: int) -> GmmParams:
@@ -344,10 +327,14 @@ def em_gmm(data: np.ndarray, n_components: int, theta0: GmmParams | None = None,
         raise InvalidArgumentError("need at least two observations")
     if not np.isfinite(data).all():
         raise InvalidArgumentError("data must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(np.var(data))
+    if not np.isfinite(var):
+        raise InvalidArgumentError("data variance overflows")
     if mode not in ("full", "block"):
         raise InvalidArgumentError(f"mode must be 'full' or 'block', got {mode!r}")
     if s_floor is None:
-        s_floor = 1e-6 * float(np.var(data))
+        s_floor = 1e-6 * var
         if s_floor <= 0:
             s_floor = 1e-12
     theta0 = theta0 if theta0 is not None else _default_start(data, n_components)

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
@@ -401,11 +402,16 @@ def _run_em(params: dict, seeds: list[int], out_dir: str) -> dict:
     fixed_data = None
     if params["data_file"] is not None:
         try:
-            fixed_data = np.loadtxt(params["data_file"], dtype=np.float64).ravel()
+            with warnings.catch_warnings():  # an empty file warns, then fails the size check
+                warnings.simplefilter("ignore", UserWarning)
+                fixed_data = np.loadtxt(params["data_file"], dtype=np.float64).ravel()
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read data_file: {exc}", "data_file") from exc
         _expect(np.isfinite(fixed_data).all(), "data_file holds a non-finite value", "data_file")
         _expect(fixed_data.size >= 2, "data_file needs at least two observations", "data_file")
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = np.var(fixed_data)
+        _expect(np.isfinite(var), "data_file's variance overflows", "data_file")
 
     def solve(mode, seed):
         data = fixed_data

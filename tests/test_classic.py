@@ -1,6 +1,8 @@
 """Tests for the proximal, splitting, concave-convex, and mixture solvers."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +320,14 @@ class TestEmGmm:
         with pytest.raises(InvalidArgumentError, match="finite"):
             em_gmm(np.array([1.0, bad, 2.0]), 2)
 
+    def test_overflowing_data_variance_rejected(self):
+        """Finite data whose variance overflows is bad input, not a failure
+        of the default start."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="variance overflows"):
+                em_gmm(np.array([0.0, 1e200]), 2)
+
     def test_data_shorter_than_components_rejected(self):
         with pytest.raises(InvalidArgumentError):
             em_gmm(np.array([1.0]), 2)
@@ -365,15 +375,19 @@ class TestEmOncePerPoint:
 
     @pytest.mark.parametrize("n_cols", range(1, 11))
     def test_logsumexp_is_the_axis_reduction(self, n_cols):
-        """Bit for bit the max and sum along axis 1, -inf rows included."""
+        """Bit for bit the max and sum along axis 0 of the (J, T) matrix,
+        with points whose every component is -inf and, from two components
+        on, a -inf component row (a zero weight)."""
         rng = np.random.default_rng(n_cols)
-        a = rng.normal(scale=30.0, size=(2000, n_cols))
+        a = rng.normal(scale=30.0, size=(n_cols, 2000))
         a[rng.uniform(size=a.shape) < 0.1] = -np.inf
-        a[:3] = -np.inf
-        m = np.max(a, axis=1, keepdims=True)
+        a[:, :3] = -np.inf
+        if n_cols > 1:
+            a[n_cols // 2] = -np.inf
+        m = np.max(a, axis=0, keepdims=True)
         m = np.where(np.isfinite(m), m, 0.0)
         with np.errstate(divide="ignore"):
-            ref = (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))).ravel()
+            ref = (m + np.log(np.sum(np.exp(a - m), axis=0, keepdims=True))).ravel()
             got = app_classic._logsumexp(a)
         assert got.tobytes() == ref.tobytes()
 
@@ -428,7 +442,7 @@ class TestEmOncePerPoint:
         # The post-run stationarity check ran minimize last, at the final iterate.
         anchor, gamma, _ = u._anchor
         assert anchor.tobytes() == x.to_point().values.tobytes()
-        assert gamma.shape == (300, 2)
+        assert gamma.shape == (2, 300)
         assert len(u._points) == 2 and u._points[0][0] is anchor
         for v, _ in u._points:
             assert not v.flags.writeable and v.base is None
@@ -461,21 +475,21 @@ class TestEmOncePerPoint:
 
 
 def broadcast_weighted_log_densities(theta, data):
-    """The (T, J) log-densities as one broadcast over the data and the
-    components: the formula the per-column code must reproduce bit for bit."""
+    """The (J, T) log-densities as one broadcast over the components and
+    the data: the formula the in-place row code must reproduce bit for bit."""
     with np.errstate(divide="ignore"):
         logw = np.log(theta.weights)
-    diff = data[:, None] - theta.means[None, :]
-    return logw[None, :] + -0.5 * (np.log(2.0 * np.pi * theta.variances)[None, :]
-                                   + diff * diff / theta.variances[None, :])
+    diff = data[None, :] - theta.means[:, None]
+    return logw[:, None] + -0.5 * (np.log(2.0 * np.pi * theta.variances)[:, None]
+                                   + diff * diff / theta.variances[:, None])
 
 
 def broadcast_jensen_terms(a, logp):
     """Responsibilities, sum gamma log gamma and the bound's cross term from
-    the log-density matrices at the anchor (``a``) and the candidate."""
-    m = np.max(a, axis=1, keepdims=True)
+    the (J, T) log-density matrices at the anchor (``a``) and the candidate."""
+    m = np.max(a, axis=0, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    lse = m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))
+    lse = m + np.log(np.sum(np.exp(a - m), axis=0, keepdims=True))
     gamma = np.exp(a - lse)
     with np.errstate(divide="ignore", invalid="ignore"):
         entropy = np.sum(np.where(gamma > 0, gamma * np.log(gamma), 0.0))
@@ -483,30 +497,68 @@ def broadcast_jensen_terms(a, logp):
     return gamma, entropy, float(-cross + entropy)
 
 
-def mixture(n_components, rng):
+def mixture(n_components, rng, mean_scale=3.0, variances=(0.3, 3.0)):
     w = rng.uniform(0.5, 1.5, size=n_components)
-    return GmmParams(weights=w / w.sum(), means=rng.normal(scale=3.0, size=n_components),
-                     variances=rng.uniform(0.3, 3.0, size=n_components))
+    return GmmParams(weights=w / w.sum(), means=rng.normal(scale=mean_scale, size=n_components),
+                     variances=rng.uniform(*variances, size=n_components))
+
+
+def m_step_by_reduction(gamma, data, anchor, part, s_floor):
+    """The part's parameters from numpy's sums along each component row of
+    the (J, T) products: mass, sum gamma w and sum gamma (w - mu)^2, the
+    last around the new means when the part holds them."""
+    blocks = anchor.structure.part_blocks(part)
+    mass = gamma.sum(axis=1)
+    means = (gamma * data).sum(axis=1) / mass
+    around = means if 1 in blocks else anchor.block(1)
+    diff = data - around[:, None]
+    variances = np.maximum((gamma * (diff * diff)).sum(axis=1) / mass, s_floor)
+    pieces = {0: mass / data.size, 1: means, 2: variances}
+    return np.concatenate([pieces[i] for i in blocks])
+
+
+class RecordedSums(np.ndarray):
+    """An array whose ``sum`` along axis 1 records its terms and result.
+    Every (J, T) array that EM derives from data of this type is one too."""
+
+    sums: list = []
+
+    def sum(self, *args, **kwargs):
+        total = super().sum(*args, **kwargs)
+        if kwargs.get("axis") == 1:
+            RecordedSums.sums.append((np.asarray(self).copy(), np.asarray(total).copy()))
+        return total
 
 
 class TestEmColumnArithmetic:
-    """EM's per-point arithmetic runs one component at a time on length-T
-    vectors and gives the bits of the (T, J) broadcasts and axis-0 sums."""
+    """EM's per-point arithmetic runs on (J, T) arrays, one contiguous row
+    per component (a column of the (T, J) layout it replaced), and gives the
+    bits of the (J, T) broadcasts and of numpy's sums along each row."""
 
     @pytest.mark.parametrize("n_rows", [1, 7, 8, 9, 1000, 40001])
     @pytest.mark.parametrize("n_cols", range(1, 11))
     def test_column_sums_are_the_axis_reduction(self, n_rows, n_cols):
+        """The M-step of each part is ``m_step_by_reduction`` bit for bit. From
+        a thousand points on, the far points leave responsibilities of zero
+        and of subnormal size."""
         rng = np.random.default_rng(100 * n_rows + n_cols)
-        a = rng.uniform(size=(n_rows, n_cols)) * np.exp(rng.normal(scale=20.0, size=n_rows))[:, None]
-        a[rng.uniform(size=a.shape) < 0.2] = 0.0
-        a[rng.uniform(size=a.shape) < 0.1] = 5e-324
-        a[:, 0] = -0.0
-        ref = a.sum(axis=0)
-        assert app_classic._column_sums(a).tobytes() == ref.tobytes()
+        data = rng.normal(size=n_rows)
+        far = rng.uniform(size=n_rows) < 0.05
+        far[:10] = False  # a component collapses on fewer points
+        data[far] *= rng.uniform(20.0, 80.0, size=far.sum())
+        theta = mixture(n_cols, rng, mean_scale=1.0, variances=(1.0, 3.0))
+        x = theta.to_point()
+        u = GmmJensenSurrogate(data, s_floor=0.5)
+        gamma, _ = u._responsibilities(x)
+        assert gamma.shape == (n_cols, n_rows)
+        for part in [(0, 1, 2), 0, 1, 2]:
+            z, _ = u.minimize(part, x)
+            want = m_step_by_reduction(gamma, data, x, part, 0.5)
+            assert z.part(part).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_cols", range(1, 11))
     def test_log_densities_and_bound_are_the_broadcasts(self, n_cols):
-        """A zero weight (a -inf column) included, and a far point whose
+        """A zero weight (a -inf row) included, and a far point whose
         gamma underflows to zero in all but one component."""
         rng = np.random.default_rng(n_cols)
         data = np.concatenate([rng.normal(scale=4.0, size=999), [1e3]])
@@ -516,7 +568,7 @@ class TestEmColumnArithmetic:
             w[0], w[1] = 0.0, w[0] + w[1]
             theta = dataclasses.replace(theta, weights=w)
         a = app_classic._weighted_log_densities(theta, data)
-        assert a.flags.c_contiguous
+        assert a.shape == (n_cols, data.size) and a.flags.c_contiguous
         assert a.tobytes() == broadcast_weighted_log_densities(theta, data).tobytes()
 
         x = theta.to_point()
@@ -534,7 +586,7 @@ class TestEmColumnArithmetic:
     @pytest.mark.parametrize("n_components", [1, 2, 3])
     def test_em_matches_the_broadcast_run(self, monkeypatch, mode, n_components):
         """Trace objectives, final parameters and clamp warnings equal those
-        of a run with the broadcast log-densities and axis-0 sums."""
+        of a run with the broadcast log-densities."""
         data = np.concatenate([
             two_cluster_dataset(RngStream(n_components), n_per_cluster=250,
                                 centers=(-1.5, 1.5)), np.full(100, 1.5)])
@@ -549,7 +601,31 @@ class TestEmColumnArithmetic:
         got = run()
         monkeypatch.setattr(app_classic, "_weighted_log_densities",
                             broadcast_weighted_log_densities)
-        monkeypatch.setattr(app_classic, "_column_sums", lambda m: m.sum(axis=0))
         assert got == run()
         # From two components on, the spike's component clamps.
         assert bool(got[3]) == (n_components > 1)
+
+    def test_m_step_sums_are_pairwise_accurate(self):
+        """On 40,001 points spread over twelve decades, each of mass, sum
+        gamma w and sum gamma (w - mu)^2 lies within ceil(log2 T) eps
+        sum |terms| of the exactly rounded sum of its terms. Adding the same
+        terms one after the other misses that bound."""
+        rng = np.random.default_rng(0)
+        n = 40001
+        data = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 4.0, size=n)
+        x = GmmParams(weights=np.array([0.5, 0.5]), means=np.array([0.0, 1.0]),
+                      variances=np.array([1e-4, 1e6])).to_point()
+        u = GmmJensenSurrogate(data, s_floor=1e-300)
+        u.data = u.data.view(RecordedSums)
+        RecordedSums.sums = []
+        u.minimize((0, 1, 2), x)
+        assert len(RecordedSums.sums) == 3
+        k = math.ceil(math.log2(n))
+        misses = 0
+        for terms, totals in RecordedSums.sums:
+            for row, total in zip(terms, totals):
+                exact = math.fsum(row)
+                bound = k * np.finfo(np.float64).eps * math.fsum(np.abs(row))
+                assert abs(total - exact) <= bound
+                misses += abs(np.cumsum(row)[-1] - exact) > bound
+        assert misses > 0

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -271,7 +272,7 @@ class TestRunExperiment:
         assert run_experiment(config) == 0
         blob = (out_dir / "verify_report.json").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == (
-            "cb2938c2835ede46c63681ec28e57eae1e5a33e455134ed365eec6dbe4adc258")
+            "dff61c97e6220777e11144a5d191dd5b4173de2ab9c66c4f496e1b4cc5d1f484")
 
     def test_wmmse_artifacts(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -472,16 +473,34 @@ def test_em_non_finite_data_file_exits_2(tmp_path):
     assert len(errors) == 1 and "data_file" in errors[0] and "non-finite" in errors[0]
 
 
+def test_em_data_file_whose_variance_overflows_exits_2(tmp_path, capsys):
+    """Finite values whose variance overflows are bad input too, refused
+    before any task runs and without a numpy warning."""
+    data = tmp_path / "data.txt"
+    data.write_text("0\n1e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("em", {"data_file": str(data)}, [0], str(tmp_path))
+    assert code == 2
+    assert out.splitlines() == ["config error (line 3): data_file's variance overflows"]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("text", ["", "0.5\n"])
-def test_em_data_file_of_fewer_than_two_values_exits_2(tmp_path, text):
+def test_em_data_file_of_fewer_than_two_values_exits_2(tmp_path, capsys, text):
     """EM needs two observations; a shorter data file is bad input, not a
-    solver failure."""
+    solver failure. The config error is all the run prints: reading an
+    empty file raises no warning."""
     data = tmp_path / "data.txt"
     data.write_text(text)
-    code, out = run_cli("em", {"data_file": str(data)}, [0], str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("em", {"data_file": str(data)}, [0], str(tmp_path))
     assert code == 2
     errors = [line for line in out.splitlines() if line.startswith("config error")]
     assert len(errors) == 1 and "data_file" in errors[0] and "two observations" in errors[0]
+    assert out.splitlines() == errors
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--max-iters", "5"]])

@@ -11,10 +11,14 @@ artifact.
 import hashlib
 import math
 import os
+import pathlib
 
 import pytest
 
-from bsumkit.cli import TOY_SOLVERS, run_experiment
+from bsumkit import app_wmmse
+from bsumkit.cli import TOY_SOLVERS, rates_csv_text, run_experiment, trace_csv_text
+from bsumkit.core import RngStream
+from bsumkit.engine import SolveOptions
 
 # A fixed sample for the data_file run: a spread cluster around -2 and a
 # spike of 20 copies of 3.0, whose component's variance clamps at the floor.
@@ -32,6 +36,8 @@ RUNS = {
     "em_data_file": ("em", {"data_file": "data.txt", "n_components": 2, "max_iters": 80}),
     **{f"toy_{solver}": ("toy", {"solver": solver}) for solver in TOY_SOLVERS},
     "wmmse_default": ("wmmse", {}),
+    "wmmse_dense": ("wmmse", {"n_cells": 8, "users_per_cell": 4, "n_antennas": 4,
+                              "max_iters": 32}),
 }
 
 PINS = {
@@ -56,15 +62,15 @@ PINS = {
                      'cp_mbi_seed0.csv': '5a1160f050444df5b1acdec6dd26ea9eabfda521a661048a9f68cbd98705240a',
                      'cp_misum_seed0.csv': '2d7dcf40b777a10c174924fc613b8aa88be065c6ef750b1ecd0a9449af174ca2',
                      'summary.json': 'a145fd8d95bc35304ba9eba714174385282c828085b0c896260b43b835230f06'},
-    'em_data_file': {'em_block_seed0.csv': 'bd5c4aaf33a5c7493ab543eb389541a64c38d2eacfb41f336d6a9a802e271fac',
-                     'em_full_seed0.csv': '583e7134cfeb78a537323c4a142bf1546a3e4c0034a17e606e560db5a8b6d3b3',
+    'em_data_file': {'em_block_seed0.csv': '5d1983ad1560f841188b09107009799eae9b37c0a6c8d35638ba203ce67f65f3',
+                     'em_full_seed0.csv': 'ffa94b977d47b1268a01b875382af9140bb311029d7e537ea66de8ec535b461e',
                      'summary.json': '5d92903b091c10fff24323b5346d81d1559f9581980a2160ff5f11f58c5d471e'},
-    'em_j2': {'em_block_seed0.csv': '84217ab2d3bf9ae5c51938e976aa84da6badc55e7da42ef8f8f9285c10eccf68',
-              'em_full_seed0.csv': '670ea7aac66aaafafdd7bc55d52d44be7921a4884e923a08ac1edddae6a72091',
+    'em_j2': {'em_block_seed0.csv': '7c29e2dced8c8e823d68cc5398729b574f78f0fbf2f3545fbe16aac71859c876',
+              'em_full_seed0.csv': '589126d7655840fcc3e881d498a49e8510c478b811d52f67af27a4a446879d67',
               'summary.json': 'e97f64492bb1c364c7a72fe2353f6db773ae99715415e9cfea08392e790c0fac'},
-    'em_j3': {'em_block_seed0.csv': '8fd72fd12871abaea10fca6b64a1d6bd412c7e0aa2d2e85fa9a3534e7ff6a510',
-              'em_full_seed0.csv': '59d99c42c1af32e5ef0275fb60e173d5357b94f3f10f2ee0fa85c23c292a61d8',
-              'summary.json': '16e0a83c9db25a7e62cffacf8d3ad45f3e766e3fd81d0127ffc9323918f5187e'},
+    'em_j3': {'em_block_seed0.csv': '8eb1d0297217dc789b183b37b698e05db7a92e0125c448b22bb30f535405a7e6',
+              'em_full_seed0.csv': '21e94315c380d5d86bba923da7c00e0789ae978d2bb688355f1c9301c9300e43',
+              'summary.json': '8d7aaaec45fe7e56e7536bef3fd4cbc7883350cb1611edf09e44f1ed1ca125ea'},
     'toy_alternating_prox': {'summary.json': 'd41555418f43a99e4e2996eb8a04b4e7d71dbc26ef204ab29006d805de08fcd3',
                              'toy_alternating_prox_seed0.csv': '10e042562fe0aa2045ddb9919dfd3d8c63d5630c0f6dfe9607c125a271fa6d60'},
     'toy_bsca': {'summary.json': '5300eb38d9e618f2cbe09b80dcbffff1a13bdd61acb3b04011c73a0b84e7a03e',
@@ -77,7 +83,19 @@ PINS = {
                       'toy_splitting_seed0.csv': 'e176dde1fa14bcfb5f8f4fad27758215ee91b46587d86c6d9c803315bad22e73'},
     'wmmse_default': {'summary.json': 'ab5f6599acd34405a8b8d69daf24ee3d4f7f5e0f3cacb8d294255aaa3ad1b98e',
                       'wmmse_rates_seed0.csv': '167718e91640176abb6030743d3f88c410e8641beb3766b3e2782c68654f9a6e',
-                      'wmmse_seed0.csv': '3831aa306fc205b0dc9f3143e1445135416ab097c972b07ee030a515ee638445'}}
+                      'wmmse_seed0.csv': '3831aa306fc205b0dc9f3143e1445135416ab097c972b07ee030a515ee638445'},
+    'wmmse_dense': {'summary.json': '97abdd2914922ef2bf62bb7a43f6a3e7245473d46e7f95d69c64f056d758c19d',
+                    'wmmse_rates_seed0.csv': '2218d3a7c4842fd1694bf54a4a6e44a68fa2a7926c7da228dcb56c75cee356e8',
+                    'wmmse_seed0.csv': '3283d43922fdad92cc622e66a2a6b635790e302363250f6c6ba1371592f65268'}}
+
+# The config file takes one stream count for every user, so the mixed-stream
+# network (unequal cells, 1 to 3 streams per user, per-user noise and
+# per-cell budgets) runs through the library and pins the CSVs the CLI would
+# write for it. The network is spelled out here, not imported from
+# test_wmmse, so that the pinned input cannot move with that module.
+MIXED_STREAM_PINS = {
+    'trace': 'e9567348da69ddf9d90799e065949d1e7b0f2457a70fcffe3c934693494b7895',
+    'rates': 'd5d85ee82604b40c002287cce5c50fa721633e59cd167cbc1c2657546f661f8e'}
 
 
 def artifact_digests(name: str, work_dir) -> dict[str, str]:
@@ -92,7 +110,7 @@ def artifact_digests(name: str, work_dir) -> dict[str, str]:
     config = {"experiment": experiment, "params": dict(params), "seeds": [0],
               "output_dir": out_dir}
     assert run_experiment(config) == 0
-    return {f: hashlib.sha256(open(os.path.join(out_dir, f), "rb").read()).hexdigest()
+    return {f: hashlib.sha256(pathlib.Path(out_dir, f).read_bytes()).hexdigest()
             for f in sorted(os.listdir(out_dir))}
 
 
@@ -100,3 +118,16 @@ def artifact_digests(name: str, work_dir) -> dict[str, str]:
 def test_artifact_bits_are_pinned(tmp_path, monkeypatch, capsys, name):
     monkeypatch.chdir(tmp_path)
     assert artifact_digests(name, tmp_path) == PINS[name]
+
+
+def test_mixed_stream_wmmse_bits_are_pinned():
+    spec = app_wmmse.NetworkSpec.build(
+        n_cells=3, users_per_cell=(1, 3, 2), n_antennas=3, streams=(1, 2, 3, 1, 2, 2),
+        noise_power=(1.0, 0.5, 2.0, 1.0, 0.8, 1.5), power=(1.0, 2.0, 0.5))
+    H = app_wmmse.gen_channels(spec, RngStream(0))
+    V0 = app_wmmse.init_transmitters(spec, RngStream(0).substream(1))
+    _, trace = app_wmmse.run_wmmse(spec, H, V0, SolveOptions(max_iters=64, tol=1e-9))
+    assert trace.n_iterations == 64
+    digests = {name: hashlib.sha256(text(trace).encode("ascii")).hexdigest()
+               for name, text in (("trace", trace_csv_text), ("rates", rates_csv_text))}
+    assert digests == MIXED_STREAM_PINS
