@@ -39,7 +39,10 @@ __all__ = [
     "two_cluster_dataset",
     "gmm_nll",
     "em_gmm",
+    "EM_MODES",
 ]
+
+EM_MODES = ("full", "block")
 
 _COLLAPSE_MASS = 1e-12
 
@@ -331,7 +334,7 @@ def em_gmm(data: np.ndarray, n_components: int, theta0: GmmParams | None = None,
         var = float(np.var(data))
     if not np.isfinite(var):
         raise InvalidArgumentError("data variance overflows")
-    if mode not in ("full", "block"):
+    if mode not in EM_MODES:
         raise InvalidArgumentError(f"mode must be 'full' or 'block', got {mode!r}")
     if s_floor is None:
         s_floor = 1e-6 * var

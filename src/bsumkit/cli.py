@@ -42,10 +42,7 @@ __all__ = ["main", "run_experiment", "summarize", "iterations_to_threshold"]
 
 EXPERIMENTS = ("cp", "wmmse", "em", "toy", "verify")
 
-TOY_SOLVERS = ("prox", "alternating_prox", "splitting", "cccp", "bsca")
-
-VERIFY_TARGETS = ("proximal", "dc", "lipschitz", "quadratic_approx",
-                  "cp", "em_jensen")
+VERIFY_TARGETS = ("proximal", "dc", "lipschitz", "quadratic_approx", "cp", "em_jensen")
 
 
 class ConfigError(Exception):
@@ -81,24 +78,25 @@ def _expect(cond: bool, message: str, key: str | None = None) -> None:
 def _validate_seeds(seeds: Any) -> list[int]:
     _expect(isinstance(seeds, list) and len(seeds) >= 1,
             "seeds must be a non-empty list of integers", "seeds")
-    out = []
     for s in seeds:
         _expect(isinstance(s, int) and not isinstance(s, bool) and s >= 0,
                 f"seed {s!r} is not a nonnegative integer", "seeds")
-        out.append(int(s))
-    return out
+    _expect(len(set(seeds)) == len(seeds), "seeds must not repeat", "seeds")
+    return list(seeds)
 
 
 _PARAM_TABLES: dict[str, dict[str, tuple]] = {
-    # key: (kind, default). Kinds: count (integer >= 1), num (finite number),
-    # pos (number > 0), nonneg (number >= 0), str, list.
+    # key: (kind, default) or ("choice", default, choices). Kinds: count
+    # (integer >= 1), num (finite number), pos (number > 0), nonneg (number
+    # >= 0), str, list; a choice is one of the choices or, where the default
+    # is a list, a list of them.
     "cp": {
-        "instance": ("str", "swamp"),
+        "instance": ("choice", "swamp", ("swamp", "random", "file")),
         "theta": ("num", math.pi / 36),
         "tensor_file": ("str", None),
         "rank": ("count", 3),
         "dims": ("list", [4, 4, 4]),
-        "modes": ("list", list(app_tensor.CP_MODES)),
+        "modes": ("choice", list(app_tensor.CP_MODES), app_tensor.CP_MODES),
         "epsilon": ("pos", 1e-5),
         "max_iters": ("count", 5000),
         "tol": ("pos", 1e-14),
@@ -118,7 +116,7 @@ _PARAM_TABLES: dict[str, dict[str, tuple]] = {
     },
     "em": {
         "n_components": ("count", 2),
-        "modes": ("list", ["full", "block"]),
+        "modes": ("choice", list(app_classic.EM_MODES), app_classic.EM_MODES),
         "data_file": ("str", None),
         "n_per_cluster": ("count", 500),
         "centers": ("list", [-5.0, 5.0]),
@@ -127,13 +125,13 @@ _PARAM_TABLES: dict[str, dict[str, tuple]] = {
         "tol": ("pos", 1e-10),
     },
     "toy": {
-        "solver": ("str", "prox"),
+        "solver": ("choice", "prox", problems.TOY_SOLVERS),
         "max_iters": ("count", 200),
         # Below ~1e-8 the bsca demo's Armijo search hits rounding noise.
         "tol": ("pos", 1e-8),
     },
     "verify": {
-        "surrogate": ("str", "all"),
+        "surrogate": ("choice", "all", ("all", *VERIFY_TARGETS)),
         "n_samples": ("count", 1000),
         "n_anchors": ("count", 60),
     },
@@ -165,13 +163,19 @@ def _validate_params(experiment: str, params: Any) -> dict:
     for key in params:
         _expect(key in table, f"unknown parameter {key!r} for experiment {experiment!r}", key)
     out = {}
-    for key, (kind, default) in table.items():
+    for key, (kind, default, *choices) in table.items():
         if key not in params:
             out[key] = default
             continue
         val = params[key]
-        fits, wanted = _KINDS[kind]
-        _expect(fits(val), f"parameter {key!r} must be {wanted}", key)
+        if kind == "choice":
+            fits = (isinstance(val, list) and all(v in choices[0] for v in val)
+                    if isinstance(default, list) else val in choices[0])
+            wanted = f"one of {choices[0]}"
+        else:
+            check, wanted = _KINDS[kind]
+            fits = check(val)
+        _expect(fits, f"parameter {key!r} must be {wanted}", key)
         out[key] = float(val) if kind in ("num", "pos", "nonneg") else val
     return out
 
@@ -190,34 +194,20 @@ def validate_config(config: Any) -> dict:
     output_dir = config.get("output_dir", "bsumkit_runs")
     _expect(isinstance(output_dir, str) and output_dir != "",
             "output_dir must be a non-empty path", "output_dir")
-    if experiment == "cp":
-        _expect(params["instance"] in ("swamp", "random", "file"),
-                "instance must be 'swamp', 'random', or 'file'", "instance")
-        if params["instance"] == "file":
-            _expect(params["tensor_file"] is not None,
-                    "instance 'file' needs a tensor_file path", "tensor_file")
-        if params["instance"] == "random":
-            dims = params["dims"]
-            _expect(len(dims) == 3 and all(_count(d) for d in dims),
-                    "dims must be three positive integers", "dims")
-        for mode in params["modes"]:
-            _expect(mode in app_tensor.CP_MODES,
-                    f"unknown cp mode {mode!r}", "modes")
+    if experiment == "cp" and params["instance"] == "file":
+        _expect(params["tensor_file"] is not None,
+                "instance 'file' needs a tensor_file path", "tensor_file")
+    if experiment == "cp" and params["instance"] == "random":
+        dims = params["dims"]
+        _expect(len(dims) == 3 and all(_count(d) for d in dims),
+                "dims must be three positive integers", "dims")
     if experiment == "wmmse":
         _expect(params["streams"] <= params["n_antennas"],
                 "streams must not exceed n_antennas", "streams")
     if experiment == "em":
-        for mode in params["modes"]:
-            _expect(mode in ("full", "block"), f"unknown em mode {mode!r}", "modes")
         centers = params["centers"]
         _expect(len(centers) == 2 and all(_finite(c) for c in centers),
                 "centers must be two finite numbers", "centers")
-    if experiment == "toy":
-        _expect(params["solver"] in TOY_SOLVERS,
-                f"solver must be one of {TOY_SOLVERS}", "solver")
-    if experiment == "verify":
-        _expect(params["surrogate"] == "all" or params["surrogate"] in VERIFY_TARGETS,
-                f"surrogate must be 'all' or one of {VERIFY_TARGETS}", "surrogate")
     return {"experiment": experiment, "params": params, "seeds": seeds,
             "output_dir": output_dir}
 
@@ -286,10 +276,8 @@ def summarize(iteration_counts: dict[str, list]) -> dict:
             "censored": len(vals) - len(done),
         }
         if done:
-            entry["mean"] = float(np.mean(done))
-            entry["median"] = float(np.median(done))
-            entry["min"] = int(np.min(done))
-            entry["max"] = int(np.max(done))
+            entry.update(mean=float(np.mean(done)), median=float(np.median(done)),
+                         min=min(done), max=max(done))
         out[key] = entry
     return out
 
@@ -298,15 +286,16 @@ def summarize(iteration_counts: dict[str, list]) -> dict:
 
 def _run_tasks(name: str, modes: Sequence, seeds: list[int],
                solve: Callable[[Any, int], Trace], out_dir: str,
-               rates: bool = False, threaded: bool = False) -> tuple[list, list[dict]]:
+               rates: bool = False, threaded: bool = False) -> tuple[list, dict]:
     """Run ``solve(mode, seed)`` for every mode and seed, in task order.
 
     Each trace is written to ``{name}_{mode}_seed{seed}.csv``, or
     ``{name}_seed{seed}.csv`` when the mode is None, plus the rates CSV when
     ``rates`` is set. A ``BsumError`` inside a task becomes an ``errors``
     entry and that task's trace is None. Returns the ``(mode, seed, trace)``
-    triples in task order and the errors sorted by mode and seed. ``threaded``
-    runs the tasks on up to ``os.cpu_count()`` threads, with the same results.
+    triples in task order, and the summary's ``tasks`` (a record of each
+    finished task) and ``errors`` (sorted by mode and seed). ``threaded`` runs
+    the tasks on up to ``os.cpu_count()`` threads, with the same results.
     """
     tasks = [(mode, seed) for mode in modes for seed in seeds]
 
@@ -322,7 +311,7 @@ def _run_tasks(name: str, modes: Sequence, seeds: list[int],
             outcomes = list(pool.map(one, tasks))
     else:
         outcomes = [one(t) for t in tasks]
-    results, errors = [], []
+    results, records, errors = [], [], []
     for (mode, seed), (trace, err) in zip(tasks, outcomes):
         tag = f"seed{seed}" if mode is None else f"{mode}_seed{seed}"
         if err is None:
@@ -331,166 +320,102 @@ def _run_tasks(name: str, modes: Sequence, seeds: list[int],
             if rates:
                 _atomic_write(os.path.join(out_dir, f"{name}_rates_{tag}.csv"),
                               rates_csv_text(trace))
+            records.append({"mode": mode, "seed": seed, "status": trace.terminal_status,
+                            "iterations": trace.n_iterations, "objective": trace.final_objective,
+                            "stationarity_gap": trace.stationarity_gap, "warnings": trace.warnings})
         else:
             errors.append({"seed": seed, "error": err} if mode is None
                           else {"mode": mode, "seed": seed, "error": err})
         results.append((mode, seed, trace))
     errors.sort(key=lambda e: (e.get("mode", ""), e["seed"]))
-    return results, errors
+    return results, {"tasks": records, "errors": errors}
 
 
-def _load_cp_instance(params: dict, out_dir: str) -> app_tensor.DenseTensor3:
+def _run_cp(params: dict, seeds: list[int], out_dir: str, opts: SolveOptions) -> dict:
     if params["instance"] == "file":
         try:
-            return app_tensor.read_tensor(params["tensor_file"])
+            tensor = app_tensor.read_tensor(params["tensor_file"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read tensor_file: {exc}", "tensor_file") from exc
-    if params["instance"] == "swamp":
-        tensor = app_tensor.build_swamp_instance(params["theta"])
     else:
-        tensor = app_tensor.random_rank_instance(
-            tuple(params["dims"]), params["rank"], RngStream(0, key=(99,)))
-    app_tensor.write_tensor(os.path.join(out_dir, "cp_instance.txt"), tensor)
-    return tensor
-
-
-def _run_cp(params: dict, seeds: list[int], out_dir: str) -> dict:
-    tensor = _load_cp_instance(params, out_dir)
-    opts = SolveOptions(max_iters=params["max_iters"], tol=params["tol"],
-                        target_objective=params["epsilon"])
+        tensor = (app_tensor.build_swamp_instance(params["theta"]) if params["instance"] == "swamp"
+                  else app_tensor.random_rank_instance(
+                      tuple(params["dims"]), params["rank"], RngStream(0, key=(99,))))
+        app_tensor.write_tensor(os.path.join(out_dir, "cp_instance.txt"), tensor)
 
     def solve(mode, seed):
-        _, trace = app_tensor.run_cp(
+        return app_tensor.run_cp(
             tensor, params["rank"], mode=mode, opts=opts, rng=RngStream(seed),
-            lam=params["lam"], lam0=params["lam0"], lam1=params["lam1"])
-        return trace
+            lam=params["lam"], lam0=params["lam0"], lam1=params["lam1"])[1]
 
-    results, errors = _run_tasks("cp", params["modes"], seeds, solve, out_dir)
+    results, summary = _run_tasks("cp", params["modes"], seeds, solve, out_dir)
     counts: dict[str, list] = {m: [] for m in params["modes"]}
     for mode, _, trace in results:
         counts[mode].append(None if trace is None
                             else iterations_to_threshold(trace, params["epsilon"]))
-    return {"experiment": "cp", "threshold": params["epsilon"],
-            "iterations_to_threshold": summarize(counts), "errors": errors}
+    return {**summary, "threshold": params["epsilon"],
+            "iterations_to_threshold": summarize(counts)}
 
 
-def _run_wmmse(params: dict, seeds: list[int], out_dir: str) -> dict:
+def _run_wmmse(params: dict, seeds: list[int], out_dir: str, opts: SolveOptions) -> dict:
     spec = app_wmmse.NetworkSpec.build(
         n_cells=params["n_cells"], users_per_cell=params["users_per_cell"],
         n_antennas=params["n_antennas"], streams=params["streams"],
         noise_power=params["noise_power"], power=params["power"])
-    opts = SolveOptions(max_iters=params["max_iters"], tol=params["tol"])
 
     def solve(_, seed):
         H = app_wmmse.gen_channels(spec, RngStream(seed))
         V0 = app_wmmse.init_transmitters(spec, RngStream(seed).substream(1))
-        _, trace = app_wmmse.run_wmmse(spec, H, V0, opts)
-        return trace
+        return app_wmmse.run_wmmse(spec, H, V0, opts)[1]
 
-    results, errors = _run_tasks("wmmse", [None], seeds, solve, out_dir, rates=True)
-    final = {str(seed): trace.records[-1].extras["sum_rate_nats"]
-             for _, seed, trace in results if trace is not None}
-    converged = [None if trace is None or trace.terminal_status != "converged"
-                 else trace.n_iterations for _, _, trace in results]
-    return {"experiment": "wmmse", "final_sum_rate_nats": final,
-            "iterations_to_convergence": summarize({"wmmse": converged}),
-            "errors": errors}
+    results, summary = _run_tasks("wmmse", [None], seeds, solve, out_dir, rates=True)
+    summary["final_sum_rate_nats"] = {str(seed): trace.records[-1].extras["sum_rate_nats"]
+                                      for _, seed, trace in results if trace is not None}
+    return summary
 
 
-def _run_em(params: dict, seeds: list[int], out_dir: str) -> dict:
-    opts = SolveOptions(max_iters=params["max_iters"], tol=params["tol"])
-    fixed_data = None
-    if params["data_file"] is not None:
-        try:
-            with warnings.catch_warnings():  # an empty file warns, then fails the size check
-                warnings.simplefilter("ignore", UserWarning)
-                fixed_data = np.loadtxt(params["data_file"], dtype=np.float64).ravel()
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read data_file: {exc}", "data_file") from exc
-        _expect(np.isfinite(fixed_data).all(), "data_file holds a non-finite value", "data_file")
-        _expect(fixed_data.size >= 2, "data_file needs at least two observations", "data_file")
-        with np.errstate(over="ignore", invalid="ignore"):
-            var = np.var(fixed_data)
-        _expect(np.isfinite(var), "data_file's variance overflows", "data_file")
+def _checked(data: np.ndarray, name: str, key: str) -> np.ndarray:
+    _expect(np.isfinite(data).all(), f"{name} holds a non-finite value", key)
+    _expect(data.size >= 2, f"{name} needs at least two observations", key)
+    _expect(np.isfinite(np.var(data)), f"{name}'s variance overflows", key)
+    return data
+
+
+def _run_em(params: dict, seeds: list[int], out_dir: str, opts: SolveOptions) -> dict:
+    # Each seed's sample is drawn and checked once, before the tasks, which
+    # share it: em_gmm never writes into its data.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params["data_file"] is None:
+            (c0, c1), sigma = params["centers"], params["sigma"]
+            # A bad sample is blamed on whichever key spreads it more.
+            key = "centers" if abs(c1 - c0) > abs(sigma) else "sigma"
+            samples = {seed: _checked(app_classic.two_cluster_dataset(
+                RngStream(seed), n_per_cluster=params["n_per_cluster"], centers=(c0, c1),
+                sigma=sigma), "the sample drawn from centers and sigma", key) for seed in seeds}
+        else:
+            try:
+                with warnings.catch_warnings():  # an empty file warns, then fails the size check
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(params["data_file"], dtype=np.float64).ravel()
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read data_file: {exc}", "data_file") from exc
+            samples = dict.fromkeys(seeds, _checked(data, "data_file", "data_file"))
 
     def solve(mode, seed):
-        data = fixed_data
-        if data is None:
-            data = app_classic.two_cluster_dataset(
-                RngStream(seed), n_per_cluster=params["n_per_cluster"],
-                centers=tuple(params["centers"]), sigma=params["sigma"])
-        _, trace = app_classic.em_gmm(data, params["n_components"], mode=mode, opts=opts)
-        return trace
+        return app_classic.em_gmm(samples[seed], params["n_components"], mode=mode, opts=opts)[1]
 
     # EM's numpy passes release the GIL; cp and wmmse are interpreter-bound and a pool slows them.
-    results, errors = _run_tasks("em", params["modes"], seeds, solve, out_dir, threaded=True)
+    _, summary = _run_tasks("em", params["modes"], seeds, solve, out_dir, threaded=True)
     final: dict[str, dict] = {m: {} for m in params["modes"]}
-    for mode, seed, trace in results:
-        if trace is not None:
-            final[mode][str(seed)] = {"nll": trace.final_objective,
-                                      "iterations": trace.n_iterations,
-                                      "warnings": len(trace.warnings)}
-    return {"experiment": "em", "final": final, "errors": errors}
+    for rec in summary["tasks"]:
+        final[rec["mode"]][str(rec["seed"])] = {"nll": rec["objective"],
+                                                "iterations": rec["iterations"]}
+    return {**summary, "final": final}
 
 
-def _toy_trace(solver: str, opts: SolveOptions) -> Trace:
-    if solver == "prox":
-        f = ObjectiveOracle(value=lambda x: float(x @ x),
-                            gradient=lambda x: 2.0 * x)
-        x0 = Point(np.array([2.0]), make_block_structure([1]))
-        _, trace = app_classic.proximal_point_solve(
-            f, lambda part, y, c: y.part(part) / (2.0 * c + 1.0), x0, c=1.0, opts=opts)
-        return trace
-    if solver == "alternating_prox":
-        # f = (x1 + x2 - 1)^2; block prox update is linear, closed form.
-        f = ObjectiveOracle(value=lambda x: float((x[0] + x[1] - 1.0) ** 2))
-
-        def prox(part, y, c):
-            i = part if isinstance(part, int) else part[0]
-            other = y.values[1 - i]
-            return np.array([(2.0 * c * (1.0 - other) + y.values[i]) / (2.0 * c + 1.0)])
-
-        x0 = Point(np.zeros(2), make_block_structure([1, 1]))
-        _, trace = app_classic.alternating_proximal_solve(f, prox, x0, c=1.0, opts=opts)
-        return trace
-    if solver == "splitting":
-        _, surrogate, x0 = problems.lasso_problem(target=[2.0], weight=1.0, gamma=1.0)
-        _, trace = app_classic.forward_backward_solve(
-            surrogate.nonsmooth_total, surrogate.prox, surrogate.smooth,
-            beta=1.0, gamma=1.0, x0=x0, opts=opts)
-        return trace
-    if solver == "cccp":
-        _, dc, x0 = problems.separable_quartic_dc([1])
-        x0 = x0.with_values(np.array([8.0]))
-        _, trace = app_classic.cccp_solve(dc, x0, opts=opts)
-        return trace
-    if solver == "bsca":
-        def value(x):
-            return float((x[0] - 1.0) ** 4 + (x[1] + 2.0) ** 2 + x[0] * x[1] / 10.0)
-
-        def gradient(x):
-            return np.array([4.0 * (x[0] - 1.0) ** 3 + x[1] / 10.0,
-                             2.0 * (x[1] + 2.0) + x[0] / 10.0])
-
-        from .engine import run_bsca
-        f = ObjectiveOracle(value=value, gradient=gradient)
-        h = QuadraticApprox(f, t=0.25)
-        x0 = Point(np.zeros(2), make_block_structure([1, 1]))
-        _, trace = run_bsca(f, h, x0, opts)
-        return trace
-    raise ConfigError(f"unknown toy solver {solver!r}", "solver")
-
-
-def _run_toy(params: dict, seeds: list[int], out_dir: str) -> dict:
-    opts = SolveOptions(max_iters=params["max_iters"], tol=params["tol"])
-    solver = params["solver"]
-    results, errors = _run_tasks("toy", [solver], seeds,
-                                 lambda mode, _: _toy_trace(mode, opts), out_dir)
-    final = {str(seed): {"objective": trace.final_objective,
-                         "iterations": trace.n_iterations,
-                         "status": trace.terminal_status}
-             for _, seed, trace in results if trace is not None}
-    return {"experiment": "toy", "solver": solver, "final": final, "errors": errors}
+def _run_toy(params: dict, seeds: list[int], out_dir: str, opts: SolveOptions) -> dict:
+    return _run_tasks("toy", [params["solver"]], seeds,
+                      lambda solver, _: problems.toy_trace(solver, opts), out_dir)[1]
 
 
 def _verify_jobs(seed: int):
@@ -508,7 +433,7 @@ def _verify_jobs(seed: int):
 
     # The headline cp run's instance and dim_prox/misum lambda, checked
     # against the public fit error rather than the surrogate's own objective().
-    cp = {key: default for key, (_, default) in _PARAM_TABLES["cp"].items()}
+    cp = {key: entry[1] for key, entry in _PARAM_TABLES["cp"].items()}
     tensor = app_tensor.build_swamp_instance(cp["theta"])
     cp_structure = make_block_structure([n * cp["rank"] for n in tensor.shape])
     cp_f = ObjectiveOracle(value=lambda v: app_tensor.cp_residual(
@@ -573,7 +498,7 @@ def hash_name(name: str) -> int:
     return sum((i + 1) * ord(ch) for i, ch in enumerate(name)) % 65521
 
 
-def _run_verify(params: dict, seeds: list[int], out_dir: str) -> dict:
+def _run_verify(params: dict, seeds: list[int], out_dir: str, opts: SolveOptions) -> dict:
     results = run_verify_suite(params["surrogate"], seed=seeds[0],
                                n_samples=params["n_samples"],
                                n_anchors=params["n_anchors"])
@@ -586,17 +511,11 @@ def _run_verify(params: dict, seeds: list[int], out_dir: str) -> dict:
         for r in results[name]:
             print(f"{name}.{r.check}: {'PASS' if r.passed else 'FAIL'} "
                   f"({r.n_violations}/{r.n_samples} violations)")
-    return {"experiment": "verify", "all_passed": all_pass,
-            "report": "verify_report.json", "errors": []}
+    return {"all_passed": all_pass, "report": "verify_report.json", "tasks": [], "errors": []}
 
 
-_RUNNERS = {
-    "cp": _run_cp,
-    "wmmse": _run_wmmse,
-    "em": _run_em,
-    "toy": _run_toy,
-    "verify": _run_verify,
-}
+_RUNNERS = {"cp": _run_cp, "wmmse": _run_wmmse, "em": _run_em, "toy": _run_toy,
+            "verify": _run_verify}
 
 
 def run_experiment(config: dict, raw: str | None = None) -> int:
@@ -608,16 +527,22 @@ def run_experiment(config: dict, raw: str | None = None) -> int:
     """
     try:
         cfg = validate_config(config)
-        out_dir = cfg["output_dir"]
-        os.makedirs(out_dir, exist_ok=True)
-        summary = _RUNNERS[cfg["experiment"]](cfg["params"], cfg["seeds"], out_dir)
+        experiment, params, seeds, out_dir = (
+            cfg[k] for k in ("experiment", "params", "seeds", "output_dir"))
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output_dir: {exc}", "output_dir") from exc
+        opts = SolveOptions(**{k: params[k] for k in ("max_iters", "tol") if k in params},
+                            target_objective=params.get("epsilon"))
+        summary = {"experiment": experiment,
+                   **_RUNNERS[experiment](params, seeds, out_dir, opts),
+                   "config": {"experiment": experiment, "params": params, "seeds": seeds}}
     except ConfigError as err:
         return _fail_config(err, raw)
     except BsumError as exc:
         # Solver failures never get here: the task loop records them.
         return _fail_config(ConfigError(str(exc)), raw)
-    summary["config"] = {"experiment": cfg["experiment"], "params": cfg["params"],
-                         "seeds": cfg["seeds"]}
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {os.path.join(out_dir, 'summary.json')}")
@@ -629,19 +554,15 @@ def run_experiment(config: dict, raw: str | None = None) -> int:
 # ------------------------------------------------------------------ parsing
 
 def _parse_seed_range(text: str) -> list[int]:
-    if ".." in text:
-        a, _, b = text.partition("..")
-        try:
-            lo, hi = int(a), int(b)
-        except ValueError as exc:
-            raise ConfigError(f"bad seed range {text!r}") from exc
-        if lo > hi:
-            raise ConfigError(f"bad seed range {text!r}: start exceeds end")
-        return list(range(lo, hi + 1))
+    lo, is_range, hi = text.partition("..")
     try:
-        return [int(part) for part in text.split(",")]
+        seeds = (list(range(int(lo), int(hi) + 1)) if is_range
+                 else [int(part) for part in text.split(",")])
     except ValueError as exc:
-        raise ConfigError(f"bad seed list {text!r}") from exc
+        raise ConfigError(f"bad seed {'range' if is_range else 'list'} {text!r}") from exc
+    if not seeds:
+        raise ConfigError(f"bad seed range {text!r}: start exceeds end")
+    return seeds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -683,25 +604,20 @@ def _config_from_args(args) -> tuple[dict, str | None]:
     else:
         config = {"experiment": args.command}
     if isinstance(config, dict):
-        params = config.get("params")
-        if params is None:
-            params = {}
-            config["params"] = params
+        if config.get("params") is None:
+            config["params"] = {}
         if args.seed is not None:
             config["seeds"] = [args.seed]
         if args.seeds is not None:
             config["seeds"] = _parse_seed_range(args.seeds)
         if args.out is not None:
             config["output_dir"] = args.out
+        params = config["params"]
         if isinstance(params, dict):
-            if args.max_iters is not None:
-                params["max_iters"] = args.max_iters
-            if args.tol is not None:
-                params["tol"] = args.tol
-            if getattr(args, "theta", None) is not None:
-                params["theta"] = args.theta
+            for key in ("max_iters", "tol", "theta", "tensor_file"):
+                if getattr(args, key, None) is not None:
+                    params[key] = getattr(args, key)
             if getattr(args, "tensor_file", None) is not None:
-                params["tensor_file"] = args.tensor_file
                 params["instance"] = "file"
     return config, raw
 

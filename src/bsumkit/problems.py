@@ -6,19 +6,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import app_classic
 from .core import (
     BlockIndex,
     InvalidArgumentError,
     ObjectiveOracle,
     Point,
+    Trace,
     make_block_structure,
 )
+from .engine import SolveOptions, run_bsca
 from .surrogates import (
     ConvexPartOracle,
     DcLinearization,
     ExactBlockSurrogate,
     LipschitzQuadraticSurrogate,
     ProximalSurrogate,
+    QuadraticApprox,
     soft_threshold,
 )
 
@@ -26,7 +30,11 @@ __all__ = [
     "QuadraticProblem",
     "separable_quartic_dc",
     "lasso_problem",
+    "TOY_SOLVERS",
+    "toy_trace",
 ]
+
+TOY_SOLVERS = ("prox", "alternating_prox", "splitting", "cccp", "bsca")
 
 
 @dataclass(frozen=True)
@@ -132,3 +140,50 @@ def lasso_problem(target, weight: float = 1.0, gamma: float = 1.0,
         gamma=gamma,
     )
     return surrogate.objective(), surrogate, Point(np.zeros(structure.total), structure)
+
+
+def toy_trace(solver: str, opts: SolveOptions) -> Trace:
+    """The trace of one of the ``TOY_SOLVERS`` on its fixed small problem."""
+    if solver == "prox":
+        f = ObjectiveOracle(value=lambda x: float(x @ x),
+                            gradient=lambda x: 2.0 * x)
+        x0 = Point(np.array([2.0]), make_block_structure([1]))
+        _, trace = app_classic.proximal_point_solve(
+            f, lambda part, y, c: y.part(part) / (2.0 * c + 1.0), x0, c=1.0, opts=opts)
+        return trace
+    if solver == "alternating_prox":
+        # f = (x1 + x2 - 1)^2; block prox update is linear, closed form.
+        f = ObjectiveOracle(value=lambda x: float((x[0] + x[1] - 1.0) ** 2))
+
+        def prox(part, y, c):
+            i = part if isinstance(part, int) else part[0]
+            other = y.values[1 - i]
+            return np.array([(2.0 * c * (1.0 - other) + y.values[i]) / (2.0 * c + 1.0)])
+
+        x0 = Point(np.zeros(2), make_block_structure([1, 1]))
+        _, trace = app_classic.alternating_proximal_solve(f, prox, x0, c=1.0, opts=opts)
+        return trace
+    if solver == "splitting":
+        _, surrogate, x0 = lasso_problem(target=[2.0], weight=1.0, gamma=1.0)
+        _, trace = app_classic.forward_backward_solve(
+            surrogate.nonsmooth_total, surrogate.prox, surrogate.smooth,
+            beta=1.0, gamma=1.0, x0=x0, opts=opts)
+        return trace
+    if solver == "cccp":
+        _, dc, x0 = separable_quartic_dc([1])
+        x0 = x0.with_values(np.array([8.0]))
+        _, trace = app_classic.cccp_solve(dc, x0, opts=opts)
+        return trace
+    if solver == "bsca":
+        def value(x):
+            return float((x[0] - 1.0) ** 4 + (x[1] + 2.0) ** 2 + x[0] * x[1] / 10.0)
+
+        def gradient(x):
+            return np.array([4.0 * (x[0] - 1.0) ** 3 + x[1] / 10.0,
+                             2.0 * (x[1] + 2.0) + x[0] / 10.0])
+
+        f = ObjectiveOracle(value=value, gradient=gradient)
+        x0 = Point(np.zeros(2), make_block_structure([1, 1]))
+        _, trace = run_bsca(f, QuadraticApprox(f, t=0.25), x0, opts)
+        return trace
+    raise InvalidArgumentError(f"unknown toy solver {solver!r}")

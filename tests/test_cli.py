@@ -17,10 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsumkit import app_tensor, cli
+from bsumkit import app_classic, app_tensor, app_wmmse, cli, problems
 from bsumkit.cli import (
     EXPERIMENTS,
-    TOY_SOLVERS,
     VERIFY_TARGETS,
     ConfigError,
     iterations_to_threshold,
@@ -107,7 +106,7 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="unknown parameter"):
             validate_config({"experiment": "toy", "params": {"alpha": 1.0}})
 
-    @pytest.mark.parametrize("seeds", [[-1], [True], "0", [], [1.5]])
+    @pytest.mark.parametrize("seeds", [[-1], [True], "0", [], [1.5], [1, 1]])
     def test_bad_seeds(self, seeds):
         with pytest.raises(ConfigError):
             validate_config({"experiment": "toy", "seeds": seeds})
@@ -175,7 +174,7 @@ class TestRunExperiment:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["experiment"] == "toy"
         assert summary["config"]["seeds"] == [0]
-        assert summary["final"]["0"]["status"] == "converged"
+        assert summary["tasks"][0]["status"] == "converged"
 
     def test_csv_floats_roundtrip_exactly(self, tmp_path):
         """17-significant-digit cells parse back to the recorded doubles."""
@@ -183,7 +182,7 @@ class TestRunExperiment:
         config = {"experiment": "toy", "seeds": [0],
                   "params": {"max_iters": 60}, "output_dir": str(out_dir)}
         assert run_experiment(config) == 0
-        oracle = cli._toy_trace("prox", SolveOptions(max_iters=60, tol=1e-8))
+        oracle = problems.toy_trace("prox", SolveOptions(max_iters=60, tol=1e-8))
         rows = (out_dir / "toy_prox_seed0.csv").read_text().splitlines()[1:]
         assert len(rows) == len(oracle.records)
         for row, rec in zip(rows, oracle.records):
@@ -444,14 +443,15 @@ BAD_PARAMS = [
 ]
 
 
-def run_cli(experiment, params, seeds, tmp):
-    """Exit code and stdout of ``bsumkit EXPERIMENT --config`` in ``tmp``."""
+def run_cli(experiment, params, seeds, tmp, out_dir="out"):
+    """Exit code and stdout of ``bsumkit EXPERIMENT --config tmp/cfg.json
+    --out tmp/OUT_DIR``."""
     path = os.path.join(tmp, "cfg.json")
     with open(path, "w") as fh:
         json.dump({"params": params, "seeds": seeds}, fh, indent=1)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([experiment, "--config", path, "--out", os.path.join(tmp, "out")])
+        code = main([experiment, "--config", path, "--out", os.path.join(tmp, out_dir)])
     return code, out.getvalue()
 
 
@@ -484,6 +484,42 @@ def test_em_data_file_whose_variance_overflows_exits_2(tmp_path, capsys):
     assert code == 2
     assert out.splitlines() == ["config error (line 3): data_file's variance overflows"]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("params,line", [({"centers": [-1e200, 1e200], "sigma": 1.0}, 3),
+                                         ({"centers": [-5.0, 5.0], "sigma": 1e300}, 7)])
+def test_em_generated_data_whose_variance_overflows_exits_2(tmp_path, capsys, params, line):
+    """Centers or sigma so large that a drawn sample's variance overflows are
+    bad input, as such a data_file is: refused before any task runs, at the
+    line of the key that spreads the sample."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli("em", params, [0, 1], str(tmp_path))
+    assert code == 2
+    assert out.splitlines() == [f"config error (line {line}): the sample drawn from "
+                                "centers and sigma's variance overflows"]
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("out_dir", ["cfg.json", os.path.join("cfg.json", "sub")])
+def test_output_dir_naming_a_file_exits_2(tmp_path, out_dir):
+    """An output_dir that is a file, or lies under one, is bad input."""
+    code, out = run_cli("toy", {}, [0], str(tmp_path), out_dir)
+    assert code == 2
+    assert out.startswith("config error: cannot create output_dir: ")
+    assert out.count("\n") == 1
+
+
+def test_repeated_seed_exits_2(tmp_path):
+    """A seed listed twice would run its tasks and write their files twice."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["cp", "--seeds", "2,0,2", "--out", str(tmp_path / "out")])
+    assert (code, out.getvalue()) == (2, "config error: seeds must not repeat\n")
+    assert not (tmp_path / "out").exists()
+    assert run_cli("cp", {"max_iters": 3}, [1, 1], str(tmp_path)) == (
+        2, "config error (line 5): seeds must not repeat\n")
 
 
 @pytest.mark.parametrize("text", ["", "0.5\n"])
@@ -548,6 +584,75 @@ def test_wmmse_unbracketable_budget_exits_3(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["errors"] == [{"seed": 0, "error": "iteration 2: power bisection "
                                   "failed to bracket the budget of cells [0, 1]"}]
+    # The failed task has no record and no final rate: it shows only as an error.
+    assert summary["tasks"] == [] and summary["final_sum_rate_nats"] == {}
+
+
+def library_trace(experiment, p, mode, seed):
+    """The trace of the library call that the CLI makes for one task, from
+    the validated params ``p``; cp reads the instance the run exported."""
+    opts = SolveOptions(max_iters=p["max_iters"], tol=p["tol"],
+                        target_objective=p.get("epsilon"))
+    if experiment == "cp":
+        tensor = app_tensor.read_tensor(os.path.join("out", "cp_instance.txt"))
+        return app_tensor.run_cp(tensor, p["rank"], mode=mode, opts=opts, rng=RngStream(seed),
+                                 lam=p["lam"], lam0=p["lam0"], lam1=p["lam1"])[1]
+    if experiment == "wmmse":
+        spec = app_wmmse.NetworkSpec.build(
+            n_cells=p["n_cells"], users_per_cell=p["users_per_cell"],
+            n_antennas=p["n_antennas"], streams=p["streams"],
+            noise_power=p["noise_power"], power=p["power"])
+        H = app_wmmse.gen_channels(spec, RngStream(seed))
+        V0 = app_wmmse.init_transmitters(spec, RngStream(seed).substream(1))
+        return app_wmmse.run_wmmse(spec, H, V0, opts)[1]
+    if experiment == "em":
+        data = (np.loadtxt(p["data_file"]) if p["data_file"] is not None
+                else app_classic.two_cluster_dataset(RngStream(seed), p["n_per_cluster"],
+                                                     tuple(p["centers"]), p["sigma"]))
+        return app_classic.em_gmm(data, p["n_components"], mode=mode, opts=opts)[1]
+    return problems.toy_trace(mode, opts)
+
+
+# Tiny runs of each experiment. The data file holds a spike of equal values,
+# so the em fits clamp a variance and carry warnings.
+RECORD_RUNS = [
+    ("cp", {"instance": "random", "dims": [2, 3, 2], "rank": 2, "max_iters": 40}),
+    ("cp", {"instance": "swamp", "theta": math.pi / 4, "modes": ["als"], "max_iters": 300}),
+    ("wmmse", {"max_iters": 12}),
+    ("em", {"n_per_cluster": 40, "max_iters": 30}),
+    ("em", {"data_file": "data.txt", "max_iters": 30}),
+    *[("toy", {"solver": solver, "max_iters": 30}) for solver in problems.TOY_SOLVERS],
+]
+
+
+@pytest.mark.parametrize("experiment,params", RECORD_RUNS)
+def test_task_records_match_traces(tmp_path, monkeypatch, experiment, params):
+    """Each task's record in summary.json holds its trace CSV's row count and
+    last objective, and the status, stationarity gap and warnings of the
+    trace the library returns for it; the gap is null only where the driver
+    computes none (WMMSE and BSCA)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.txt").write_text("\n".join(["-2.5", "-2.0", "-1.5", "-1.0"] + ["3.0"] * 6))
+    config = {"experiment": experiment, "params": params, "seeds": [0, 1], "output_dir": "out"}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_experiment(config) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    p = validate_config(config)["params"]
+    modes = p.get("modes", [p.get("solver")])
+    assert [(r["mode"], r["seed"]) for r in summary["tasks"]] == [
+        (mode, seed) for mode in modes for seed in (0, 1)]
+    assert summary["errors"] == []
+    for rec in summary["tasks"]:
+        tag = f"seed{rec['seed']}" if rec["mode"] is None else f"{rec['mode']}_seed{rec['seed']}"
+        rows = (tmp_path / "out" / f"{experiment}_{tag}.csv").read_text().splitlines()[1:]
+        assert rec["iterations"] == len(rows)
+        assert rec["objective"] == float(rows[-1].split(",")[2])
+        trace = library_trace(experiment, p, rec["mode"], rec["seed"])
+        assert (rec["status"], rec["stationarity_gap"], rec["warnings"]) == (
+            trace.terminal_status, trace.stationarity_gap, trace.warnings)
+        assert (rec["stationarity_gap"] is None) == (rec["mode"] in (None, "bsca"))
+    if experiment == "em" and p["data_file"] is not None:
+        assert all(rec["warnings"] for rec in summary["tasks"])
 
 
 # Bounds that keep each generated run well under a second.
@@ -556,36 +661,30 @@ SIZE_BOUNDS = {"max_iters": 5, "n_per_cluster": 50, "n_samples": 20, "n_anchors"
                "streams": 3, "n_components": 3}
 # Keys whose defaults exceed those bounds, so every example sets them.
 REQUIRED = {"max_iters", "n_per_cluster", "n_samples", "n_anchors", "dims"}
-CHOICES = {
-    "instance": ["swamp", "random", "file", "other"],
-    "tensor_file": [__file__, ABSENT],
-    "data_file": [__file__, ABSENT],
-    "solver": list(TOY_SOLVERS),
-    "surrogate": ["all", *VERIFY_TARGETS],
-}
 JUNK = st.sampled_from([None, "x", [], [[1, [2.0]], "a"], {"k": 1}, math.nan,
                         math.inf, -math.inf, -1, 0, -0.5, 0.0, True])
 
 
-def well_typed(experiment, key, kind):
+def well_typed(key, kind, default, choices=()):
     if kind == "count":
         return st.integers(1, SIZE_BOUNDS[key])
     if kind in ("num", "pos", "nonneg"):
         return st.floats(-10.0, 10.0) | st.floats(1e-12, 1.0)
-    if kind == "str":
-        return st.sampled_from(CHOICES[key])
+    if kind == "str":  # tensor_file, data_file
+        return st.sampled_from([__file__, ABSENT])
+    if kind == "choice":
+        # Every value the table offers, and one outside the set.
+        one = st.sampled_from([*choices, "other"])
+        return st.lists(one, max_size=3) if isinstance(default, list) else one
     if key == "dims":
         return st.lists(st.integers(0, 3), max_size=4)
-    if key == "centers":
-        return st.lists(st.floats(-5.0, 5.0), max_size=3)
-    modes = app_tensor.CP_MODES if experiment == "cp" else ("full", "block", "x")
-    return st.lists(st.sampled_from(modes), max_size=3)
+    return st.lists(st.floats(-5.0, 5.0), max_size=3)  # centers
 
 
 def params_for(experiment):
     """Well-typed params, with junk in place of at most one of them."""
     table = cli._PARAM_TABLES[experiment]
-    values = {key: well_typed(experiment, key, kind) for key, (kind, _) in table.items()}
+    values = {key: well_typed(key, *entry) for key, entry in table.items()}
     good = st.fixed_dictionaries(
         {k: v for k, v in values.items() if k in REQUIRED},
         optional={k: v for k, v in values.items() if k not in REQUIRED})
@@ -599,18 +698,22 @@ SEEDS = st.lists(st.integers(0, 3), min_size=1, max_size=2)
 
 def with_bad_params_examples(test):
     for experiment, params, _ in BAD_PARAMS:
-        test = example((experiment, params), [0])(test)
+        test = example((experiment, params), [0], "out")(test)
     return test
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @with_bad_params_examples
-@given(CONFIGS, SEEDS)
-def test_cli_exits_0_2_or_3(config, seeds):
-    """Whatever the params, the CLI returns an exit code and raises nothing."""
+@example(("toy", {"max_iters": 3}), [0], "cfg.json")  # output_dir names the config file
+@example(("toy", {"max_iters": 3}), [0], os.path.join("cfg.json", "sub"))
+@example(("toy", {"max_iters": 3}), [1, 1], "out")  # a repeated seed
+@given(CONFIGS, SEEDS, st.just("out"))
+def test_cli_exits_0_2_or_3(config, seeds, out):
+    """Whatever the params, seeds and output directory, the CLI returns an
+    exit code and raises nothing."""
     experiment, params = config
     with tempfile.TemporaryDirectory() as tmp:
-        code, _ = run_cli(experiment, params, seeds, tmp)
+        code, _ = run_cli(experiment, params, seeds, tmp, out)
     assert code in (0, 2, 3)
 
 
@@ -619,12 +722,12 @@ def test_cli_exits_0_2_or_3(config, seeds):
 # numpy submodules each run imported first.
 COLD_START = """
 import contextlib, io, json, os, sys
-from bsumkit import cli
+from bsumkit import cli, problems
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 runs = [("cp", {"max_iters": 3}), ("wmmse", {"max_iters": 3}),
         ("em", {"n_per_cluster": 50, "max_iters": 3}),
         ("verify", {"n_samples": 20, "n_anchors": 5})]
-runs += [("toy", {"solver": s, "max_iters": 3}) for s in cli.TOY_SOLVERS]
+runs += [("toy", {"solver": s, "max_iters": 3}) for s in problems.TOY_SOLVERS]
 first = {}
 for k, (experiment, params) in enumerate(runs):
     before = set(sys.modules)

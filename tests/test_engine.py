@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsumkit import cli
+from bsumkit import problems
 from bsumkit.app_wmmse import NetworkSpec, gen_channels, init_transmitters, run_wmmse
 from bsumkit.core import (
     DescentDirectionError,
@@ -505,8 +505,8 @@ class TestRunBsca:
                 counts["grad"] += 1
                 return super().gradient_at(x)
 
-        monkeypatch.setattr(cli, "ObjectiveOracle", CountingOracle)
-        trace = cli._toy_trace("bsca", SolveOptions(max_iters=50, tol=1e-8))
+        monkeypatch.setattr(problems, "ObjectiveOracle", CountingOracle)
+        trace = problems.toy_trace("bsca", SolveOptions(max_iters=50, tol=1e-8))
         assert trace.n_iterations == 50
         assert all(rec.step_size == 1.0 for rec in trace.records)
         assert counts == {"f": 1 + 2 * 50, "grad": 50}

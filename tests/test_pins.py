@@ -16,9 +16,10 @@ import pathlib
 import pytest
 
 from bsumkit import app_wmmse
-from bsumkit.cli import TOY_SOLVERS, rates_csv_text, run_experiment, trace_csv_text
+from bsumkit.cli import rates_csv_text, run_experiment, trace_csv_text
 from bsumkit.core import RngStream
 from bsumkit.engine import SolveOptions
+from bsumkit.problems import TOY_SOLVERS
 
 # A fixed sample for the data_file run: a spread cluster around -2 and a
 # spike of 20 copies of 3.0, whose component's variance clamps at the floor.
@@ -47,44 +48,44 @@ PINS = {
                   'cp_instance.txt': '39a73eb18a5844d41a14d4eef1b837a1e32775d731f75e5f49c358946c45f410',
                   'cp_mbi_seed0.csv': '4c55448ebde3bea161866aac560b61e55113bc54ccc607022e51c57e498cf717',
                   'cp_misum_seed0.csv': '5596911511dab6a4d48d71a9f64e86d956ad53664ac87db0c266af4928222fad',
-                  'summary.json': '5b97f23fedceb7183ed5ea146c9e0dd8fb64a350877287c1c51c633b47d9626f'},
+                  'summary.json': '73e5cf0df57b44142d1216ec9432d5b264c4e0d6e7079aaaf943ab0f132f274f'},
     'cp_swamp_pi36': {'cp_als_seed0.csv': '4bf4bc2195aa3dca166e721610a5ab901dfa1db111dbfbb9d73a9e02e2fbe920',
                       'cp_const_prox_seed0.csv': '719f3d96e455f327f47525067e1322f875e4ce8cb001ba4cc900853b2051dbd1',
                       'cp_dim_prox_seed0.csv': '2b1b43a706b37335647e698bb9163aaee6f70cf46a10833de7472eb471cc10b9',
                       'cp_instance.txt': 'ea9e0c5e7a3585ec37c344089f0d8dfe7f2c185355a6f2e4ce71037e0c979099',
                       'cp_mbi_seed0.csv': '1d2152eea59a24e05dd1ff03df70c7f4d9b2dc987316b439120b0ee475a8f940',
                       'cp_misum_seed0.csv': '7441f24a6f4dcc9e6e33e5322250f4a91f27c8cd5d07345b0c804c41d0b5d17c',
-                      'summary.json': '072639186c2fb613bec844b1f1fc626e721e53d03ff65c56f41ae02abab30796'},
+                      'summary.json': 'a7d8ad446b8e90de45f1f28e0392e7a02e1c6b825fc30d10e99ee2419f64b8e4'},
     'cp_swamp_pi4': {'cp_als_seed0.csv': '71557f3498dd0bc90807508e2b9b70cfbf8fe636621b1efb07ca78bfa76630fc',
                      'cp_const_prox_seed0.csv': '08c3574204a0917a14b76ee43438c189a32bfdef5f942b7befc73966472f4562',
                      'cp_dim_prox_seed0.csv': '95b49679ae3fe10fec3d3af7d1bc323639813b61104168041bfa2b52cb79a181',
                      'cp_instance.txt': '133a505434f590c2ffd757f5fb585f26c45a14980e2cebe080f841f5b011c331',
                      'cp_mbi_seed0.csv': '5a1160f050444df5b1acdec6dd26ea9eabfda521a661048a9f68cbd98705240a',
                      'cp_misum_seed0.csv': '2d7dcf40b777a10c174924fc613b8aa88be065c6ef750b1ecd0a9449af174ca2',
-                     'summary.json': 'a145fd8d95bc35304ba9eba714174385282c828085b0c896260b43b835230f06'},
+                     'summary.json': 'dc34a3bbec7c910ccfd8e1f70c7638507f0db856f3e0321a66618b88d9a128c2'},
     'em_data_file': {'em_block_seed0.csv': '5d1983ad1560f841188b09107009799eae9b37c0a6c8d35638ba203ce67f65f3',
                      'em_full_seed0.csv': 'ffa94b977d47b1268a01b875382af9140bb311029d7e537ea66de8ec535b461e',
-                     'summary.json': '5d92903b091c10fff24323b5346d81d1559f9581980a2160ff5f11f58c5d471e'},
+                     'summary.json': 'afcf08b870123f2620535272c186c5096992ac25600521153e33f6d90ced41a6'},
     'em_j2': {'em_block_seed0.csv': '7c29e2dced8c8e823d68cc5398729b574f78f0fbf2f3545fbe16aac71859c876',
               'em_full_seed0.csv': '589126d7655840fcc3e881d498a49e8510c478b811d52f67af27a4a446879d67',
-              'summary.json': 'e97f64492bb1c364c7a72fe2353f6db773ae99715415e9cfea08392e790c0fac'},
+              'summary.json': '153a5ee96393081bc26f6834a7012ca77a4bf1f209af4cbb42b6c6bd651e829f'},
     'em_j3': {'em_block_seed0.csv': '8eb1d0297217dc789b183b37b698e05db7a92e0125c448b22bb30f535405a7e6',
               'em_full_seed0.csv': '21e94315c380d5d86bba923da7c00e0789ae978d2bb688355f1c9301c9300e43',
-              'summary.json': '8d7aaaec45fe7e56e7536bef3fd4cbc7883350cb1611edf09e44f1ed1ca125ea'},
-    'toy_alternating_prox': {'summary.json': 'd41555418f43a99e4e2996eb8a04b4e7d71dbc26ef204ab29006d805de08fcd3',
+              'summary.json': '8bfe694e910cf6edb9818faa7e702d04dac73f411d066effbd32cf73b45b82d2'},
+    'toy_alternating_prox': {'summary.json': '923cba8d25dd000c976d04fcab563d78a9a6f0d47ae91e52170e186a8fde44ea',
                              'toy_alternating_prox_seed0.csv': '10e042562fe0aa2045ddb9919dfd3d8c63d5630c0f6dfe9607c125a271fa6d60'},
-    'toy_bsca': {'summary.json': '5300eb38d9e618f2cbe09b80dcbffff1a13bdd61acb3b04011c73a0b84e7a03e',
+    'toy_bsca': {'summary.json': '40b213c3765ea394af3de700e88d902a25e1fedf3755c409c98e4010d1392533',
                  'toy_bsca_seed0.csv': '2421452d41f709f4a3a5833b25b9163a29707b471e3c9a3d40b61c764f314231'},
-    'toy_cccp': {'summary.json': '4f95cd0507fcc562294dd8b4e0f8492749aa65a73a5400dc89cf1d30a9770cc9',
+    'toy_cccp': {'summary.json': '55024f01ddb2b3c9e1b48f18b013ca1437fd800fd75da99db51900b7394caf10',
                  'toy_cccp_seed0.csv': '7efd530e4d295dd4b10944b396cb0144e4e8b3980eeaf09119470a2cd05e14e9'},
-    'toy_prox': {'summary.json': 'edeaf0b43126e2c949380c217ac9b5f4c91801b8f8c33c206687a35b0ddb1ac4',
+    'toy_prox': {'summary.json': '8d7e7f93a0432b9bfdee75f937573fb3fddad9b41cf54b3c988803e75c7ea1b5',
                  'toy_prox_seed0.csv': '49914ba73b86adb0484c6b4203c0a7aa90ac37403c43a4a3538c296d5d7938f3'},
-    'toy_splitting': {'summary.json': 'd480e51bc550bc6a06af895f46f53291f8a72ec65caefb132dad0de2c48f7d18',
+    'toy_splitting': {'summary.json': '5e352d897a1e06da42522db3078f2d8a33347fc2ef2478ec5762dcc8d2e84fbd',
                       'toy_splitting_seed0.csv': 'e176dde1fa14bcfb5f8f4fad27758215ee91b46587d86c6d9c803315bad22e73'},
-    'wmmse_default': {'summary.json': 'ab5f6599acd34405a8b8d69daf24ee3d4f7f5e0f3cacb8d294255aaa3ad1b98e',
+    'wmmse_default': {'summary.json': '444f2cc001e7db8e94699152248bbe7c1ed057427553eeb70366f76aa7e41a68',
                       'wmmse_rates_seed0.csv': '167718e91640176abb6030743d3f88c410e8641beb3766b3e2782c68654f9a6e',
                       'wmmse_seed0.csv': '3831aa306fc205b0dc9f3143e1445135416ab097c972b07ee030a515ee638445'},
-    'wmmse_dense': {'summary.json': '97abdd2914922ef2bf62bb7a43f6a3e7245473d46e7f95d69c64f056d758c19d',
+    'wmmse_dense': {'summary.json': '18349430a168369d1609274a7c5452b64c2f6c888fb644a3a8947cd8d5e83791',
                     'wmmse_rates_seed0.csv': '2218d3a7c4842fd1694bf54a4a6e44a68fa2a7926c7da228dcb56c75cee356e8',
                     'wmmse_seed0.csv': '3283d43922fdad92cc622e66a2a6b635790e302363250f6c6ba1371592f65268'}}
 
