@@ -8,7 +8,7 @@ splitting, the concave-convex procedure, and maximum-likelihood fitting of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import numpy.ma  # noqa: F401 - numpy loads it lazily; np.quantile reaches it via np.unique
@@ -16,7 +16,6 @@ import numpy.ma  # noqa: F401 - numpy loads it lazily; np.quantile reaches it vi
 from .core import (
     BlockIndex,
     ComponentCollapseError,
-    FeasibleSetOracle,
     InvalidArgumentError,
     ObjectiveOracle,
     Point,
@@ -59,12 +58,10 @@ def proximal_point_solve(f: ObjectiveOracle,
 def alternating_proximal_solve(f: ObjectiveOracle,
                                prox_solver: Callable[[BlockIndex, Point, float], np.ndarray],
                                x0: Point, c=1.0,
-                               opts: SolveOptions = SolveOptions(),
-                               feasible: Sequence[FeasibleSetOracle] | None = None,
-                               ) -> tuple[Point, Trace]:
+                               opts: SolveOptions = SolveOptions()) -> tuple[Point, Trace]:
     """Blockwise proximal iteration over the cyclic schedule."""
     surrogate = ProximalSurrogate(f, prox_solver, c=c)
-    return run_bsum(f, surrogate, x0, opts, feasible=feasible)
+    return run_bsum(f, surrogate, x0, opts)
 
 
 def forward_backward_solve(nonsmooth_value: Callable[[np.ndarray], float],

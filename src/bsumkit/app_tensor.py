@@ -290,14 +290,7 @@ def random_rank_instance(shape: tuple[int, int, int], rank: int,
     """Exactly rank-R tensor built from uniform [0, 1) factors."""
     if rank < 1:
         raise InvalidArgumentError("rank must be >= 1")
-    i, j, k = shape
-    gen = rng.generator()
-    f = CpFactors(
-        A=gen.uniform(0.0, 1.0, size=(i, rank)),
-        B=gen.uniform(0.0, 1.0, size=(j, rank)),
-        C=gen.uniform(0.0, 1.0, size=(k, rank)),
-    )
-    return reconstruct(f)
+    return reconstruct(_uniform_factors(shape, rank, rng))
 
 
 def write_tensor(path, t: DenseTensor3) -> None:
@@ -464,13 +457,14 @@ def _mode_pack(mode: str, lam: float, lam0: float, lam1: float):
 
 def init_factors(t: DenseTensor3, rank: int, rng: RngStream) -> CpFactors:
     """Entries drawn independently from the uniform distribution on [0, 1)."""
+    return _uniform_factors(t.shape, rank, rng)
+
+
+def _uniform_factors(shape: tuple[int, int, int], rank: int, rng: RngStream) -> CpFactors:
+    # One generator draws A, then B, then C: every seeded instance and start
+    # depends on that order.
     gen = rng.generator()
-    i, j, k = t.shape
-    return CpFactors(
-        A=gen.uniform(0.0, 1.0, size=(i, rank)),
-        B=gen.uniform(0.0, 1.0, size=(j, rank)),
-        C=gen.uniform(0.0, 1.0, size=(k, rank)),
-    )
+    return CpFactors(*(gen.uniform(0.0, 1.0, size=(n, rank)) for n in shape))
 
 
 def run_cp(t: DenseTensor3, rank: int, mode: str = "als",

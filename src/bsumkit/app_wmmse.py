@@ -308,25 +308,24 @@ def _transmitter_stack(spec: NetworkSpec, H: ChannelSet, U, W) -> np.ndarray:
     return V
 
 
-def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
+def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0,
               opts: SolveOptions = SolveOptions()) -> tuple[TransceiverState, Trace]:
     """Alternate exact receiver updates with bounded transmitter updates.
 
     Each trace iteration is a half-step: block 0 is the receiver update,
     block 1 the transmitter update. The starting receivers are zero, which
     makes the starting objective exactly 0; all-zero transmitters are a
-    stationary point and the run stalls there (documented behavior).
+    stationary point and the run stalls there (documented behavior). ``V0``
+    must fit the power budgets; ``init_transmitters`` draws one that does.
 
     Half-steps run through the engine's driver loop: ``max_iters`` counts
-    them, ``record_timings`` fills ``elapsed_ns``, and the run converges
-    below ``target_objective`` or once the objective decrease stays within
-    ``tol * (1 + |f|)`` for two half-steps in a row.
+    them, a failure names its half-step ("iteration r: ..."), and the run
+    converges below ``target_objective`` or once the objective decrease stays
+    within ``tol * (1 + |f|)`` for two half-steps in a row.
     """
     if H.gains.shape[:3] != (spec.n_users, spec.n_cells, spec.n_antennas):
         raise InvalidArgumentError("channel shape does not match the network")
-    V = [np.asarray(v, dtype=np.complex128) for v in V0] if V0 is not None else None
-    if V is None:
-        raise InvalidArgumentError("V0 is required; use init_transmitters for a default")
+    V = [np.asarray(v, dtype=np.complex128) for v in V0]
     if len(V) != spec.n_users:
         raise InvalidArgumentError(f"V0 has {len(V)} matrices for {spec.n_users} users")
     for u, v in enumerate(V):
@@ -349,11 +348,8 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0=None,
             try:
                 W = np.linalg.inv(_mse_stack(U, cov, own))
             except np.linalg.LinAlgError as exc:
-                raise SolverError("error covariance is singular", iteration=r) from exc
-            try:
-                V = _transmitter_stack(spec, H, U, W)
-            except SolverError as exc:
-                raise SolverError(str(exc), iteration=r) from exc
+                raise SolverError("error covariance is singular") from exc
+            V = _transmitter_stack(spec, H, U, W)
             cov, own = _signal_stack(spec, G, V)
             block = 1
         new_obj = _sum_in_order(_logdet_pd(_mse_stack(U, cov, own)))

@@ -168,10 +168,12 @@ def _validate_params(experiment: str, params: Any) -> dict:
             out[key] = default
             continue
         val = params[key]
-        if kind == "choice":
-            fits = (isinstance(val, list) and all(v in choices[0] for v in val)
-                    if isinstance(default, list) else val in choices[0])
-            wanted = f"one of {choices[0]}"
+        if kind == "choice" and isinstance(default, list):
+            fits = (isinstance(val, list) and val != [] and all(v in choices[0] for v in val)
+                    and len(set(val)) == len(val))
+            wanted = f"a non-empty list of distinct values from {choices[0]}"
+        elif kind == "choice":
+            fits, wanted = val in choices[0], f"one of {choices[0]}"
         else:
             check, wanted = _KINDS[kind]
             fits = check(val)
@@ -240,11 +242,11 @@ def _block_label(block) -> str:
 
 
 def trace_csv_text(trace: Trace) -> str:
-    lines = ["iter,block,objective,step_size,elapsed_ns"]
+    lines = ["iter,block,objective,step_size,elapsed_ns"]  # elapsed_ns is always 0
     for rec in trace.records:
         step = "" if rec.step_size is None else _fmt(rec.step_size)
         lines.append(f"{rec.iteration},{_block_label(rec.block)},"
-                     f"{_fmt(rec.objective)},{step},{int(rec.elapsed_ns)}")
+                     f"{_fmt(rec.objective)},{step},0")
     return "\n".join(lines) + "\n"
 
 
@@ -425,11 +427,6 @@ def _verify_jobs(seed: int):
         b=np.array([1.0, -2.0, 0.5]))
     f_dc, dc, _ = problems.separable_quartic_dc([2])
     f_lasso, lasso, _ = problems.lasso_problem(target=[1.0, -2.0], weight=0.5, gamma=1.0)
-    # On the box [-2, 2]^2 the quartic's curvature tops out at 3*4 - 1 = 11,
-    # so the 1/t = 20 quadratic model dominates there.
-    f_quartic = ObjectiveOracle(
-        value=lambda x: float((x ** 4).sum() / 4.0 - (x ** 2).sum() / 2.0),
-        gradient=lambda x: x ** 3 - x)
 
     # The headline cp run's instance and dim_prox/misum lambda, checked
     # against the public fit error rather than the surrogate's own objective().
@@ -458,7 +455,9 @@ def _verify_jobs(seed: int):
                      boxed(make_block_structure([1, 2]))),
         "dc": (dc, f_dc, boxed(make_block_structure([2]))),
         "lipschitz": (lasso, f_lasso, boxed(make_block_structure([2]))),
-        "quadratic_approx": (QuadraticApprox(f_quartic, t=0.05), f_quartic,
+        # On the box [-2, 2]^2 the quartic's curvature tops out at 3*4 - 1 = 11,
+        # so the 1/t = 20 quadratic model dominates there.
+        "quadratic_approx": (QuadraticApprox(f_dc, t=0.05), f_dc,
                              boxed(make_block_structure([1, 1]), lo=-2.0, hi=2.0)),
         "cp": (cp_u, cp_f, boxed(cp_structure)),
         "em_jensen": (app_classic.GmmJensenSurrogate(em_data, s_floor=1e-8), em_f, em_space),

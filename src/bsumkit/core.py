@@ -46,7 +46,14 @@ __all__ = [
 
 
 class BsumError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; a driver sets ``iteration`` to
+    the iteration the error was raised in, and the message then names it."""
+
+    iteration: int | None = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.iteration is None else f"iteration {self.iteration}: {message}"
 
 
 class InvalidArgumentError(BsumError, ValueError):
@@ -62,13 +69,7 @@ class NumericFailure(BsumError, ArithmeticError):
 
 
 class SolverError(BsumError):
-    """An iterative solver failed; carries the iteration index when known."""
-
-    def __init__(self, message: str, iteration: int | None = None):
-        self.iteration = iteration
-        if iteration is not None:
-            message = f"iteration {iteration}: {message}"
-        super().__init__(message)
+    """An iterative solver failed."""
 
 
 class DescentDirectionError(InvalidArgumentError):
@@ -336,7 +337,6 @@ class TraceRecord:
     block: Any
     objective: float
     step_size: float | None = None
-    elapsed_ns: int = 0
     extras: Mapping[str, Any] = field(default_factory=dict)
 
 

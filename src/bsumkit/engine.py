@@ -23,8 +23,11 @@ anchor and dominate it elsewhere; those properties are not assumed silently,
 (default ``Schedule.cyclic``); ``run_misum`` picks its block and takes none.
 
 Every driver, ``app_wmmse.run_wmmse`` included, is a step run by one loop,
-``_iterate``: it records and times the steps and stops as converged on the
-step's own stop rule or once f drops below ``target_objective``. Stop rules:
+``_iterate``: it records the steps and stops as converged on the step's own
+stop rule or once f drops below ``target_objective``. It is also the one
+place that ties a failure to its iteration: an error raised in iteration r
+reads "iteration r: ...". Feasibility is the surrogate's: each block step
+minimizes over the block's feasible set, so no driver checks it. Stop rules:
 ``run_sum``/``run_bsum``/``run_misum`` stop when the decrease, or the promised
 decrease ``f(anchor) - min u``, stays within ``tol * (1 + |f|)`` for one
 schedule period (1 for ``run_sum``, the block count for ``run_misum``);
@@ -35,7 +38,6 @@ schedule period (1 for ``run_sum``, the block count for ``run_misum``);
 from __future__ import annotations
 
 import operator
-import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -43,8 +45,8 @@ import numpy as np
 
 from .core import (
     BlockIndex,
+    BsumError,
     DescentDirectionError,
-    FeasibleSetOracle,
     InvalidArgumentError,
     InvalidScheduleError,
     LineSearchError,
@@ -192,7 +194,6 @@ class SolveOptions:
     max_iters: int = 1000
     tol: float = 1e-8
     armijo: ArmijoParams = field(default_factory=ArmijoParams)
-    record_timings: bool = False
     target_objective: float | None = None
 
     def __post_init__(self):
@@ -200,24 +201,6 @@ class SolveOptions:
             raise InvalidArgumentError("max_iters must be >= 1")
         if not self.tol > 0:
             raise InvalidArgumentError("tol must be positive")
-
-
-def _check_feasible_start(x0: Point, feasible: Sequence[FeasibleSetOracle] | None) -> None:
-    if feasible is None:
-        return
-    if len(feasible) != x0.structure.n_blocks:
-        raise InvalidArgumentError("one feasible set per block is required")
-    for i, fs in enumerate(feasible):
-        if not fs.contains(x0.block(i)):
-            raise InvalidArgumentError(f"starting point infeasible in block {i}")
-
-
-def _wrap_oracle_failure(exc: Exception, iteration: int) -> SolverError:
-    if isinstance(exc, SolverError):
-        if exc.iteration is None:
-            exc.iteration = iteration
-        return exc
-    return SolverError(f"surrogate minimization failed: {exc}", iteration=iteration)
 
 
 def _stationarity_gap(f: ObjectiveOracle, u: BlockSurrogateOracle, x: Point,
@@ -238,15 +221,23 @@ def _stationarity_gap(f: ObjectiveOracle, u: BlockSurrogateOracle, x: Point,
 
 def _iterate(x, fx: float, opts: SolveOptions, step) -> tuple[object, Trace]:
     """The driver loop: ``step(r, x, fx) -> (x, f, part, step_size, extras,
-    stop)`` does iteration r; the loop records and times it and stops as
-    converged on ``stop`` or once f drops below ``opts.target_objective``."""
+    stop)`` does iteration r; the loop records it and stops as converged on
+    ``stop`` or once f drops below ``opts.target_objective``. A package error
+    raised in step r is tagged with r; any other becomes a SolverError at r."""
     trace = Trace(initial_objective=fx)
     for r in range(1, opts.max_iters + 1):
-        t0 = time.perf_counter_ns() if opts.record_timings else 0
-        x, fx, part, step_size, extras, stop = step(r, x, fx)
-        elapsed = time.perf_counter_ns() - t0 if opts.record_timings else 0
+        try:
+            x, fx, part, step_size, extras, stop = step(r, x, fx)
+        except BsumError as exc:
+            if exc.iteration is None:
+                exc.iteration = r
+            raise
+        except Exception as exc:  # noqa: BLE001 - a foreign failure of the step
+            err = SolverError(f"{type(exc).__name__}: {exc}")
+            err.iteration = r
+            raise err from exc
         trace.append(TraceRecord(iteration=r, block=part, objective=fx,
-                                 step_size=step_size, elapsed_ns=elapsed, extras=extras))
+                                 step_size=step_size, extras=extras))
         if stop or (opts.target_objective is not None and fx < opts.target_objective):
             trace.terminal_status = "converged"
             break
@@ -277,10 +268,7 @@ def _upper_bound_loop(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
     stall = _Stall(opts.tol, period)
 
     def step(r: int, x: Point, fx: float):
-        try:
-            part, x_new, umin, extras = choose(r, x)
-        except Exception as exc:  # noqa: BLE001 - rewrapped with the iteration index
-            raise _wrap_oracle_failure(exc, r) from exc
+        part, x_new, umin, extras = choose(r, x)
         f_new = f.value_at(x_new.values)
         return x_new, f_new, part, None, extras, stall(fx, f_new, umin)
 
@@ -289,9 +277,7 @@ def _upper_bound_loop(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
     return x, trace
 
 
-def _cyclic_schedule(x0: Point, feasible: Sequence[FeasibleSetOracle] | None,
-                     schedule: Schedule | None) -> Schedule:
-    _check_feasible_start(x0, feasible)
+def _cyclic_schedule(x0: Point, schedule: Schedule | None) -> Schedule:
     schedule = schedule or Schedule.cyclic(x0.structure.n_blocks)
     if schedule.n_blocks != x0.structure.n_blocks:
         raise InvalidScheduleError("schedule block count does not match the point")
@@ -308,10 +294,9 @@ def run_sum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
 
 def run_bsum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
              opts: SolveOptions = SolveOptions(),
-             feasible: Sequence[FeasibleSetOracle] | None = None,
              schedule: Schedule | None = None) -> tuple[Point, Trace]:
     """Block-coordinate surrogate minimization; the schedule defaults to cyclic."""
-    schedule = _cyclic_schedule(x0, feasible, schedule)
+    schedule = _cyclic_schedule(x0, schedule)
 
     def choose(r: int, x: Point):
         part = schedule_next(schedule, r)
@@ -322,10 +307,8 @@ def run_bsum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
 
 
 def run_misum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
-              opts: SolveOptions = SolveOptions(),
-              feasible: Sequence[FeasibleSetOracle] | None = None) -> tuple[Point, Trace]:
+              opts: SolveOptions = SolveOptions()) -> tuple[Point, Trace]:
     """Maximum-improvement variant: update the block promising the lowest minimum."""
-    _check_feasible_start(x0, feasible)
 
     def choose(r: int, x: Point):
         # Solve every block subproblem; update the block whose surrogate
@@ -341,7 +324,6 @@ def run_misum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
 
 def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
              opts: SolveOptions = SolveOptions(),
-             feasible: Sequence[FeasibleSetOracle] | None = None,
              schedule: Schedule | None = None) -> tuple[Point, Trace]:
     """Convex-approximation descent with Armijo backtracking.
 
@@ -354,7 +336,7 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
     """
     if f.gradient is None:
         raise InvalidArgumentError("run_bsca requires an objective gradient")
-    schedule = _cyclic_schedule(x0, feasible, schedule)
+    schedule = _cyclic_schedule(x0, schedule)
     anchor_gradient = getattr(h, "anchor_gradient", None)
 
     def part_direction(part: BlockIndex, x: Point, r: int) -> np.ndarray:
@@ -363,30 +345,19 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
 
     def step(r: int, x: Point, fx: float):
         part = schedule_next(schedule, r)
-        try:
-            d_part = part_direction(part, x, r)
-            # Scheduled part already model-stationary: if every block is,
-            # the run is done (sound to check now, x has not moved).
-            stalled = float(np.linalg.norm(d_part)) <= opts.tol
-            all_small = stalled and all(
+        d_part = part_direction(part, x, r)
+        # Scheduled part already model-stationary: if every block is, the
+        # run is done (sound to check now, x has not moved).
+        if float(np.linalg.norm(d_part)) <= opts.tol:
+            return x, fx, part, None, {}, all(
                 float(np.linalg.norm(part_direction(i, x, r))) <= opts.tol
                 for i in range(x.structure.n_blocks))
-        except Exception as exc:  # noqa: BLE001
-            raise _wrap_oracle_failure(exc, r) from exc
-        if stalled:
-            return x, fx, part, None, {}, all_small
         g = anchor_gradient(x) if anchor_gradient is not None else f.gradient_at(x.values)
         idx = x.structure.part_indices(part)
         fprime = float(g[idx] @ d_part)
-        if fprime > 0:
-            raise DescentDirectionError(
-                f"iteration {r}: model step is not a descent direction (f' = {fprime})")
         d_full = np.zeros(x.dim)
         d_full[idx] = d_part
-        try:
-            alpha, x_new, f_new = armijo_step(f, x, d_full, fprime, fx, opts.armijo)
-        except LineSearchError as exc:
-            raise SolverError(str(exc), iteration=r) from exc
+        alpha, x_new, f_new = armijo_step(f, x, d_full, fprime, fx, opts.armijo)
         return x_new, f_new, part, alpha, {"directional_derivative": fprime}, False
 
     return _iterate(x0, f.value_at(x0.values), opts, step)

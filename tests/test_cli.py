@@ -440,6 +440,10 @@ BAD_PARAMS = [
     ("cp", {"theta": math.nan}, "theta"),
     ("cp", {"lam": -1, "modes": ["const_prox"]}, "lam"),
     ("verify", {"n_anchors": 0, "n_samples": 5}, "n_anchors"),
+    ("cp", {"modes": ["als", "als"]}, "modes"),
+    ("cp", {"modes": []}, "modes"),
+    ("em", {"modes": ["full", "full"]}, "modes"),
+    ("em", {"modes": []}, "modes"),
 ]
 
 
@@ -586,6 +590,29 @@ def test_wmmse_unbracketable_budget_exits_3(tmp_path):
                                   "failed to bracket the budget of cells [0, 1]"}]
     # The failed task has no record and no final rate: it shows only as an error.
     assert summary["tasks"] == [] and summary["final_sum_rate_nats"] == {}
+
+
+def test_wmmse_budget_too_large_names_the_halfstep(tmp_path):
+    """A budget of 1e300 breaks the first receiver half-step's log-det; the
+    error names the half-step."""
+    code, out = run_cli("wmmse", {"power": 1e300, "max_iters": 10}, [0], str(tmp_path))
+    assert code == 3, out
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [e["error"] for e in summary["errors"]] == [
+        "iteration 1: matrix is not positive definite"]
+
+
+def test_cp_singular_gram_names_the_iteration(tmp_path):
+    """Rank 3 on an all-ones 2x2x2 tensor: ALS's first update makes the next
+    factor's Gram matrix singular, and the error names iteration 2."""
+    tensor = tmp_path / "ones.txt"
+    tensor.write_text("2 2 2\n" + "1 1\n" * 4)
+    code, out = run_cli("cp", {"instance": "file", "tensor_file": str(tensor), "modes": ["als"],
+                               "rank": 3, "epsilon": 1e-300}, [0], str(tmp_path))
+    assert code == 3, out
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    [error] = summary["errors"]
+    assert error["error"].startswith("iteration 2: gram matrix is numerically singular")
 
 
 def library_trace(experiment, p, mode, seed):

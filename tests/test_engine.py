@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsumkit import problems
+from bsumkit import app_wmmse, problems
 from bsumkit.app_wmmse import NetworkSpec, gen_channels, init_transmitters, run_wmmse
 from bsumkit.core import (
+    BsumError,
     DescentDirectionError,
     InvalidArgumentError,
     InvalidScheduleError,
+    NumericFailure,
     ObjectiveOracle,
     Point,
     RngStream,
     SolverError,
     make_block_structure,
-    nonnegative,
 )
 from bsumkit.engine import (
     ArmijoParams,
@@ -201,13 +202,6 @@ class TestRunBsum:
         np.testing.assert_allclose(trace.records[1].objective,
                                    prob.objective().value_at(np.array([1.0, -1.0])),
                                    rtol=1e-12)
-
-    def test_infeasible_start_rejected(self):
-        prob = QuadraticProblem(2.0 * np.eye(2), np.zeros(2))
-        x0 = Point(np.array([-1.0, 1.0]), make_block_structure([1, 1]))
-        with pytest.raises(InvalidArgumentError):
-            run_bsum(prob.objective(), prob.exact_surrogate(), x0,
-                     feasible=[nonnegative(), nonnegative()])
 
     def test_group_schedule_joint_update(self):
         prob = random_spd_problem(3, n=4)
@@ -456,6 +450,21 @@ class TestRunBsca:
             run_bsca(f, FailsOnBlock1(f, t=1.0), x0)
         assert info.value.iteration == 1
 
+    def test_ascent_model_step_rejected(self):
+        """A model whose step climbs f fails in armijo_step's descent check,
+        named with its iteration."""
+
+        class Uphill(QuadraticApprox):
+            def minimize(self, part, anchor, iteration=1):
+                z, v = super().minimize(part, anchor, iteration)
+                return anchor.with_part(part, 2.0 * anchor.part(part) - z.part(part)), v
+
+        f = ObjectiveOracle(value=lambda v: float(v[0] ** 2),
+                            gradient=lambda v: 2.0 * v)
+        with pytest.raises(DescentDirectionError) as info:
+            run_bsca(f, Uphill(f, t=0.5), scalar_point(1.0))
+        assert str(info.value) == "iteration 1: directional derivative 2.0 is positive"
+
     def test_gradient_required(self):
         f = ObjectiveOracle(value=lambda v: float(v[0] ** 2))
         fg = ObjectiveOracle(value=lambda v: float(v[0] ** 2),
@@ -512,9 +521,6 @@ class TestRunBsca:
         assert counts == {"f": 1 + 2 * 50, "grad": 50}
 
 
-DRIVERS = ("run_sum", "run_bsum", "run_misum", "run_bsca", "run_wmmse")
-
-
 def short_run(driver, opts):
     """The trace of a small run of the named driver."""
     if driver == "run_wmmse":
@@ -539,12 +545,39 @@ class TestSolveOptions:
         with pytest.raises(InvalidArgumentError):
             SolveOptions(tol=0.0)
 
-    @pytest.mark.parametrize("driver", DRIVERS)
-    def test_timings_off_by_default(self, driver):
-        trace = short_run(driver, SolveOptions(max_iters=20))
-        assert all(rec.elapsed_ns == 0 for rec in trace.records)
 
-    @pytest.mark.parametrize("driver", DRIVERS)
-    def test_timings_recorded_when_asked(self, driver):
-        trace = short_run(driver, SolveOptions(max_iters=20, record_timings=True))
-        assert any(rec.elapsed_ns > 0 for rec in trace.records)
+@pytest.mark.parametrize("error", [NumericFailure, ValueError], ids=["package", "foreign"])
+@pytest.mark.parametrize("driver", ["run_bsum", "run_misum", "run_bsca", "run_wmmse"])
+def test_failure_names_its_iteration(monkeypatch, driver, error):
+    """An error raised inside iteration r surfaces with ``iteration == r`` and
+    names r once: a package error as itself, any other as a SolverError
+    chained to it. WMMSE fails in its first transmitter half-step, the others
+    in the surrogate's minimize of iteration 3."""
+    r = 2 if driver == "run_wmmse" else 3
+    raised = error("oracle failure")
+
+    if driver == "run_wmmse":
+        def fail(*args):
+            raise raised
+        monkeypatch.setattr(app_wmmse, "_transmitter_stack", fail)
+    else:
+        cls = QuadraticApprox if driver == "run_bsca" else ProximalSurrogate
+        minimize = cls.minimize
+
+        def failing(self, part, anchor, iteration=1):
+            if iteration == r:
+                raise raised
+            return minimize(self, part, anchor, iteration)
+        monkeypatch.setattr(cls, "minimize", failing)
+
+    with pytest.raises(BsumError) as info:
+        short_run(driver, SolveOptions(max_iters=20))
+    exc = info.value
+    assert exc.iteration == r
+    message = str(exc)
+    assert message.startswith(f"iteration {r}: ") and message.count("iteration") == 1
+    if error is ValueError:
+        assert type(exc) is SolverError and exc.__cause__ is raised
+        assert message == f"iteration {r}: ValueError: oracle failure"
+    else:
+        assert exc is raised and message == f"iteration {r}: oracle failure"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -44,3 +45,19 @@ def test_schedule_is_a_list_of_groups():
         assert not hasattr(bsumkit.Schedule, name)
     assert [f.name for f in dataclasses.fields(bsumkit.Schedule)] == [
         "n_blocks", "groups", "period"]
+
+
+def test_solve_options_fields():
+    assert [f.name for f in dataclasses.fields(bsumkit.SolveOptions)] == [
+        "max_iters", "tol", "armijo", "target_objective"]
+    assert "elapsed_ns" not in [f.name for f in dataclasses.fields(bsumkit.TraceRecord)]
+
+
+def test_no_driver_takes_a_feasible_start_check():
+    from bsumkit import app_classic, app_wmmse, engine
+
+    drivers = [engine.run_sum, engine.run_bsum, engine.run_misum, engine.run_bsca,
+               app_wmmse.run_wmmse, app_classic.alternating_proximal_solve]
+    assert [d.__name__ for d in drivers if "feasible" in inspect.signature(d).parameters] == []
+    v0 = inspect.signature(app_wmmse.run_wmmse).parameters["V0"]
+    assert v0.default is inspect.Parameter.empty

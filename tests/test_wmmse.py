@@ -490,11 +490,6 @@ class TestRunWmmse:
         with pytest.raises(InvalidArgumentError):
             run_wmmse(spec, H, V0)
 
-    def test_missing_start_rejected(self):
-        spec, H = two_cell_network()
-        with pytest.raises(InvalidArgumentError):
-            run_wmmse(spec, H, None)
-
     def test_sum_rate_improves_from_init(self):
         spec, H = two_cell_network(seed=3)
         V0 = init_transmitters(spec, RngStream(3))
