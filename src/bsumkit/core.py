@@ -13,8 +13,9 @@ and the exception hierarchy used across the package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 import numpy.random  # noqa: F401 - numpy loads it lazily; every RngStream needs it
@@ -100,48 +101,40 @@ class BlockStructure:
     def n_blocks(self) -> int:
         return len(self.dims)
 
-    def block_slice(self, i: int) -> slice:
-        if not 0 <= i < self.n_blocks:
-            raise InvalidArgumentError(f"block index {i} out of range [0, {self.n_blocks})")
-        return slice(self.offsets[i], self.offsets[i] + self.dims[i])
-
-    def normalize_part(self, part: BlockIndex) -> BlockIndex:
-        """Canonical form of a part: int for one block, sorted tuple for a group."""
-        if isinstance(part, (int, np.integer)):
-            self.block_slice(int(part))
-            return int(part)
-        blocks = tuple(sorted(int(i) for i in part))
-        if not blocks:
-            raise InvalidArgumentError("empty block group")
-        if len(set(blocks)) != len(blocks):
-            raise InvalidArgumentError(f"duplicate block indices in group {blocks}")
-        for i in blocks:
-            self.block_slice(i)
-        if len(blocks) == 1:
-            return blocks[0]
-        return blocks
-
-    def part_blocks(self, part: BlockIndex) -> tuple[int, ...]:
-        part = self.normalize_part(part)
-        return (part,) if isinstance(part, int) else part
-
-    def part_indices(self, part: BlockIndex) -> np.ndarray:
-        """Flat coordinate indices covered by a part, in block order."""
-        return self._indices(self.part_blocks(part))
-
-    def _indices(self, blocks: tuple[int, ...]) -> np.ndarray:
-        return np.concatenate([np.arange(self.offsets[i], self.offsets[i] + self.dims[i])
-                               for i in blocks])
-
-    def _locate(self, part: BlockIndex) -> tuple[BlockIndex, slice | np.ndarray, int]:
-        """Normalized part, its coordinates (a slice for one block) and its
-        dimension, with the part validated once."""
+    def locate(self, part: BlockIndex) -> tuple[BlockIndex, slice | np.ndarray, int]:
+        """Canonical part (an int for one block, a sorted tuple for a group),
+        its flat coordinates (a slice for one block, an index array in block
+        order for a group) and its dimension. Every index must be an integer."""
         if not (type(part) is int and 0 <= part < len(self.dims)):
-            part = self.normalize_part(part)
-            if not isinstance(part, int):
-                return part, self._indices(part), sum(self.dims[i] for i in part)
+            try:
+                items = part if isinstance(part, Iterable) and not isinstance(part, bytes) else (part,)
+                blocks = sorted(map(_block_index, items))
+            except TypeError as exc:
+                raise InvalidArgumentError(f"part {part!r}: {exc}") from exc
+            if not blocks:
+                raise InvalidArgumentError("empty block group")
+            if len(set(blocks)) != len(blocks):
+                raise InvalidArgumentError(f"duplicate block indices in group {tuple(blocks)}")
+            if blocks[0] < 0 or blocks[-1] >= len(self.dims):
+                raise InvalidArgumentError(
+                    f"part {part!r} has a block index out of range [0, {self.n_blocks})")
+            if len(blocks) > 1:
+                where = np.concatenate([np.arange(self.offsets[i], self.offsets[i] + self.dims[i])
+                                        for i in blocks])
+                return tuple(blocks), where, where.size
+            part = blocks[0]
         start, dim = self.offsets[part], self.dims[part]
         return part, slice(start, start + dim), dim
+
+    def part_blocks(self, part: BlockIndex) -> tuple[int, ...]:
+        part = self.locate(part)[0]
+        return part if type(part) is tuple else (part,)
+
+
+def _block_index(i) -> int:
+    if isinstance(i, bool):
+        raise TypeError("a bool is not a block index")
+    return operator.index(i)
 
 
 def make_block_structure(dims: Sequence[int]) -> BlockStructure:
@@ -181,13 +174,13 @@ class Point:
         return self.structure.total
 
     def block(self, i: int) -> np.ndarray:
-        return self.values[self.structure.block_slice(i)]
+        return self.values[self.structure.locate(i)[1]]
 
     def part(self, part: BlockIndex) -> np.ndarray:
-        return self.values[self.structure._locate(part)[1]]
+        return self.values[self.structure.locate(part)[1]]
 
     def with_part(self, part: BlockIndex, new_values: np.ndarray) -> "Point":
-        part, where, dim = self.structure._locate(part)
+        part, where, dim = self.structure.locate(part)
         new_values = np.asarray(new_values, dtype=np.float64).ravel()
         if new_values.shape[0] != dim:
             raise InvalidArgumentError(

@@ -38,7 +38,7 @@ schedule period (1 for ``run_sum``, the block count for ``run_misum``);
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -193,7 +193,6 @@ def armijo_step(f: ObjectiveOracle, x: Point, d: np.ndarray, fprime: float, fx: 
 class SolveOptions:
     max_iters: int = 1000
     tol: float = 1e-8
-    armijo: ArmijoParams = field(default_factory=ArmijoParams)
     target_objective: float | None = None
 
     def __post_init__(self):
@@ -329,10 +328,11 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
 
     Each iteration minimizes the convex model h over the scheduled part
     (the schedule defaults to cyclic), takes d = argmin - current part as a
-    direction, and line-searches f along it. h need not upper-bound f; f
-    must expose a gradient. A model with ``anchor_gradient(anchor)`` (grad f
-    at the anchor, as the model used it) hands the directional derivative
-    its gradient, so f's gradient is not evaluated twice per iteration.
+    direction, and line-searches f along it with ``armijo_step``'s default
+    ``ArmijoParams()``. h need not upper-bound f; f must expose a gradient.
+    A model with ``anchor_gradient(anchor)`` (grad f at the anchor, as the
+    model used it) hands the directional derivative its gradient, so f's
+    gradient is not evaluated twice per iteration.
     """
     if f.gradient is None:
         raise InvalidArgumentError("run_bsca requires an objective gradient")
@@ -353,11 +353,11 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
                 float(np.linalg.norm(part_direction(i, x, r))) <= opts.tol
                 for i in range(x.structure.n_blocks))
         g = anchor_gradient(x) if anchor_gradient is not None else f.gradient_at(x.values)
-        idx = x.structure.part_indices(part)
-        fprime = float(g[idx] @ d_part)
+        where = x.structure.locate(part)[1]
+        fprime = float(g[where] @ d_part)
         d_full = np.zeros(x.dim)
-        d_full[idx] = d_part
-        alpha, x_new, f_new = armijo_step(f, x, d_full, fprime, fx, opts.armijo)
+        d_full[where] = d_part
+        alpha, x_new, f_new = armijo_step(f, x, d_full, fprime, fx)
         return x_new, f_new, part, alpha, {"directional_derivative": fprime}, False
 
     return _iterate(x0, f.value_at(x0.values), opts, step)

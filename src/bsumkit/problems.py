@@ -65,13 +65,13 @@ class QuadraticProblem:
 
     def block_minimize(self, part: BlockIndex, anchor: Point) -> np.ndarray:
         # Exact part minimizer with the rest frozen: Q_pp x_p = b_p - Q_pr y_r.
-        idx = anchor.structure.part_indices(part)
+        idx = np.arange(anchor.dim)[anchor.structure.locate(part)[1]]
         rest = np.setdiff1d(np.arange(anchor.dim), idx)
         rhs = self.b[idx] - self.Q[np.ix_(idx, rest)] @ anchor.values[rest]
         return np.linalg.solve(self.Q[np.ix_(idx, idx)], rhs)
 
     def prox_block_minimize(self, part: BlockIndex, anchor: Point, c: float) -> np.ndarray:
-        idx = anchor.structure.part_indices(part)
+        idx = np.arange(anchor.dim)[anchor.structure.locate(part)[1]]
         rest = np.setdiff1d(np.arange(anchor.dim), idx)
         rhs = (self.b[idx] - self.Q[np.ix_(idx, rest)] @ anchor.values[rest]
                + anchor.values[idx] / c)

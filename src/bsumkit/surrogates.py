@@ -10,13 +10,12 @@ moved to the argmin, together with the attained surrogate value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     BlockIndex,
-    FeasibleSetOracle,
     InvalidArgumentError,
     ObjectiveOracle,
     Point,
@@ -127,7 +126,7 @@ class DcLinearization:
 
     def _bound(self, part: BlockIndex, z: Point, anchor: Point, g: np.ndarray) -> float:
         # u at z (the anchor with the part moved), given g = grad f_cve(anchor).
-        where = anchor.structure._locate(part)[1]
+        where = anchor.structure.locate(part)[1]
         lin = float(g[where] @ (z.values[where] - anchor.values[where]))
         return float(self.f_cvx.value(z.values)) + lin + float(self.cve_value(anchor.values))
 
@@ -135,7 +134,7 @@ class DcLinearization:
         return self._bound(part, anchor.with_part(part, xi), anchor, self._grad(anchor))
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
-        part_n, where, dim = anchor.structure._locate(part)
+        part_n, where, dim = anchor.structure.locate(part)
         g = self._grad(anchor)
         if dim == anchor.structure.total:
             # minimize_linear works on the whole vector.
@@ -188,7 +187,7 @@ class LipschitzQuadraticSurrogate:
     def _quadratic(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
         # The smooth part of u at xi, given g = grad f2(anchor).
         diff = xi - anchor.part(part)
-        return (float(g[anchor.structure._locate(part)[1]] @ diff)
+        return (float(g[anchor.structure.locate(part)[1]] @ diff)
                 + float(diff @ diff) / (2.0 * self.gamma) + self.smooth.value_at(anchor.values))
 
     def _bound(self, part: BlockIndex, z: Point, anchor: Point, g: np.ndarray) -> float:
@@ -202,7 +201,7 @@ class LipschitzQuadraticSurrogate:
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         g = self.smooth.gradient_at(anchor.values)
-        v = anchor.part(part) - self.gamma * g[anchor.structure._locate(part)[1]]
+        v = anchor.part(part) - self.gamma * g[anchor.structure.locate(part)[1]]
         z = anchor.with_part(part, self.prox(part, v, self.gamma))
         return z, self._bound(part, z, anchor, g)
 
@@ -225,14 +224,13 @@ class QuadraticApprox:
     """Isotropic quadratic model around the anchor, for the line-search driver.
 
     h(xi, y) = f(y) + grad_i f(y) @ (xi - y_i) + |xi - y_i|^2 / (2 t); its
-    minimizer is the (projected) gradient step y_i - t grad_i f(y). Strictly
+    minimizer is the gradient step y_i - t grad_i f(y). Strictly
     convex for t > 0, tight and gradient-matched at the anchor, but not an
     upper bound in general. grad f is computed once per anchor ``Point``.
     """
 
     f: ObjectiveOracle
     t: float
-    feasible: Sequence[FeasibleSetOracle] | None = None
     # One slot holding (anchor, grad f(anchor)) for the last anchor seen.
     _last: list = field(default_factory=lambda: [(None, None)], init=False,
                         repr=False, compare=False)
@@ -256,21 +254,13 @@ class QuadraticApprox:
 
     def _model(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
         diff = xi - anchor.part(part)
-        return (self.f.value_at(anchor.values) + float(g[anchor.structure._locate(part)[1]] @ diff)
+        return (self.f.value_at(anchor.values) + float(g[anchor.structure.locate(part)[1]] @ diff)
                 + float(diff @ diff) / (2.0 * self.t))
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         g = self.anchor_gradient(anchor)
-        structure = anchor.structure
-        blocks = structure.part_blocks(part)
-        pieces = []
-        for i in blocks:
-            sl = structure.block_slice(i)
-            v = anchor.values[sl] - self.t * g[sl]
-            if self.feasible is not None:
-                v = self.feasible[i].project(v)
-            pieces.append(v)
-        xi = np.concatenate(pieces)
+        part, where, _ = anchor.structure.locate(part)
+        xi = anchor.values[where] - self.t * g[where]
         return anchor.with_part(part, xi), self._model(part, xi, anchor, g)
 
 

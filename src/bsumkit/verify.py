@@ -71,6 +71,10 @@ class CheckReport:
 
 
 _MAX_WITNESSES = 25
+_TIGHT_TOL = 1e-10  # relative mismatch u(y_i, y) vs f(y) a tightness check allows
+_BOUND_TOL = 1e-9  # negative slack u - f an upper-bound check allows
+_SLOPE_TOL = 1e-4  # relative mismatch of the finest difference quotients
+_STEPS = (1e-5, 1e-4, 1e-3)  # difference steps of the slope check, finest first
 _CHUNK_ROWS = 4096  # samples drawn and projected together; bounds the sampler's memory
 
 
@@ -110,7 +114,7 @@ class SampleSpace:
         len(parts)]``, and the candidate is the row with that part replaced
         by its projected draw. Without, the candidate is the row itself.
         """
-        s, located = self.structure, [self.structure._locate(p) for p in parts]
+        s, located = self.structure, [self.structure.locate(p) for p in parts]
         for start in range(0, n, _CHUNK_ROWS):
             which = (start + np.arange(min(_CHUNK_ROWS, n - start))) % max(len(located), 1)
             widths = s.total + np.array([dim for _, _, dim in located] or [0])[which]
@@ -135,7 +139,7 @@ class SampleSpace:
 def _default_parts(structure: BlockStructure, parts) -> list[BlockIndex]:
     if parts is None:
         return list(range(structure.n_blocks))
-    return [structure.normalize_part(p) for p in parts]
+    return [structure.locate(p)[0] for p in parts]
 
 
 def _part_label(part: BlockIndex):
@@ -143,9 +147,8 @@ def _part_label(part: BlockIndex):
 
 
 def check_tightness(u, f: ObjectiveOracle, samples: Sequence[Point],
-                    parts: Sequence[BlockIndex] | None = None,
-                    tol: float = 1e-10) -> CheckReport:
-    """u must equal f at the anchor: |u(y_i, y) - f(y)| <= tol * (1 + |f(y)|).
+                    parts: Sequence[BlockIndex] | None = None) -> CheckReport:
+    """u must equal f at the anchor: |u(y_i, y) - f(y)| <= 1e-10 * (1 + |f(y)|).
 
     ``worst_gap`` is the largest relative mismatch seen.
     """
@@ -163,7 +166,7 @@ def check_tightness(u, f: ObjectiveOracle, samples: Sequence[Point],
             uy = float(u.value(part, y.part(part), y))
             gap = abs(uy - fy) / (1.0 + abs(fy))
             worst = max(worst, gap)
-            if gap > tol:
+            if gap > _TIGHT_TOL:
                 n_viol += 1
                 if len(witnesses) < _MAX_WITNESSES:
                     witnesses.append({"sample": s_idx, "part": _part_label(part),
@@ -172,9 +175,9 @@ def check_tightness(u, f: ObjectiveOracle, samples: Sequence[Point],
 
 
 def check_upper_bound(u, f: ObjectiveOracle, space: SampleSpace, rng: RngStream,
-                      n_samples: int = 1000, tol: float = 1e-9,
+                      n_samples: int = 1000,
                       parts: Sequence[BlockIndex] | None = None) -> CheckReport:
-    """u(x_i, y) must dominate f with x_i substituted in, up to -tol slack.
+    """u(x_i, y) must dominate f with x_i substituted in, up to -1e-9 slack.
 
     ``worst_gap`` is the smallest signed slack u - f seen (negative = bad).
     """
@@ -188,11 +191,11 @@ def check_upper_bound(u, f: ObjectiveOracle, space: SampleSpace, rng: RngStream,
     for s_idx, (y_row, x_row) in enumerate(rows):
         part = parts[s_idx % len(parts)]
         y = Point._adopt(y_row, space.structure)
-        uval = float(u.value(part, x_row[space.structure._locate(part)[1]], y))
+        uval = float(u.value(part, x_row[space.structure.locate(part)[1]], y))
         fval = f.value_at(x_row)
         slack = uval - fval
         worst = min(worst, slack)
-        if slack < -tol:
+        if slack < -_BOUND_TOL:
             n_viol += 1
             if len(witnesses) < _MAX_WITNESSES:
                 witnesses.append({"sample": s_idx, "part": _part_label(part),
@@ -202,22 +205,17 @@ def check_upper_bound(u, f: ObjectiveOracle, space: SampleSpace, rng: RngStream,
 
 def check_first_order_match(u, f: ObjectiveOracle, samples: Sequence[Point],
                             space: SampleSpace, rng: RngStream,
-                            steps: Sequence[float] = (1e-3, 1e-4, 1e-5),
-                            tol: float = 1e-4,
                             parts: Sequence[BlockIndex] | None = None) -> CheckReport:
     """Directional derivatives of u and f must agree at the anchor.
 
     Directions are drawn toward another feasible sample, so y + h d stays
     feasible for convex sets. Central difference quotients (evaluations stay
-    within an h-ball of the anchor) are compared at each h; the violation
-    test uses the finest step. ``worst_gap`` is the largest relative
-    mismatch at the finest step.
+    within an h-ball of the anchor) are compared at h = 1e-5, 1e-4, 1e-3;
+    the violation test, a relative mismatch above 1e-4, uses the finest
+    step. ``worst_gap`` is the largest relative mismatch at the finest step.
     """
     if not samples:
         raise InvalidArgumentError("need at least one sample point")
-    steps = sorted(float(h) for h in steps)
-    if not steps or steps[0] <= 0:
-        raise InvalidArgumentError("steps must be positive")
     parts = _default_parts(space.structure, parts)
     directions = space.sample_rows(rng.generator(), len(samples) * len(parts))
     worst = 0.0
@@ -226,7 +224,7 @@ def check_first_order_match(u, f: ObjectiveOracle, samples: Sequence[Point],
     n_viol = 0
     for s_idx, y in enumerate(samples):
         for part in parts:
-            idx = y.structure._locate(part)[1]
+            idx = y.structure.locate(part)[1]
             d_part = next(directions)[0][idx] - y.part(part)
             nrm = float(np.linalg.norm(d_part))
             if nrm < 1e-2:
@@ -235,7 +233,7 @@ def check_first_order_match(u, f: ObjectiveOracle, samples: Sequence[Point],
             n += 1
             step_full = np.zeros(y.dim)
             quotients = []
-            for h in steps:
+            for h in _STEPS:
                 du = (float(u.value(part, y.part(part) + h * d_part, y))
                       - float(u.value(part, y.part(part) - h * d_part, y))) / (2 * h)
                 step_full[idx] = h * d_part
@@ -245,7 +243,7 @@ def check_first_order_match(u, f: ObjectiveOracle, samples: Sequence[Point],
             h_fine, du_fine, df_fine = quotients[0]
             gap = abs(du_fine - df_fine) / (1.0 + max(abs(du_fine), abs(df_fine)))
             worst = max(worst, gap)
-            if gap > tol:
+            if gap > _SLOPE_TOL:
                 n_viol += 1
                 if len(witnesses) < _MAX_WITNESSES:
                     witnesses.append({
@@ -262,8 +260,7 @@ def check_first_order_match(u, f: ObjectiveOracle, samples: Sequence[Point],
 
 def check_composite_smooth(u0, f0: ObjectiveOracle, space: SampleSpace,
                            rng: RngStream, samples: Sequence[Point],
-                           n_samples: int = 1000, tight_tol: float = 1e-10,
-                           bound_tol: float = 1e-9,
+                           n_samples: int = 1000,
                            parts: Sequence[BlockIndex] | None = None) -> list[CheckReport]:
     """Checks for surrogates of the form u = u0 + nonsmooth part.
 
@@ -272,10 +269,9 @@ def check_composite_smooth(u0, f0: ObjectiveOracle, space: SampleSpace,
     the directional-derivative match at anchors where only the smooth part
     is differentiable. Returns the two smooth-part reports.
     """
-    r1 = check_tightness(u0, f0, samples, parts=parts, tol=tight_tol)
+    r1 = check_tightness(u0, f0, samples, parts=parts)
     r1.check = "composite_smooth_tightness"
-    r2 = check_upper_bound(u0, f0, space, rng, n_samples=n_samples,
-                           tol=bound_tol, parts=parts)
+    r2 = check_upper_bound(u0, f0, space, rng, n_samples=n_samples, parts=parts)
     r2.check = "composite_smooth_upper_bound"
     return [r1, r2]
 

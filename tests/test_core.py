@@ -45,33 +45,49 @@ class TestBlockStructure:
             make_block_structure([2, 0, 3])
 
     def test_block_slices(self):
+        """One block locates to itself, a slice and its size; so does np.int64."""
         s = make_block_structure([2, 3, 1])
-        assert s.block_slice(0) == slice(0, 2)
-        assert s.block_slice(1) == slice(2, 5)
-        assert s.block_slice(2) == slice(5, 6)
+        assert s.locate(0) == (0, slice(0, 2), 2)
+        assert s.locate(1) == (1, slice(2, 5), 3)
+        assert s.locate(np.int64(2)) == (2, slice(5, 6), 1)
+        assert type(s.locate(np.int64(2))[0]) is int
 
     def test_block_slice_out_of_range(self):
         s = make_block_structure([2, 3])
-        with pytest.raises(InvalidArgumentError):
-            s.block_slice(2)
+        for part in (2, -1, (0, 2), np.int64(5)):
+            with pytest.raises(InvalidArgumentError):
+                s.locate(part)
 
     def test_normalize_part(self):
+        """A group canonicalizes to a sorted tuple; a one-block group to an int."""
         s = make_block_structure([1, 1, 1])
-        assert s.normalize_part(2) == 2
-        assert s.normalize_part((1,)) == 1
-        assert s.normalize_part((2, 0)) == (0, 2)
+        assert s.locate((2, 0))[0] == (0, 2)
+        assert s.locate([1, 0])[0] == (0, 1)
+        assert s.locate((1,)) == (1, slice(1, 2), 1)
+        assert s.part_blocks(2) == (2,)
+        assert s.part_blocks([2, 0]) == (0, 2)
 
     def test_normalize_part_rejects_duplicates(self):
+        """Duplicates, an empty group and any index that is not an integer are refused."""
         s = make_block_structure([1, 1, 1])
         with pytest.raises(InvalidArgumentError):
-            s.normalize_part((1, 1))
+            s.locate((1, 1))
         with pytest.raises(InvalidArgumentError):
-            s.normalize_part(())
+            s.locate(())
+        x = Point(np.arange(5.0), make_block_structure([2, 3]))
+        for part in ((0.7,), (1.9, 0.2), True, 1.0, (True, 0), "1", b"\x01"):
+            with pytest.raises(InvalidArgumentError):
+                x.part(part)
+            with pytest.raises(InvalidArgumentError):
+                x.with_part(part, [9, 9, 9])
 
     def test_part_indices_group(self):
+        """A group locates to an index array in block order and its total size."""
         s = make_block_structure([2, 3, 1])
-        np.testing.assert_array_equal(s.part_indices((0, 2)), [0, 1, 5])
-        assert s._locate((0, 2))[2] == 3
+        part, where, dim = s.locate((2, 0))
+        assert part == (0, 2) and dim == 3
+        assert isinstance(where, np.ndarray)
+        np.testing.assert_array_equal(where, [0, 1, 5])
 
 
 class TestPoint:

@@ -297,8 +297,7 @@ def two_block_exact(weights, targets):
                         gradient=lambda v: 2.0 * w * (v - t))
 
     def solver(part, anchor):
-        idx = anchor.structure.part_indices(part)
-        return t[idx]
+        return t[anchor.structure.locate(part)[1]]
 
     return f, ExactBlockSurrogate(f, solver)
 
@@ -481,7 +480,7 @@ class TestRunBsca:
         x0 = Point(np.full(3, 2.0), make_block_structure([1, 1, 1]))
         opts = SolveOptions(max_iters=80)
         _, trace = run_bsca(f, h, x0, opts)
-        sigma = opts.armijo.sigma
+        sigma = ArmijoParams().sigma
         prev = trace.initial_objective
         for rec in trace.records:
             if rec.step_size is not None:

@@ -3,6 +3,8 @@
 import dataclasses
 import importlib
 import inspect
+import pathlib
+import re
 
 import pytest
 
@@ -49,7 +51,7 @@ def test_schedule_is_a_list_of_groups():
 
 def test_solve_options_fields():
     assert [f.name for f in dataclasses.fields(bsumkit.SolveOptions)] == [
-        "max_iters", "tol", "armijo", "target_objective"]
+        "max_iters", "tol", "target_objective"]
     assert "elapsed_ns" not in [f.name for f in dataclasses.fields(bsumkit.TraceRecord)]
 
 
@@ -61,3 +63,22 @@ def test_no_driver_takes_a_feasible_start_check():
     assert [d.__name__ for d in drivers if "feasible" in inspect.signature(d).parameters] == []
     v0 = inspect.signature(app_wmmse.run_wmmse).parameters["V0"]
     assert v0.default is inspect.Parameter.empty
+
+
+def test_locate_is_the_only_part_resolver():
+    for name in ("normalize_part", "part_indices", "block_slice", "_indices", "_locate"):
+        assert not hasattr(bsumkit.BlockStructure, name)
+    assert "feasible" not in [f.name for f in dataclasses.fields(bsumkit.QuadraticApprox)]
+    assert not hasattr(bsumkit.SolveOptions(), "armijo")
+    checks = [bsumkit.verify.check_tightness, bsumkit.verify.check_upper_bound,
+              bsumkit.verify.check_first_order_match, bsumkit.verify.check_composite_smooth]
+    assert [(c.__name__, p) for c in checks for p in inspect.signature(c).parameters
+            if p in ("tol", "steps", "tight_tol", "bound_tol")] == []
+
+
+def test_no_module_reaches_into_block_structure_privates():
+    src = pathlib.Path(bsumkit.__file__).parent
+    hits = [f"{path.name}:{k}" for path in sorted(src.glob("*.py")) if path.name != "core.py"
+            for k, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"structure\._", line)]
+    assert hits == []

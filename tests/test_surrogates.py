@@ -340,6 +340,19 @@ class TestQuadraticApprox:
         z, _ = h.minimize(0, y)
         np.testing.assert_allclose(z.part(0), [2.0 - 0.5 * 8.0], rtol=1e-12)
 
+    def test_group_step_is_the_blockwise_steps(self):
+        """A group's step is, bit for bit, each block's y_i - t grad_i f(y) in block order."""
+        f = ObjectiveOracle(value=lambda v: float(np.sum(v ** 4) / 4 + v[0] * v[-1]),
+                            gradient=lambda v: v ** 3 + np.r_[v[-1], np.zeros(v.size - 2), v[0]])
+        h = QuadraticApprox(f, t=0.3)
+        s = make_block_structure([2, 1, 3])
+        y = Point(np.random.default_rng(4).normal(size=6), s)
+        g = f.gradient_at(y.values)
+        want = np.concatenate([y.block(i) - 0.3 * g[s.locate(i)[1]] for i in (0, 2)])
+        z, _ = h.minimize((2, 0), y)
+        assert np.array_equal(z.part((0, 2)), want)
+        assert np.array_equal(z.block(1), y.block(1))
+
     @pytest.mark.parametrize("seed", range(3))
     def test_strictly_convex_in_xi(self, seed):
         rng = np.random.default_rng(seed)

@@ -161,12 +161,6 @@ class TestCheckFirstOrderMatch:
             check_first_order_match(u, f, narrow.sample_points(RngStream(1).generator(), 5),
                                     narrow, RngStream(0))
 
-    def test_nonpositive_step_rejected(self):
-        f, u, structure, space = scalar_setup()
-        with pytest.raises(InvalidArgumentError):
-            check_first_order_match(u, f, sample_grid(structure, [0.5]), space,
-                                    RngStream(0), steps=(0.0, 1e-4))
-
 
 class TestCompositeAndQuasiconvexity:
 
@@ -323,7 +317,7 @@ class TestArraySampler:
         for s_idx, (part, xi, anchor) in enumerate(seen):
             assert part == parts[s_idx % 3]
             assert np.array_equal(anchor, points[s_idx])
-            assert np.array_equal(xi, cands[s_idx][structure.part_indices(part)])
+            assert np.array_equal(xi, cands[s_idx][structure.locate(part)[1]])
 
     def test_first_order_directions(self):
         # check_first_order_match draws one point per (anchor, part), anchors outermost.
