@@ -26,7 +26,6 @@ from .core import (
     make_block_structure,
 )
 from .engine import (
-    ArmijoParams,
     Schedule,
     SolveOptions,
     armijo_step,
@@ -74,7 +73,6 @@ __all__ = [
     "Trace",
     "TraceRecord",
     "make_block_structure",
-    "ArmijoParams",
     "Schedule",
     "SolveOptions",
     "armijo_step",

@@ -127,24 +127,22 @@ class CpFactors:
 
 @dataclass(frozen=True)
 class LambdaSchedule:
-    """Proximal weight: a constant, or floor + slope * relative fit error."""
+    """Proximal weight lam0 + lam1 * |X - [[A, B, C]]| / |X|; a constant is lam1 = 0."""
 
-    mode: str
-    lam: float = 0.0
-    lam0: float = 1e-7
-    lam1: float = 0.1
+    lam0: float
+    lam1: float
 
     @staticmethod
     def constant(lam: float) -> "LambdaSchedule":
         if lam < 0:
             raise InvalidArgumentError("lambda must be nonnegative")
-        return LambdaSchedule(mode="constant", lam=float(lam))
+        return LambdaSchedule(float(lam), 0.0)
 
     @staticmethod
     def diminishing(lam0: float = 1e-7, lam1: float = 0.1) -> "LambdaSchedule":
         if lam0 < 0 or lam1 < 0:
             raise InvalidArgumentError("lambda coefficients must be nonnegative")
-        return LambdaSchedule(mode="diminishing", lam0=float(lam0), lam1=float(lam1))
+        return LambdaSchedule(float(lam0), float(lam1))
 
 
 def khatri_rao(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -257,11 +255,9 @@ def lambda_value(schedule: LambdaSchedule, t: DenseTensor3, f: CpFactors) -> flo
 
 def _lambda(schedule: LambdaSchedule, norm: float, residual) -> float:
     # ``norm`` is |X|_F and ``residual()`` the fit error at the factors;
-    # only the diminishing schedule calls it.
-    if schedule.mode == "constant":
-        return schedule.lam
-    if schedule.mode != "diminishing":
-        raise InvalidArgumentError(f"unknown lambda schedule {schedule.mode!r}")
+    # a constant schedule (lam1 = 0) reads neither.
+    if schedule.lam1 == 0.0:
+        return schedule.lam0
     if norm == 0.0:
         raise InvalidArgumentError(
             "diminishing lambda needs a nonzero tensor (relative residual undefined)")

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import InvalidArgumentError, NumericFailure, SolverError, Trace
+from .core import InvalidArgumentError, NumericFailure, SolverError, Trace, _index
 from .engine import SolveOptions, _iterate, _Stall
 
 __all__ = [
@@ -50,19 +50,16 @@ class NetworkSpec:
     @staticmethod
     def build(n_cells: int, users_per_cell, n_antennas: int, streams=1,
               noise_power=1.0, power=1.0) -> "NetworkSpec":
+        n_cells, n_antennas = _index(n_cells, "n_cells"), _index(n_antennas, "n_antennas")
         if n_cells < 1:
             raise InvalidArgumentError("need at least one cell")
-        if isinstance(users_per_cell, int):
-            users_per_cell = (users_per_cell,) * n_cells
-        users_per_cell = tuple(int(i) for i in users_per_cell)
+        users_per_cell = _counts(users_per_cell, n_cells, "users_per_cell")
         if len(users_per_cell) != n_cells or any(i < 1 for i in users_per_cell):
             raise InvalidArgumentError("users_per_cell must list a positive count per cell")
         n_users = sum(users_per_cell)
         if n_antennas < 1:
             raise InvalidArgumentError("n_antennas must be positive")
-        if isinstance(streams, int):
-            streams = (streams,) * n_users
-        streams = tuple(int(d) for d in streams)
+        streams = _counts(streams, n_users, "streams")
         if len(streams) != n_users or any(d < 1 or d > n_antennas for d in streams):
             raise InvalidArgumentError("streams must satisfy 1 <= d <= n_antennas per user")
         if isinstance(noise_power, (int, float)):
@@ -91,8 +88,10 @@ class NetworkSpec:
         ends = np.cumsum(self.users_per_cell).tolist()
         return tuple(slice(end - cnt, end) for end, cnt in zip(ends, self.users_per_cell))
 
-    def cell_users(self, k: int) -> list[int]:
-        return list(range(self.n_users)[self._cell_slices[k]]) if 0 <= k < self.n_cells else []
+
+def _counts(value, n: int, what: str) -> tuple[int, ...]:
+    # One integer count for all n items, or a sequence of them.
+    return tuple(_index(v, what) for v in ((value,) * n if np.ndim(value) == 0 else value))
 
 
 @dataclass(frozen=True)

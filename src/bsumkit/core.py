@@ -5,7 +5,8 @@ Blocks are 0-indexed. ``Point`` couples a vector with its ``BlockStructure``
 and gives copy-on-write access to single blocks or to groups of blocks
 (a "part" is either an int block index or a tuple of them).
 
-Also here: feasible-set oracles (membership + Euclidean projection),
+Also here: feasible-set oracles (each a Euclidean projection: a block
+step minimizes over its set, so nothing tests membership),
 objective oracles, the iteration trace container, seeded random streams,
 and the exception hierarchy used across the package.
 """
@@ -106,11 +107,8 @@ class BlockStructure:
         its flat coordinates (a slice for one block, an index array in block
         order for a group) and its dimension. Every index must be an integer."""
         if not (type(part) is int and 0 <= part < len(self.dims)):
-            try:
-                items = part if isinstance(part, Iterable) and not isinstance(part, bytes) else (part,)
-                blocks = sorted(map(_block_index, items))
-            except TypeError as exc:
-                raise InvalidArgumentError(f"part {part!r}: {exc}") from exc
+            items = part if isinstance(part, Iterable) and not isinstance(part, bytes) else (part,)
+            blocks = sorted(_index(i, "a block index") for i in items)
             if not blocks:
                 raise InvalidArgumentError("empty block group")
             if len(set(blocks)) != len(blocks):
@@ -131,14 +129,19 @@ class BlockStructure:
         return part if type(part) is tuple else (part,)
 
 
-def _block_index(i) -> int:
-    if isinstance(i, bool):
-        raise TypeError("a bool is not a block index")
-    return operator.index(i)
+def _index(value, what: str, error: type[BsumError] = InvalidArgumentError) -> int:
+    """The package's one integer rule for index-like arguments: ``value``
+    through ``operator.index``; a bool, a float or a string raises ``error``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def make_block_structure(dims: Sequence[int]) -> BlockStructure:
-    dims_t = tuple(int(d) for d in dims)
+    dims_t = tuple(_index(d, "a block size") for d in dims)
     if len(dims_t) == 0:
         raise InvalidArgumentError("at least one block is required")
     if any(d < 1 for d in dims_t):
@@ -205,30 +208,20 @@ class Point:
 
 @dataclass(frozen=True)
 class FeasibleSetOracle:
-    """Closed convex set described by a membership test and a projection.
+    """Closed convex set, given by its Euclidean projection.
 
     ``projection`` also takes a stack of points, one per row, and gives each
     row the bits of projecting that row alone.
     """
 
-    membership: Callable[[np.ndarray], bool]
     projection: Callable[[np.ndarray], np.ndarray]
-
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(self.membership(np.asarray(x, dtype=np.float64)))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.projection(np.asarray(x, dtype=np.float64)), dtype=np.float64)
 
 
-_MEMBER_TOL = 1e-10
-
-
 def unconstrained() -> FeasibleSetOracle:
-    return FeasibleSetOracle(
-        membership=lambda x: bool(np.all(np.isfinite(x))),
-        projection=lambda x: x,
-    )
+    return FeasibleSetOracle(lambda x: x)
 
 
 def box(lo, hi) -> FeasibleSetOracle:
@@ -236,17 +229,11 @@ def box(lo, hi) -> FeasibleSetOracle:
     hi = np.asarray(hi, dtype=np.float64)
     if np.any(lo > hi):
         raise InvalidArgumentError("box lower bound exceeds upper bound")
-    return FeasibleSetOracle(
-        membership=lambda x: bool(np.all(x >= lo - _MEMBER_TOL) and np.all(x <= hi + _MEMBER_TOL)),
-        projection=lambda x: np.clip(x, lo, hi),
-    )
+    return FeasibleSetOracle(lambda x: np.clip(x, lo, hi))
 
 
 def nonnegative() -> FeasibleSetOracle:
-    return FeasibleSetOracle(
-        membership=lambda x: bool(np.all(x >= -_MEMBER_TOL)),
-        projection=lambda x: np.maximum(x, 0.0),
-    )
+    return FeasibleSetOracle(lambda x: np.maximum(x, 0.0))
 
 
 def ball(radius: float) -> FeasibleSetOracle:
@@ -259,10 +246,7 @@ def ball(radius: float) -> FeasibleSetOracle:
         nrm = np.sqrt(np.vecdot(x, x))[..., None]
         return x * (radius / np.maximum(nrm, radius))
 
-    return FeasibleSetOracle(
-        membership=lambda x: bool(np.linalg.norm(x) <= radius + _MEMBER_TOL),
-        projection=_proj,
-    )
+    return FeasibleSetOracle(_proj)
 
 
 def _project_simplex(x: np.ndarray) -> np.ndarray:
@@ -285,10 +269,6 @@ def simplex(floor: float = 0.0) -> FeasibleSetOracle:
     if floor < 0:
         raise InvalidArgumentError("simplex floor must be nonnegative")
 
-    def _member(x):
-        return bool(np.all(x >= floor - _MEMBER_TOL)
-                    and abs(float(np.sum(x)) - 1.0) <= _MEMBER_TOL * max(1, x.size))
-
     def _proj(x):
         n = x.shape[-1]
         scale = 1.0 - n * floor
@@ -297,7 +277,7 @@ def simplex(floor: float = 0.0) -> FeasibleSetOracle:
         # Shifted simplex: p = floor + scale * q with q on the unit simplex.
         return floor + scale * _project_simplex((x - floor) / scale)
 
-    return FeasibleSetOracle(membership=_member, projection=_proj)
+    return FeasibleSetOracle(_proj)
 
 
 @dataclass(frozen=True)
@@ -378,17 +358,19 @@ class RngStream:
     key: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if int(self.seed) < 0:
+        seed = _index(self.seed, "seed")
+        if seed < 0:
             raise InvalidArgumentError("seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "key", tuple(int(k) for k in self.key))
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "key", tuple(_index(k, "a stream key entry") for k in self.key))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
         return np.random.Generator(np.random.PCG64(ss))
 
     def substream(self, index: int) -> "RngStream":
-        if int(index) < 0:
+        index = _index(index, "substream index")
+        if index < 0:
             raise InvalidArgumentError("substream index must be nonnegative")
-        return RngStream(self.seed, self.key + (int(index),))
+        return RngStream(self.seed, self.key + (index,))
 

@@ -8,7 +8,8 @@ block surrogate u built around the current iterate:
 * ``run_misum`` - greedy: every block subproblem is solved, the block whose
   surrogate minimum is lowest is the one updated.
 * ``run_bsca``  - the surrogate only approximates f, so the block step is a
-  direction and an Armijo backtracking search picks the step size.
+  direction and an Armijo backtracking search picks the step size (fixed:
+  alpha = 1, 1/2, ..., at most 60 halvings, sufficient decrease 0.01).
 
 A surrogate oracle exposes ``value(part, xi, anchor, iteration)`` and
 ``minimize(part, anchor, iteration) -> (point, min value)`` where ``part``
@@ -37,7 +38,6 @@ schedule period (1 for ``run_sum``, the block count for ``run_misum``);
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -55,13 +55,13 @@ from .core import (
     SolverError,
     Trace,
     TraceRecord,
+    _index,
 )
 
 __all__ = [
     "BlockSurrogateOracle",
     "Schedule",
     "schedule_next",
-    "ArmijoParams",
     "armijo_step",
     "SolveOptions",
     "run_sum",
@@ -91,6 +91,8 @@ class Schedule:
     period: int
 
     def __post_init__(self):
+        for name in ("n_blocks", "period"):
+            object.__setattr__(self, name, _index(getattr(self, name), name, InvalidScheduleError))
         if self.n_blocks < 1:
             raise InvalidScheduleError("need at least one block")
         if not self.groups:
@@ -104,8 +106,8 @@ class Schedule:
             if len(set(g)) != len(g):
                 raise InvalidScheduleError(f"group {g} repeats a block")
             for i in g:
-                if not isinstance(i, (int, np.integer)) or not 0 <= i < self.n_blocks:
-                    raise InvalidScheduleError(f"group {g} holds a non-integer or unknown block")
+                if not 0 <= _index(i, "a block", InvalidScheduleError) < self.n_blocks:
+                    raise InvalidScheduleError(f"group {g} holds an unknown block")
                 visits[i].append(k)
         # Every window covers block i iff no cyclic gap between successive
         # groups holding i exceeds the period.
@@ -121,17 +123,15 @@ class Schedule:
 
     @staticmethod
     def cyclic(n_blocks: int) -> "Schedule":
+        n_blocks = _index(n_blocks, "n_blocks", InvalidScheduleError)
         return Schedule.essentially_cyclic(n_blocks, [[i] for i in range(n_blocks)])
 
     @staticmethod
     def essentially_cyclic(n_blocks: int, groups: Sequence[Sequence[int]],
                            period: int | None = None) -> "Schedule":
-        try:
-            groups_t = tuple(tuple(sorted(set(operator.index(i) for i in g))) for g in groups)
-            period = len(groups_t) if period is None else operator.index(period)
-        except TypeError as exc:
-            raise InvalidScheduleError(f"blocks and period must be integers: {exc}") from exc
-        return Schedule(n_blocks=n_blocks, groups=groups_t, period=period)
+        groups_t = tuple(tuple(sorted({_index(i, "a block", InvalidScheduleError) for i in g}))
+                         for g in groups)
+        return Schedule(n_blocks, groups_t, len(groups_t) if period is None else period)
 
 
 def schedule_next(schedule: Schedule, iteration: int) -> BlockIndex:
@@ -142,31 +142,15 @@ def schedule_next(schedule: Schedule, iteration: int) -> BlockIndex:
     return g[0] if len(g) == 1 else g
 
 
-@dataclass(frozen=True)
-class ArmijoParams:
-    """Backtracking parameters: try alpha_init * beta^j, j = 0..max_backtracks."""
-
-    alpha_init: float = 1.0
-    beta: float = 0.5
-    sigma: float = 0.01
-    max_backtracks: int = 60
-
-    def __post_init__(self):
-        if self.alpha_init <= 0:
-            raise InvalidArgumentError("alpha_init must be positive")
-        if not 0 < self.beta < 1:
-            raise InvalidArgumentError("beta must lie in (0, 1)")
-        if not 0 < self.sigma < 1:
-            raise InvalidArgumentError("sigma must lie in (0, 1)")
-        if self.max_backtracks < 0:
-            raise InvalidArgumentError("max_backtracks must be nonnegative")
+# Armijo backtracking: try alpha = 1, 1/2, 1/4, ..., at most 60 halvings.
+_ALPHA0, _BETA, _SIGMA, _MAX_BACKTRACKS = 1.0, 0.5, 0.01, 60
 
 
-def armijo_step(f: ObjectiveOracle, x: Point, d: np.ndarray, fprime: float, fx: float,
-                params: ArmijoParams = ArmijoParams()) -> tuple[float, Point, float]:
-    """Largest step alpha_init * beta^j whose decrease beats sigma * alpha * |f'|.
+def armijo_step(f: ObjectiveOracle, x: Point, d: np.ndarray, fprime: float,
+                fx: float) -> tuple[float, Point, float]:
+    """Largest step 0.5^j, j = 0..60, whose decrease beats 0.01 * alpha * |f'|.
 
-    Accepts alpha when f(x) - f(x + alpha d) >= -sigma * alpha * fprime,
+    Accepts alpha when f(x) - f(x + alpha d) >= -0.01 * alpha * fprime,
     with fprime the directional derivative of f at x along d (must be <= 0)
     and ``fx`` the caller's f(x). Returns (alpha, x + alpha d, f there).
     """
@@ -178,15 +162,14 @@ def armijo_step(f: ObjectiveOracle, x: Point, d: np.ndarray, fprime: float, fx: 
     fprime = float(fprime)
     if fprime > 0:
         raise DescentDirectionError(f"directional derivative {fprime} is positive")
-    alpha = params.alpha_init
-    for _ in range(params.max_backtracks + 1):
+    alpha = _ALPHA0
+    for _ in range(_MAX_BACKTRACKS + 1):
         trial = x.values + alpha * d
         f_trial = f.value_at(trial)
-        if fx - f_trial >= -params.sigma * alpha * fprime:
+        if fx - f_trial >= -_SIGMA * alpha * fprime:
             return alpha, x.with_values(trial), f_trial
-        alpha *= params.beta
-    raise LineSearchError(
-        f"no acceptable step after {params.max_backtracks} backtracks")
+        alpha *= _BETA
+    raise LineSearchError(f"no acceptable step after {_MAX_BACKTRACKS} backtracks")
 
 
 @dataclass(frozen=True)
@@ -202,13 +185,13 @@ class SolveOptions:
             raise InvalidArgumentError("tol must be positive")
 
 
-def _stationarity_gap(f: ObjectiveOracle, u: BlockSurrogateOracle, x: Point,
-                      trace: Trace) -> None:
-    # max over blocks of f(x) - min_xi u(xi, x); zero at a coordinatewise
-    # surrogate-stationary point. Any failure leaves the gap None with the
-    # reason in the warnings: the run itself has finished.
+def _stationarity_gap(u: BlockSurrogateOracle, x: Point, trace: Trace) -> None:
+    # max over blocks of f(x) - min_xi u(xi, x), with f(x) the trace's last
+    # objective; zero at a coordinatewise surrogate-stationary point. Any
+    # failure leaves the gap None with the reason in the warnings: the run
+    # itself has finished.
+    fx = trace.final_objective
     try:
-        fx = f.value_at(x.values)
         gaps = []
         for i in range(x.structure.n_blocks):
             _, umin = u.minimize(i, x, trace.n_iterations)
@@ -272,7 +255,7 @@ def _upper_bound_loop(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
         return x_new, f_new, part, None, extras, stall(fx, f_new, umin)
 
     x, trace = _iterate(x0, f.value_at(x0.values), opts, step)
-    _stationarity_gap(f, u, x, trace)
+    _stationarity_gap(u, x, trace)
     return x, trace
 
 
@@ -328,8 +311,9 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
 
     Each iteration minimizes the convex model h over the scheduled part
     (the schedule defaults to cyclic), takes d = argmin - current part as a
-    direction, and line-searches f along it with ``armijo_step``'s default
-    ``ArmijoParams()``. h need not upper-bound f; f must expose a gradient.
+    direction, and line-searches f along it with ``armijo_step``'s fixed
+    schedule (alpha = 1, 1/2, ..., 2^-60; sigma = 0.01). h need not
+    upper-bound f; f must expose a gradient.
     A model with ``anchor_gradient(anchor)`` (grad f at the anchor, as the
     model used it) hands the directional derivative its gradient, so f's
     gradient is not evaluated twice per iteration.

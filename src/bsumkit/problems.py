@@ -60,9 +60,6 @@ class QuadraticProblem:
             gradient=lambda x: self.Q @ x - self.b,
         )
 
-    def minimizer(self) -> np.ndarray:
-        return np.linalg.solve(self.Q, self.b)
-
     def block_minimize(self, part: BlockIndex, anchor: Point) -> np.ndarray:
         # Exact part minimizer with the rest frozen: Q_pp x_p = b_p - Q_pr y_r.
         idx = np.arange(anchor.dim)[anchor.structure.locate(part)[1]]

@@ -100,11 +100,8 @@ class SampleSpace:
             feasible = tuple(unconstrained() for _ in range(structure.n_blocks))
         return SampleSpace(structure, tuple(feasible), float(lo), float(hi))
 
-    def sample_point(self, gen: np.random.Generator) -> Point:
-        return self.sample_points(gen, 1)[0]
-
     def sample_points(self, gen: np.random.Generator, n: int) -> list[Point]:
-        """``n`` feasible points, drawn as ``n`` calls of ``sample_point`` would."""
+        """``n`` feasible points, drawn as ``n`` one-point draws would be."""
         return [Point._adopt(y, self.structure) for y, _ in self.sample_rows(gen, n)]
 
     def sample_rows(self, gen: np.random.Generator, n: int, parts: Sequence[BlockIndex] = ()):

@@ -14,7 +14,7 @@ import numpy as np
 from bsumkit import app_classic, app_tensor, app_wmmse, verify
 from bsumkit.cli import iterations_to_threshold, main, run_verify_suite
 from bsumkit.core import ObjectiveOracle, Point, RngStream, make_block_structure
-from bsumkit.engine import ArmijoParams, SolveOptions, run_bsca, run_bsum, run_misum, run_sum
+from bsumkit.engine import SolveOptions, run_bsca, run_bsum, run_misum, run_sum
 from bsumkit.problems import QuadraticProblem, lasso_problem, separable_quartic_dc
 from bsumkit.surrogates import ExactBlockSurrogate, QuadraticApprox, soft_threshold
 
@@ -320,7 +320,7 @@ def test_09_bsca_armijo_recheck_and_stationarity():
     opts = SolveOptions(max_iters=200, tol=1e-8)
     x, trace = run_bsca(f, QuadraticApprox(f, t=0.25),
                         Point(np.zeros(2), make_block_structure([1, 1])), opts)
-    sigma = ArmijoParams().sigma
+    sigma = 0.01  # the sufficient-decrease constant of run_bsca's line search
     prev = trace.initial_objective
     n_steps = 0
     armijo_ok = True

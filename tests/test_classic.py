@@ -73,7 +73,7 @@ class TestProximalPointSolve:
         x, _ = proximal_point_solve(prob.objective(), prob.prox_block_minimize,
                                     x0, c=2.0,
                                     opts=SolveOptions(max_iters=500, tol=1e-13))
-        np.testing.assert_allclose(x.values, prob.minimizer(), atol=1e-5)
+        np.testing.assert_allclose(x.values, np.linalg.solve(prob.Q, prob.b), atol=1e-5)
 
 
 class TestAlternatingProximalSolve:
@@ -96,7 +96,7 @@ class TestAlternatingProximalSolve:
         x, _ = alternating_proximal_solve(prob.objective(), prob.prox_block_minimize,
                                           x0, c=1.0,
                                           opts=SolveOptions(max_iters=800, tol=1e-14))
-        np.testing.assert_allclose(x.values, prob.minimizer(), atol=1e-6)
+        np.testing.assert_allclose(x.values, np.linalg.solve(prob.Q, prob.b), atol=1e-6)
 
     def test_huge_coefficient_still_monotone(self):
         prob = QuadraticProblem(2.0 * np.eye(2), np.array([2.0, -2.0]))

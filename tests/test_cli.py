@@ -563,7 +563,7 @@ def test_battery_job_minimizes_every_block(name):
     the anchor with a finite argmin in place of the block, for every block
     at a sampled anchor."""
     u, _, space = cli._verify_jobs(0)[name]
-    y = space.sample_point(RngStream(0).generator())
+    y = space.sample_points(RngStream(0).generator(), 1)[0]
     for block in range(space.structure.n_blocks):
         z, value = u.minimize(block, y)
         assert z.structure == y.structure

@@ -44,6 +44,15 @@ class TestBlockStructure:
         with pytest.raises(InvalidArgumentError):
             make_block_structure([2, 0, 3])
 
+    @pytest.mark.parametrize("dims", [[2.7, 1], [2, True], [1.0], ["2"], [np.float64(3.0)]])
+    def test_non_integer_dim_rejected(self, dims):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            make_block_structure(dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        s = make_block_structure([np.int64(2), np.int32(3)])
+        assert s.dims == (2, 3) and all(type(d) is int for d in s.dims)
+
     def test_block_slices(self):
         """One block locates to itself, a slice and its size; so does np.int64."""
         s = make_block_structure([2, 3, 1])
@@ -138,7 +147,13 @@ class TestFeasibleSets:
             p1 = oracle.project(x)
             p2 = oracle.project(p1)
             np.testing.assert_allclose(p2, p1, atol=1e-12)
-            assert oracle.contains(p1)
+        # Each projection satisfies its set's defining inequalities.
+        assert np.all(np.isfinite(unconstrained().project(x)))
+        assert np.all(np.abs(box(-1.0, 1.0).project(x)) <= 1.0)
+        assert np.all(nonnegative().project(x) >= 0.0)
+        assert np.linalg.norm(ball(2.0).project(x)) <= 2.0 + 1e-10
+        p = simplex().project(x)
+        assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-10 * p.size
 
     def test_box_projection(self):
         np.testing.assert_array_equal(
@@ -159,10 +174,6 @@ class TestFeasibleSets:
         p = oracle.project(np.array([5.0, -5.0, 0.0]))
         assert p.min() >= 0.1 - 1e-12
         np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
-
-    def test_membership_tolerance(self):
-        assert nonnegative().contains(np.array([-1e-11, 2.0]))
-        assert not nonnegative().contains(np.array([-1e-3, 2.0]))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 7, 40])
     def test_row_stack_projects_each_row_alone(self, dim):
@@ -282,4 +293,19 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(InvalidArgumentError):
             RngStream(0).substream(-2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: RngStream(1.9), lambda: RngStream(True), lambda: RngStream("3"),
+        lambda: RngStream(0, key=(1.5,)), lambda: RngStream(0, key=(False,)),
+        lambda: RngStream(0).substream(2.0), lambda: RngStream(0).substream(True),
+    ], ids=["float_seed", "bool_seed", "str_seed", "float_key", "bool_key",
+            "float_substream", "bool_substream"])
+    def test_non_integer_seed_key_and_substream_rejected(self, build):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            build()
+
+    def test_numpy_integer_seed_and_key_accepted(self):
+        rng = RngStream(np.int64(4), key=(np.int32(2),)).substream(np.uint8(1))
+        assert (rng.seed, rng.key) == (4, (2, 1))
+        assert type(rng.seed) is int and all(type(k) is int for k in rng.key)
 

@@ -313,6 +313,16 @@ class TestLambdaValue:
         t = reconstruct(f)
         assert lambda_value(LambdaSchedule.constant(0.1), t, f) == 0.1
 
+    def test_one_affine_rule(self):
+        """A constant is the affine rule with lam1 = 0, and reads no residual:
+        on a zero tensor, where a relative residual is undefined, it still holds."""
+        assert LambdaSchedule.constant(0.1) == LambdaSchedule(0.1, 0.0)
+        assert LambdaSchedule.diminishing(1e-7, 0.1) == LambdaSchedule(1e-7, 0.1)
+        t = DenseTensor3(np.zeros((2, 2, 2)))
+        f = rank1_factors([1.0, 0.0], [1.0, 0.0], [1.0, 0.0])
+        assert lambda_value(LambdaSchedule.constant(0.1), t, f) == 0.1
+        assert lambda_value(LambdaSchedule.diminishing(0.3, 0.0), t, f) == 0.3
+
     def test_zero_tensor_rejected_in_diminishing_mode(self):
         t = DenseTensor3(np.zeros((2, 2, 2)))
         f = rank1_factors([1.0, 0.0], [1.0, 0.0], [1.0, 0.0])

@@ -220,7 +220,7 @@ class TestSampleSpace:
                                   feasible=[nonnegative(), nonnegative()])
         gen = RngStream(8).generator()
         for _ in range(50):
-            p = space.sample_point(gen)
+            p = space.sample_points(gen, 1)[0]
             assert p.values.min() >= 0.0
             assert p.values.max() <= 1.0
 
@@ -339,6 +339,6 @@ class TestArraySampler:
         got = space.sample_points(RngStream(12).generator(), 60)
         assert all(p.structure is structure for p in got)
         assert np.array_equal(np.array([p.values for p in got]), np.array(want))
-        one = space.sample_point(RngStream(12).generator())
+        one = space.sample_points(RngStream(12).generator(), 1)[0]
         assert np.array_equal(one.values, want[0])
         assert not one.values.flags.writeable

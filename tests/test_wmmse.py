@@ -219,15 +219,15 @@ class TestNetworkSpec:
         spec = NetworkSpec.build(n_cells=2, users_per_cell=(2, 1), n_antennas=2)
         assert spec.n_users == 3
         assert spec.user_cell == (0, 0, 1)
-        assert spec.cell_users(0) == [0, 1]
-        assert spec.cell_users(1) == [2]
+        assert [list(range(3))[c] for c in spec._cell_slices] == [[0, 1], [2]]
 
     def test_cell_maps_computed_once_on_unequal_cells(self):
         spec = NetworkSpec.build(n_cells=3, users_per_cell=(1, 3, 2), n_antennas=2,
                                  streams=(1, 2, 1, 2, 2, 1))
         assert spec.user_cell is spec.user_cell
         assert spec.user_cell == (0, 1, 1, 1, 2, 2)
-        assert [spec.cell_users(k) for k in range(3)] == [[0], [1, 2, 3], [4, 5]]
+        assert spec._cell_slices is spec._cell_slices
+        assert [list(range(6))[c] for c in spec._cell_slices] == [[0], [1, 2, 3], [4, 5]]
         V = init_transmitters(spec, RngStream(7))
         V = [(u + 1) * v for u, v in enumerate(V)]
         np.testing.assert_array_equal(power_per_cell(spec, V), loop_power_per_cell(spec, V))
@@ -240,6 +240,20 @@ class TestNetworkSpec:
         with pytest.raises(InvalidArgumentError):
             NetworkSpec.build(n_cells=1, users_per_cell=1, n_antennas=2,
                               noise_power=0.0)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((2, 1.9, 2), {}), ((2.0, 1, 2), {}), ((True, 1, 2), {}), ((1, 1, 2.5), {}),
+        ((2, (1, True), 2), {}), ((1, 1, 2), {"streams": 1.0}), ((1, [1], 2), {"streams": "1"}),
+    ])
+    def test_counts_must_be_integers(self, args, kwargs):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            NetworkSpec.build(*args, **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = NetworkSpec.build(np.int64(2), np.int32(2), np.int64(3), streams=np.int8(2))
+        assert spec == NetworkSpec.build(2, 2, 3, streams=2)
+        assert all(type(n) is int for n in (spec.n_cells, spec.n_antennas,
+                                             *spec.users_per_cell, *spec.streams))
 
 
 class TestGenChannels:
