@@ -8,6 +8,7 @@ splitting, the concave-convex procedure, and maximum-likelihood fitting of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -15,11 +16,13 @@ import numpy.ma  # noqa: F401 - numpy loads it lazily; np.quantile reaches it vi
 
 from .core import (
     BlockIndex,
+    BlockStructure,
     ComponentCollapseError,
     InvalidArgumentError,
     ObjectiveOracle,
     Point,
     Trace,
+    _with_part_rows,
     make_block_structure,
 )
 from .engine import SolveOptions, run_bsum, run_sum
@@ -37,6 +40,7 @@ __all__ = [
     "GmmParams",
     "two_cluster_dataset",
     "gmm_nll",
+    "gmm_nll_rows",
     "em_gmm",
     "EM_MODES",
 ]
@@ -98,14 +102,7 @@ class GmmParams:
         w, m, s = (np.asarray(v, dtype=np.float64) for v in (self.weights, self.means, self.variances))
         if not (w.shape == m.shape == s.shape) or w.ndim != 1 or w.size < 1:
             raise InvalidArgumentError("weights, means, variances must be equal-length vectors")
-        # Each test fails on a NaN: min() and sum() propagate it, and every
-        # comparison with it is False.
-        if not (w.min() >= 0 and abs(float(w.sum()) - 1.0) <= 1e-12 * max(1, w.size)):
-            raise InvalidArgumentError("weights must lie on the probability simplex")
-        if not (np.isfinite(m).all() and np.isfinite(s).all()):
-            raise InvalidArgumentError("means and variances must be finite")
-        if not s.min() > 0:
-            raise InvalidArgumentError("variances must be positive")
+        _check_mixture(w, m, s)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", s)
@@ -125,6 +122,31 @@ class GmmParams:
         return GmmParams(weights=x.block(0), means=x.block(1), variances=x.block(2))
 
 
+def _check_mixture(w: np.ndarray, m: np.ndarray, s: np.ndarray) -> None:
+    # GmmParams' rules for each row of (..., J) weights, means and variances.
+    # Each test fails on a NaN: min() and sum() propagate it, and every
+    # comparison with it is False.
+    if not np.all((w.min(axis=-1) >= 0)
+                  & (abs(w.sum(axis=-1) - 1.0) <= 1e-12 * max(1, w.shape[-1]))):
+        raise InvalidArgumentError("weights must lie on the probability simplex")
+    if not (np.isfinite(m).all() and np.isfinite(s).all()):
+        raise InvalidArgumentError("means and variances must be finite")
+    if not np.all(s.min(axis=-1) > 0):
+        raise InvalidArgumentError("variances must be positive")
+
+
+def _mixture_rows(rows: np.ndarray) -> SimpleNamespace:
+    # GmmParams' fields, (S, J) each, of the mixture in each row of an (S, 3J)
+    # parameter stack, checked as GmmParams checks one.
+    rows = np.asarray(rows, dtype=np.float64)
+    j = rows.shape[-1] // 3
+    if rows.ndim != 2 or j < 1 or rows.shape[1] != 3 * j:
+        raise InvalidArgumentError("weights, means, variances must be equal-length vectors")
+    w, m, s = rows[:, :j], rows[:, j:2 * j], rows[:, 2 * j:]
+    _check_mixture(w, m, s)
+    return SimpleNamespace(weights=w, means=m, variances=s)
+
+
 def two_cluster_dataset(rng, n_per_cluster: int = 500,
                         centers=(-5.0, 5.0), sigma: float = 1.0) -> np.ndarray:
     """Two labeled gaussian clusters, cluster 0 first in the array."""
@@ -136,36 +158,61 @@ def two_cluster_dataset(rng, n_per_cluster: int = 500,
 
 def _log_component_densities(data: np.ndarray, means: np.ndarray,
                              variances: np.ndarray) -> np.ndarray:
-    # (J, T) array, row j = log N(w_t; mu_j, s_j) = -0.5 (log 2 pi s_j + (w_t - mu_j)^2 / s_j).
-    rows = data - means[:, None]
+    # (J, T) array, row j = log N(w_t; mu_j, s_j) = -0.5 (log 2 pi s_j + (w_t - mu_j)^2 / s_j);
+    # (S, J, T) for (S, J) means and variances.
+    rows = data - means[..., None]
     rows *= rows
-    rows /= variances[:, None]
-    rows += np.log(2.0 * np.pi * variances)[:, None]
+    rows /= variances[..., None]
+    rows += np.log(2.0 * np.pi * variances)[..., None]
     rows *= -0.5
     return rows
 
 
-def _weighted_log_densities(theta: GmmParams, data: np.ndarray) -> np.ndarray:
-    # (J, T) array, row j = log pi_j + log N(w_t; mu_j, s_j).
+def _weighted_log_densities(theta: GmmParams | SimpleNamespace, data: np.ndarray) -> np.ndarray:
+    # (J, T) array, row j = log pi_j + log N(w_t; mu_j, s_j); (S, J, T) for _mixture_rows.
     rows = _log_component_densities(data, theta.means, theta.variances)
     with np.errstate(divide="ignore"):
-        rows += np.log(theta.weights)[:, None]
+        rows += np.log(theta.weights)[..., None]
     return rows
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    # logsumexp over the components (axis 0) of the (J, T) matrix, shifted by
-    # the exact max; numpy adds the J contiguous rows one after the other.
-    m = np.max(a, axis=0)
+    # logsumexp over the components (axis -2) of the (J, T) matrix or (S, J, T)
+    # stack, shifted by the exact max; numpy adds the J contiguous rows one
+    # after the other.
+    m = np.max(a, axis=-2, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     t = np.subtract(a, m)
-    total = np.sum(np.exp(t, out=t), axis=0)
-    return np.add(m, np.log(total, out=total), out=total)
+    total = np.sum(np.exp(t, out=t), axis=-2)
+    return np.add(m[..., 0, :], np.log(total, out=total), out=total)
+
+
+def _flat_sum(a: np.ndarray) -> np.ndarray:
+    # Sum over the trailing (J, T) axes: one pairwise sum of the J * T
+    # contiguous numbers of each matrix.
+    return a.reshape(*a.shape[:-2], -1).sum(axis=-1)
+
+
+def _gamma_in_place(logd: np.ndarray, lse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Responsibilities, built in place on the log-densities (J, T) or (S, J, T)
+    # with logsumexp ``lse``, and sum gamma log gamma of each matrix.
+    gamma = np.exp(np.subtract(logd, lse[..., None, :], out=logd), out=logd)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(gamma)
+        terms *= gamma
+    terms[~(gamma > 0)] = 0.0
+    return gamma, _flat_sum(terms)
 
 
 def gmm_nll(theta: GmmParams, data: np.ndarray) -> float:
     """Negative log-likelihood of the sample, in nats."""
     return float(-_logsumexp(_weighted_log_densities(theta, data)).sum())
+
+
+def gmm_nll_rows(rows: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """``gmm_nll`` of the mixture in each row of an (S, 3J) stack of weights,
+    means and variances, each row checked as ``GmmParams`` checks one."""
+    return -_logsumexp(_weighted_log_densities(_mixture_rows(rows), data)).sum(axis=-1)
 
 
 class GmmJensenSurrogate:
@@ -237,27 +284,31 @@ class GmmJensenSurrogate:
             entry = self._facts(v)
             if entry[0] is None:  # an earlier anchor's, whose matrix went with its gamma
                 entry[0] = self._log_densities(v)
-            lse, gamma = self._lse(entry), entry[0]
+            logd, lse = entry[0], self._lse(entry)
             entry[0] = None  # the matrix becomes gamma
-            np.exp(np.subtract(gamma, lse, out=gamma), out=gamma)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.log(gamma)
-                terms *= gamma
-            terms[~(gamma > 0)] = 0.0
-            self._anchor = (v, gamma, terms.sum())
+            self._anchor = (v, *_gamma_in_place(logd, lse))
         return self._anchor[1], self._anchor[2]
 
-    def _bound(self, gamma: np.ndarray, entropy: np.float64, logp: np.ndarray,
-               out: np.ndarray) -> float:
-        # u at the candidate whose log-density matrix is ``logp``; the cross terms go to ``out``.
+    @staticmethod
+    def _bound(gamma: np.ndarray, entropy, logp: np.ndarray, out: np.ndarray):
+        # u at the candidate whose log-density matrix is ``logp``, or at each
+        # candidate of an (S, J, T) stack; the cross terms go to ``out``.
         with np.errstate(invalid="ignore"):
             cross = np.multiply(gamma, logp, out=out)
         cross[~(gamma > 0)] = 0.0
-        return float(-cross.sum() + entropy)
+        return -_flat_sum(cross) + entropy
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         gamma, entropy = self._responsibilities(anchor)
         logp = self._log_densities(anchor.with_part(part, xi).values)
+        return float(self._bound(gamma, entropy, logp, out=logp))
+
+    def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
+               structure: BlockStructure, iteration: int = 1) -> np.ndarray:
+        y, z, _, _ = _with_part_rows(structure, part, xi_rows, anchor_rows)
+        logd = _weighted_log_densities(_mixture_rows(y), self.data)
+        gamma, entropy = _gamma_in_place(logd, _logsumexp(logd))
+        logp = _weighted_log_densities(_mixture_rows(z), self.data)
         return self._bound(gamma, entropy, logp, out=logp)
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
@@ -292,7 +343,7 @@ class GmmJensenSurrogate:
         self._points = [p for p in self._points if p[0] is anchor.values]
         entry = [self._log_densities(z.values), None]
         self._points.append((z.values, entry))
-        return z, self._bound(gamma, entropy, entry[0], out=terms)
+        return z, float(self._bound(gamma, entropy, entry[0], out=terms))
 
 
 def _default_start(data: np.ndarray, n_components: int) -> GmmParams:

@@ -17,12 +17,14 @@ import numpy as np
 
 from .core import (
     BlockIndex,
+    BlockStructure,
     InvalidArgumentError,
     ObjectiveOracle,
     Point,
     RngStream,
     SolverError,
     Trace,
+    _with_part_rows,
     make_block_structure,
 )
 from .engine import SolveOptions, run_bsum, run_misum
@@ -35,6 +37,7 @@ __all__ = [
     "unfold",
     "reconstruct",
     "cp_residual",
+    "cp_residual_rows",
     "als_factor_update",
     "lambda_value",
     "build_swamp_instance",
@@ -189,6 +192,21 @@ def cp_residual(t: DenseTensor3, f: CpFactors) -> float:
     # np.linalg.norm's own arithmetic for a flat array, minus its dispatch.
     d = (t.values - approx).ravel()
     return math.sqrt(d.dot(d))
+
+
+def cp_residual_rows(t: DenseTensor3, rows: np.ndarray, rank: int) -> np.ndarray:
+    """``cp_residual`` at each row of a stack of flat factor vectors, each
+    A, B, C one after another, row-major with ``rank`` columns."""
+    rows = np.asarray(rows, dtype=np.float64)
+    (i, j, k), n = t.shape, len(rows)
+    if rows.shape != (n, (i + j + k) * rank):
+        raise InvalidArgumentError(f"rows of shape {rows.shape} are not rank-{rank} "
+                                   f"factors of a {t.shape} tensor")
+    a, b = i * rank, (i + j) * rank
+    approx = np.einsum("sir,sjr,skr->sijk", rows[:, :a].reshape(n, i, rank),
+                       rows[:, a:b].reshape(n, j, rank), rows[:, b:].reshape(n, k, rank))
+    d = (t.values - approx).reshape(n, -1)
+    return np.sqrt(np.vecdot(d, d))
 
 
 def _mode_pieces(f: CpFactors, mode: int):
@@ -385,14 +403,17 @@ class CpSurrogate:
         """The anchor's factors and lambda."""
         state = self._anchor
         if state is None or state[0] is not anchor:
-            if anchor.structure.dims != self._dims:
-                raise InvalidArgumentError(
-                    f"point blocks {anchor.structure.dims} are not factors of shape "
-                    f"{self.tensor.shape} at rank {self.rank}")
+            self._check(anchor.structure)
             lam = _lambda(self.schedule, self._norm, lambda: self._residual(anchor.values))
             self._points = [e for e in self._points if e[0] is anchor.values]
             state = self._anchor = (anchor, self._split(anchor.values), lam)
         return state[1], state[2]
+
+    def _check(self, structure: BlockStructure) -> None:
+        if structure.dims != self._dims:
+            raise InvalidArgumentError(
+                f"point blocks {structure.dims} are not factors of shape "
+                f"{self.tensor.shape} at rank {self.rank}")
 
     def _as_int(self, part: BlockIndex) -> int:
         if not isinstance(part, (int, np.integer)) or not 0 <= part < 3:
@@ -417,6 +438,15 @@ class CpSurrogate:
             raise InvalidArgumentError(
                 f"factor block {i} has {self._dims[i]} entries, got {xi.shape[0]}")
         return self._model(i, xi, anchor, lam)[2]
+
+    def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
+               structure: BlockStructure, iteration: int = 1) -> np.ndarray:
+        i = self._as_int(part)
+        self._check(structure)
+        y, z, _, diff = _with_part_rows(structure, i, xi_rows, anchor_rows)
+        lam = _lambda(self.schedule, self._norm, lambda: cp_residual_rows(self.tensor, y, self.rank))
+        res = cp_residual_rows(self.tensor, z, self.rank)
+        return np.sqrt(res * res + lam * np.vecdot(diff, diff))
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         i = self._as_int(part)

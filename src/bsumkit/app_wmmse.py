@@ -11,6 +11,7 @@ solved by one bisection on the dual variables of all cells at once).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,23 +54,19 @@ class NetworkSpec:
         n_cells, n_antennas = _index(n_cells, "n_cells"), _index(n_antennas, "n_antennas")
         if n_cells < 1:
             raise InvalidArgumentError("need at least one cell")
-        users_per_cell = _counts(users_per_cell, n_cells, "users_per_cell")
+        users_per_cell = _items(users_per_cell, n_cells, lambda v: _index(v, "users_per_cell"))
         if len(users_per_cell) != n_cells or any(i < 1 for i in users_per_cell):
             raise InvalidArgumentError("users_per_cell must list a positive count per cell")
         n_users = sum(users_per_cell)
         if n_antennas < 1:
             raise InvalidArgumentError("n_antennas must be positive")
-        streams = _counts(streams, n_users, "streams")
+        streams = _items(streams, n_users, lambda v: _index(v, "streams"))
         if len(streams) != n_users or any(d < 1 or d > n_antennas for d in streams):
             raise InvalidArgumentError("streams must satisfy 1 <= d <= n_antennas per user")
-        if isinstance(noise_power, (int, float)):
-            noise_power = (float(noise_power),) * n_users
-        noise_power = tuple(float(s) for s in noise_power)
+        noise_power = _items(noise_power, n_users, lambda v: _real(v, "noise power"))
         if len(noise_power) != n_users or any(s <= 0 for s in noise_power):
             raise InvalidArgumentError("noise power must be positive per user")
-        if isinstance(power, (int, float)):
-            power = (float(power),) * n_cells
-        power = tuple(float(p) for p in power)
+        power = _items(power, n_cells, lambda v: _real(v, "a power budget"))
         if len(power) != n_cells or any(p <= 0 for p in power):
             raise InvalidArgumentError("power budgets must be positive per cell")
         return NetworkSpec(n_cells, users_per_cell, n_antennas, streams,
@@ -89,9 +86,17 @@ class NetworkSpec:
         return tuple(slice(end - cnt, end) for end, cnt in zip(ends, self.users_per_cell))
 
 
-def _counts(value, n: int, what: str) -> tuple[int, ...]:
-    # One integer count for all n items, or a sequence of them.
-    return tuple(_index(v, what) for v in ((value,) * n if np.ndim(value) == 0 else value))
+def _items(value, n: int, rule) -> tuple:
+    # One value for all n items, or a sequence of them, each through ``rule``.
+    return tuple(rule(v) for v in ((value,) * n if np.ndim(value) == 0 else value))
+
+
+def _real(value, what: str) -> float:
+    # The float rule, beside core._index: a real number, numpy scalars
+    # included, as a float; a bool or a string is refused.
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,25 @@ class Point:
         return Point(values, self.structure)
 
 
+def _with_part_rows(structure: BlockStructure, part: BlockIndex, xi_rows, anchor_rows):
+    """``Point.with_part`` on stacks: the anchor rows y, each with the part set
+    to its xi row, the part's flat coordinates and xi - the part of y."""
+    _, where, dim = structure.locate(part)
+    y, xi = np.asarray(anchor_rows, dtype=np.float64), np.asarray(xi_rows, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] != structure.total or xi.shape != (len(y), dim):
+        raise InvalidArgumentError(f"{xi.shape} part rows do not fit {y.shape} anchor rows")
+    z = y.copy()
+    z[:, where] = xi
+    return y, z, where, xi - y[:, where]
+
+
+def _on_rows(stacked: Callable | None, single: Callable, rows: np.ndarray) -> np.ndarray:
+    # ``stacked(rows)``, or ``single`` called on each row when there is no stacked form.
+    if stacked is not None:
+        return np.asarray(stacked(rows), dtype=np.float64)
+    return np.array([single(r) for r in rows], dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class FeasibleSetOracle:
     """Closed convex set, given by its Euclidean projection.
@@ -282,10 +301,18 @@ def simplex(floor: float = 0.0) -> FeasibleSetOracle:
 
 @dataclass(frozen=True)
 class ObjectiveOracle:
-    """Objective value (and optional gradient) over the flat vector."""
+    """Objective value (and optional gradient) over the flat vector.
+
+    ``values`` and ``gradients``, when given, take an (S, n) stack of points,
+    one per row, and return ``value`` (S,) or ``gradient`` (S, n) of each row;
+    ``values_at`` and ``gradients_at`` call ``value_at``/``gradient_at`` once
+    per row without them.
+    """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    values: Callable[[np.ndarray], np.ndarray] | None = None
+    gradients: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value_at(self, x: np.ndarray) -> float:
         v = float(self.value(np.asarray(x, dtype=np.float64)))
@@ -297,6 +324,25 @@ class ObjectiveOracle:
         if self.gradient is None:
             raise InvalidArgumentError("objective oracle has no gradient")
         g = np.asarray(self.gradient(np.asarray(x, dtype=np.float64)), dtype=np.float64)
+        if not np.all(np.isfinite(g)):
+            raise NumericFailure("gradient returned non-finite values")
+        return g
+
+    def values_at(self, rows: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.float64)
+        v = _on_rows(self.values, self.value_at, rows)
+        if rows.ndim != 2 or v.shape != rows.shape[:1]:
+            raise InvalidArgumentError(f"values of {rows.shape} rows came back as {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise NumericFailure(
+                f"objective returned non-finite value {float(v[~np.isfinite(v)][0])!r}")
+        return v
+
+    def gradients_at(self, rows: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.float64)
+        g = _on_rows(self.gradients, self.gradient_at, rows)
+        if rows.ndim != 2 or g.shape != rows.shape:
+            raise InvalidArgumentError(f"gradients of {rows.shape} rows came back as {g.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericFailure("gradient returned non-finite values")
         return g
@@ -362,6 +408,8 @@ class RngStream:
         if seed < 0:
             raise InvalidArgumentError("seed must be a nonnegative integer")
         object.__setattr__(self, "seed", seed)
+        if not isinstance(self.key, Iterable) or isinstance(self.key, (str, bytes)):
+            raise InvalidArgumentError(f"a stream key must be a sequence of integers, got {self.key!r}")
         object.__setattr__(self, "key", tuple(_index(k, "a stream key entry") for k in self.key))
 
     def generator(self) -> np.random.Generator:

@@ -58,6 +58,7 @@ class QuadraticProblem:
         return ObjectiveOracle(
             value=lambda x: 0.5 * float(x @ self.Q @ x) - float(self.b @ x),
             gradient=lambda x: self.Q @ x - self.b,
+            values=lambda rows: 0.5 * np.vecdot(rows @ self.Q, rows) - np.vecdot(rows, self.b),
         )
 
     def block_minimize(self, part: BlockIndex, anchor: Point) -> np.ndarray:
@@ -91,23 +92,30 @@ def separable_quartic_dc(dims=(1,)) -> tuple[ObjectiveOracle, DcLinearization, P
     """
     structure = make_block_structure(dims)
 
+    # Each of these takes one point or a stack of points, one per row.
+    def cvx_value(x):
+        return (x ** 4).sum(axis=-1) / 4.0
+
+    def cve_value(x):
+        return -(x ** 2).sum(axis=-1) / 2.0
+
     def f_value(x):
-        return float((x ** 4).sum() / 4.0 - (x ** 2).sum() / 2.0)
+        return (x ** 4).sum(axis=-1) / 4.0 - (x ** 2).sum(axis=-1) / 2.0
 
     def f_grad(x):
         return x ** 3 - x
 
-    cvx = ConvexPartOracle(
-        value=lambda x: float((x ** 4).sum() / 4.0),
-        minimize_linear=lambda a: np.cbrt(-a),
-    )
+    cvx = ConvexPartOracle(value=cvx_value, minimize_linear=lambda a: np.cbrt(-a),
+                           values=cvx_value)
     dc = DcLinearization(
         f_cvx=cvx,
-        cve_value=lambda x: -float((x ** 2).sum() / 2.0),
-        cve_grad=lambda x: -x,
+        cve_value=cve_value,
+        cve_grad=np.negative,
         block_minimize_linear=lambda part, a, anchor: np.cbrt(-a),
+        cve_values=cve_value,
+        cve_grads=np.negative,
     )
-    objective = ObjectiveOracle(value=f_value, gradient=f_grad)
+    objective = ObjectiveOracle(value=f_value, gradient=f_grad, values=f_value, gradients=f_grad)
     return objective, dc, Point(np.zeros(structure.total), structure)
 
 
@@ -125,16 +133,25 @@ def lasso_problem(target, weight: float = 1.0, gamma: float = 1.0,
     if structure.total != target.size:
         raise InvalidArgumentError("dims must cover the target vector")
 
-    smooth = ObjectiveOracle(
-        value=lambda x: 0.5 * float(((x - target) ** 2).sum()),
-        gradient=lambda x: x - target,
-    )
+    # Each of these takes one point or a stack of points, one per row.
+    def smooth_value(x):
+        return 0.5 * ((x - target) ** 2).sum(axis=-1)
+
+    def smooth_grad(x):
+        return x - target
+
+    def l1(x):
+        return weight * np.abs(x).sum(axis=-1)
+
+    smooth = ObjectiveOracle(value=smooth_value, gradient=smooth_grad,
+                             values=smooth_value, gradients=smooth_grad)
     surrogate = LipschitzQuadraticSurrogate(
         smooth=smooth,
-        nonsmooth_total=lambda x: weight * float(np.abs(x).sum()),
+        nonsmooth_total=l1,
         prox=lambda part, v, g: soft_threshold(v, weight * g),
         beta=1.0,
         gamma=gamma,
+        nonsmooth_totals=l1,
     )
     return surrogate.objective(), surrogate, Point(np.zeros(structure.total), structure)
 

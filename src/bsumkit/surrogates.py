@@ -5,6 +5,15 @@ xi, anchor, iteration)`` evaluates the surrogate for the given part at
 ``xi`` with the rest of the variable frozen at the anchor, and
 ``minimize(part, anchor, iteration)`` returns the anchor with the part
 moved to the argmin, together with the attained surrogate value.
+
+Each upper-bound and approximation surrogate here also has the stacked form
+``values(part, xi_rows, anchor_rows, structure, iteration)``: row r is
+``value(part, xi_rows[r], Point(anchor_rows[r], structure), iteration)``, to
+the bit, from (S, dim) part rows and (S, n) anchor rows. The checks in
+``verify`` evaluate through it, and call ``value`` once per row for a
+surrogate without it, such as ``ExactBlockSurrogate``. A callable
+field's stacked twin (``values``, ``cve_values``, ``nonsmooth_totals``, ...)
+is optional; without it the callable runs once per row.
 """
 
 from __future__ import annotations
@@ -16,9 +25,12 @@ import numpy as np
 
 from .core import (
     BlockIndex,
+    BlockStructure,
     InvalidArgumentError,
     ObjectiveOracle,
     Point,
+    _on_rows,
+    _with_part_rows,
 )
 
 __all__ = [
@@ -84,6 +96,13 @@ class ProximalSurrogate:
         c = self.coefficient(iteration, anchor)
         return self._bound(part, anchor.with_part(part, xi), anchor, c)
 
+    def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
+               structure: BlockStructure, iteration: int = 1) -> np.ndarray:
+        y, z, _, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
+        c = (np.array([self.coefficient(iteration, Point(v, structure)) for v in y])
+             if callable(self.c) else self.coefficient(iteration, None))
+        return self.f.values_at(z) + np.vecdot(diff, diff) / (2.0 * c)
+
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         c = self.coefficient(iteration, anchor)
         z = anchor.with_part(part, self.inner_solver(part, anchor, c))
@@ -96,10 +115,12 @@ class ConvexPartOracle:
 
     ``minimize_linear(a)`` returns argmin_x f_cvx(x) + a @ x over the whole
     variable and may raise SolverError when that problem is unbounded.
+    ``values``, when given, is ``value`` over an (S, n) stack of rows.
     """
 
     value: Callable[[np.ndarray], float]
     minimize_linear: Callable[[np.ndarray], np.ndarray]
+    values: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -109,13 +130,17 @@ class DcLinearization:
     u(x, y) = f_cvx(x) + (x - y) @ grad f_cve(y) + f_cve(y), a global upper
     bound since f_cve lies below its tangents. Minimizing it reproduces the
     concave-convex fixed-point update grad f_cvx(x+) = -grad f_cve(y).
-    Block steps need ``block_minimize_linear(part, a_part, anchor)``.
+    Block steps need ``block_minimize_linear(part, a_part, anchor)``;
+    ``cve_values`` and ``cve_grads``, when given, are ``cve_value`` and
+    ``cve_grad`` over an (S, n) stack of rows.
     """
 
     f_cvx: ConvexPartOracle
     cve_value: Callable[[np.ndarray], float]
     cve_grad: Callable[[np.ndarray], np.ndarray]
     block_minimize_linear: Callable[[BlockIndex, np.ndarray, Point], np.ndarray] | None = None
+    cve_values: Callable[[np.ndarray], np.ndarray] | None = None
+    cve_grads: Callable[[np.ndarray], np.ndarray] | None = None
 
     def objective(self) -> ObjectiveOracle:
         return ObjectiveOracle(
@@ -132,6 +157,13 @@ class DcLinearization:
 
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         return self._bound(part, anchor.with_part(part, xi), anchor, self._grad(anchor))
+
+    def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
+               structure: BlockStructure, iteration: int = 1) -> np.ndarray:
+        y, z, where, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
+        g = _on_rows(self.cve_grads, self.cve_grad, y)
+        return (_on_rows(self.f_cvx.values, self.f_cvx.value, z) + np.vecdot(g[:, where], diff)
+                + _on_rows(self.cve_values, self.cve_value, y))
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         part_n, where, dim = anchor.structure.locate(part)
@@ -158,7 +190,9 @@ class LipschitzQuadraticSurrogate:
     [eps, 2/beta - eps] used by the convergence theory.
 
     ``nonsmooth_total`` evaluates sum_i f1_i at a full vector, ``prox(part,
-    v, gamma)`` solves argmin f1_part(x) + |x - v|^2 / (2 gamma).
+    v, gamma)`` solves argmin f1_part(x) + |x - v|^2 / (2 gamma);
+    ``nonsmooth_totals``, when given, is ``nonsmooth_total`` over an (S, n)
+    stack of rows.
     """
 
     smooth: ObjectiveOracle
@@ -167,6 +201,7 @@ class LipschitzQuadraticSurrogate:
     beta: float
     gamma: float
     eps: float = 1e-6
+    nonsmooth_totals: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.smooth.gradient is None:
@@ -182,13 +217,23 @@ class LipschitzQuadraticSurrogate:
 
     def objective(self) -> ObjectiveOracle:
         return ObjectiveOracle(
-            value=lambda v: float(self.nonsmooth_total(v)) + self.smooth.value_at(v))
+            value=lambda v: float(self.nonsmooth_total(v)) + self.smooth.value_at(v),
+            values=lambda rows: self._nonsmooth(rows) + self.smooth.values_at(rows))
+
+    def _nonsmooth(self, rows: np.ndarray) -> np.ndarray:
+        return _on_rows(self.nonsmooth_totals, self.nonsmooth_total, rows)
 
     def _quadratic(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
         # The smooth part of u at xi, given g = grad f2(anchor).
         diff = xi - anchor.part(part)
         return (float(g[anchor.structure.locate(part)[1]] @ diff)
                 + float(diff @ diff) / (2.0 * self.gamma) + self.smooth.value_at(anchor.values))
+
+    def _quadratic_rows(self, y: np.ndarray, where, diff: np.ndarray) -> np.ndarray:
+        # ``_quadratic`` for a stack of anchors y and part steps diff.
+        g = self.smooth.gradients_at(y)
+        return (np.vecdot(g[:, where], diff) + np.vecdot(diff, diff) / (2.0 * self.gamma)
+                + self.smooth.values_at(y))
 
     def _bound(self, part: BlockIndex, z: Point, anchor: Point, g: np.ndarray) -> float:
         # u at z (the anchor with the part moved), given g = grad f2(anchor).
@@ -198,6 +243,11 @@ class LipschitzQuadraticSurrogate:
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         return self._bound(part, anchor.with_part(part, xi), anchor,
                            self.smooth.gradient_at(anchor.values))
+
+    def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
+               structure: BlockStructure, iteration: int = 1) -> np.ndarray:
+        y, z, where, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
+        return self._nonsmooth(z) + self._quadratic_rows(y, where, diff)
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         g = self.smooth.gradient_at(anchor.values)
@@ -217,6 +267,11 @@ class _SmoothQuadraticPart:
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         return self.parent._quadratic(part, np.asarray(xi, dtype=np.float64), anchor,
                                       self.parent.smooth.gradient_at(anchor.values))
+
+    def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
+               structure: BlockStructure, iteration: int = 1) -> np.ndarray:
+        y, _, where, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
+        return self.parent._quadratic_rows(y, where, diff)
 
 
 @dataclass(frozen=True)
@@ -251,6 +306,12 @@ class QuadraticApprox:
     def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
         return self._model(part, np.asarray(xi, dtype=np.float64), anchor,
                            self.anchor_gradient(anchor))
+
+    def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
+               structure: BlockStructure, iteration: int = 1) -> np.ndarray:
+        y, _, where, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
+        return (self.f.values_at(y) + np.vecdot(self.f.gradients_at(y)[:, where], diff)
+                + np.vecdot(diff, diff) / (2.0 * self.t))
 
     def _model(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
         diff = xi - anchor.part(part)

@@ -8,6 +8,10 @@ check is bit-reproducible.
 A check draws its samples' uniforms in one generator call per chunk of
 ``_CHUNK_ROWS`` samples, laid out as if each sample were drawn on its own,
 and projects each chunk block by block, so chunking never changes a report.
+It evaluates f and u on stacks of at most ``_CHUNK_ROWS`` rows: f through
+``ObjectiveOracle.values_at`` and u through the stacked ``values(part,
+xi_rows, anchor_rows, structure)`` of ``surrogates``. A surrogate without
+``values`` gets one ``value`` call per row, with the same numbers.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ _TIGHT_TOL = 1e-10  # relative mismatch u(y_i, y) vs f(y) a tightness check allo
 _BOUND_TOL = 1e-9  # negative slack u - f an upper-bound check allows
 _SLOPE_TOL = 1e-4  # relative mismatch of the finest difference quotients
 _STEPS = (1e-5, 1e-4, 1e-3)  # difference steps of the slope check, finest first
-_CHUNK_ROWS = 4096  # samples drawn and projected together; bounds the sampler's memory
+_CHUNK_ROWS = 256  # samples drawn, projected and evaluated together; bounds a check's memory
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,12 @@ class SampleSpace:
 
     def sample_points(self, gen: np.random.Generator, n: int) -> list[Point]:
         """``n`` feasible points, drawn as ``n`` one-point draws would be."""
-        return [Point._adopt(y, self.structure) for y, _ in self.sample_rows(gen, n)]
+        return [Point._adopt(y, self.structure)
+                for points, _ in self.sample_rows(gen, n) for y in points]
 
     def sample_rows(self, gen: np.random.Generator, n: int, parts: Sequence[BlockIndex] = ()):
-        """Yield ``n`` feasible points as rows, each with its candidate.
+        """Yield ``n`` feasible points as row stacks of at most ``_CHUNK_ROWS``
+        rows, each stack with the stack of its candidates.
 
         With ``parts``, row r's draw is followed by one of part ``parts[r %
         len(parts)]``, and the candidate is the row with that part replaced
@@ -123,7 +129,7 @@ class SampleSpace:
                 rows = np.flatnonzero(which == k)[:, None]
                 xi = self._project(raw[starts[rows] + s.total + np.arange(dim)], s.part_blocks(part))
                 cands[rows, np.arange(s.total)[where]] = xi
-            yield from zip(points, cands)
+            yield points, cands
 
     def _project(self, rows: np.ndarray, blocks) -> np.ndarray:
         # Project in place the runs of columns that hold ``blocks``, one after another.
@@ -143,6 +149,29 @@ def _part_label(part: BlockIndex):
     return part if isinstance(part, int) else list(part)
 
 
+def _eval_rows(fn, *stacks: np.ndarray) -> np.ndarray:
+    # fn over the stacks' rows, at most _CHUNK_ROWS rows per call, joined.
+    return np.concatenate([np.asarray(fn(*(s[a:a + _CHUNK_ROWS] for s in stacks)), dtype=np.float64)
+                           for a in range(0, len(stacks[0]), _CHUNK_ROWS)] or [np.empty(0)])
+
+
+def _u_rows(u, parts: Sequence[BlockIndex], which: np.ndarray, cands: np.ndarray,
+            anchors: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    # u at each row r's anchor with part parts[which[r]] taken from cands[r]:
+    # one stacked call per part and chunk, or, for a surrogate that has no
+    # ``values``, one ``value`` call per row in row order.
+    where = [structure.locate(part)[1] for part in parts]
+    if not hasattr(u, "values"):
+        return np.array([float(u.value(parts[k], x[where[k]], Point._adopt(y, structure)))
+                         for k, x, y in zip(which, cands, anchors)], dtype=np.float64)
+    out = np.empty(len(anchors))
+    for k, part in enumerate(parts):
+        rows = which == k
+        out[rows] = _eval_rows(lambda xi, y: u.values(part, xi, y, structure),
+                               cands[rows][:, where[k]], anchors[rows])
+    return out
+
+
 def check_tightness(u, f: ObjectiveOracle, samples: Sequence[Point],
                     parts: Sequence[BlockIndex] | None = None) -> CheckReport:
     """u must equal f at the anchor: |u(y_i, y) - f(y)| <= 1e-10 * (1 + |f(y)|).
@@ -151,24 +180,20 @@ def check_tightness(u, f: ObjectiveOracle, samples: Sequence[Point],
     """
     if not samples:
         raise InvalidArgumentError("need at least one sample point")
-    parts = _default_parts(samples[0].structure, parts)
-    worst = 0.0
-    witnesses: list[dict] = []
-    n = 0
-    n_viol = 0
-    for s_idx, y in enumerate(samples):
-        fy = f.value_at(y.values)
-        for part in parts:
-            n += 1
-            uy = float(u.value(part, y.part(part), y))
-            gap = abs(uy - fy) / (1.0 + abs(fy))
-            worst = max(worst, gap)
-            if gap > _TIGHT_TOL:
-                n_viol += 1
-                if len(witnesses) < _MAX_WITNESSES:
-                    witnesses.append({"sample": s_idx, "part": _part_label(part),
-                                      "u": uy, "f": fy, "relative_gap": gap})
-    return CheckReport("tightness", n, n_viol, worst, witnesses)
+    structure = samples[0].structure
+    parts = _default_parts(structure, parts)
+    y = np.array([p.values for p in samples])
+    fy = _eval_rows(f.values_at, y)[:, None]
+    anchors = np.repeat(y, len(parts), axis=0)  # each sample once per part
+    which = np.tile(np.arange(len(parts)), len(y))
+    uy = _u_rows(u, parts, which, anchors, anchors, structure).reshape(len(y), len(parts))
+    gaps = np.abs(uy - fy) / (1.0 + np.abs(fy))
+    flagged = np.argwhere(gaps > _TIGHT_TOL)
+    witnesses = [{"sample": int(i), "part": _part_label(parts[k]), "u": float(uy[i, k]),
+                  "f": float(fy[i, 0]), "relative_gap": float(gaps[i, k])}
+                 for i, k in flagged[:_MAX_WITNESSES]]
+    return CheckReport("tightness", gaps.size, len(flagged),
+                       float(np.fmax.reduce(gaps.ravel(), initial=0.0)), witnesses)
 
 
 def check_upper_bound(u, f: ObjectiveOracle, space: SampleSpace, rng: RngStream,
@@ -180,23 +205,21 @@ def check_upper_bound(u, f: ObjectiveOracle, space: SampleSpace, rng: RngStream,
     """
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be >= 1")
-    parts = _default_parts(space.structure, parts)
-    rows = space.sample_rows(rng.generator(), n_samples, parts)
-    worst = np.inf
-    witnesses: list[dict] = []
-    n_viol = 0
-    for s_idx, (y_row, x_row) in enumerate(rows):
-        part = parts[s_idx % len(parts)]
-        y = Point._adopt(y_row, space.structure)
-        uval = float(u.value(part, x_row[space.structure.locate(part)[1]], y))
-        fval = f.value_at(x_row)
+    s = space.structure
+    parts = _default_parts(s, parts)
+    worst, n_viol, witnesses, start = np.inf, 0, [], 0
+    for points, cands in space.sample_rows(rng.generator(), n_samples, parts):
+        which = (start + np.arange(len(points))) % len(parts)
+        uval = _u_rows(u, parts, which, cands, points, s)
+        fval = _eval_rows(f.values_at, cands)
         slack = uval - fval
-        worst = min(worst, slack)
-        if slack < -_BOUND_TOL:
-            n_viol += 1
-            if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append({"sample": s_idx, "part": _part_label(part),
-                                  "u": uval, "f": fval, "slack": slack})
+        worst = np.fmin.reduce(slack, initial=worst)
+        flagged = np.flatnonzero(slack < -_BOUND_TOL)
+        n_viol += len(flagged)
+        witnesses += [{"sample": start + int(r), "part": _part_label(parts[which[r]]),
+                       "u": float(uval[r]), "f": float(fval[r]), "slack": float(slack[r])}
+                      for r in flagged[:_MAX_WITNESSES - len(witnesses)]]
+        start += len(points)
     return CheckReport("upper_bound", n_samples, n_viol, float(worst), witnesses)
 
 
@@ -213,46 +236,44 @@ def check_first_order_match(u, f: ObjectiveOracle, samples: Sequence[Point],
     """
     if not samples:
         raise InvalidArgumentError("need at least one sample point")
-    parts = _default_parts(space.structure, parts)
-    directions = space.sample_rows(rng.generator(), len(samples) * len(parts))
-    worst = 0.0
-    witnesses: list[dict] = []
-    n = 0
-    n_viol = 0
-    for s_idx, y in enumerate(samples):
-        for part in parts:
-            idx = y.structure.locate(part)[1]
-            d_part = next(directions)[0][idx] - y.part(part)
-            nrm = float(np.linalg.norm(d_part))
-            if nrm < 1e-2:
-                continue  # degenerate draw, direction too short to trust
-            d_part = d_part / nrm
-            n += 1
-            step_full = np.zeros(y.dim)
-            quotients = []
-            for h in _STEPS:
-                du = (float(u.value(part, y.part(part) + h * d_part, y))
-                      - float(u.value(part, y.part(part) - h * d_part, y))) / (2 * h)
-                step_full[idx] = h * d_part
-                df = (f.value_at(y.values + step_full)
-                      - f.value_at(y.values - step_full)) / (2 * h)
-                quotients.append((h, du, df))
-            h_fine, du_fine, df_fine = quotients[0]
-            gap = abs(du_fine - df_fine) / (1.0 + max(abs(du_fine), abs(df_fine)))
-            worst = max(worst, gap)
-            if gap > _SLOPE_TOL:
-                n_viol += 1
-                if len(witnesses) < _MAX_WITNESSES:
-                    witnesses.append({
-                        "sample": s_idx, "part": _part_label(part),
-                        "relative_gap": gap,
-                        "quotients": [
-                            {"h": h, "u_quotient": du, "f_quotient": df}
-                            for h, du, df in quotients],
-                    })
+    s = space.structure
+    parts = _default_parts(s, parts)
+    y = np.array([p.values for p in samples])
+    draws = np.concatenate([d for d, _ in space.sample_rows(rng.generator(), len(y) * len(parts))])
+    draws = draws.reshape(len(y), len(parts), s.total)  # anchors outermost
+    steps = np.array(_STEPS)
+    # The (u, f) difference quotient of each anchor, part and step.
+    quotients = np.zeros((len(y), len(parts), len(steps), 2))
+    tested = np.zeros((len(y), len(parts)), dtype=bool)
+    for k, part in enumerate(parts):
+        where = s.locate(part)[1]
+        d = draws[:, k, where] - y[:, where]
+        nrm = np.sqrt(np.vecdot(d, d))
+        ok = tested[:, k] = ~(nrm < 1e-2)  # a shorter draw is too short to trust
+        if not ok.any():
+            continue
+        moves = np.zeros((len(steps), ok.sum(), s.total))
+        moves[:, :, where] = steps[:, None, None] * (d[ok] / nrm[ok, None])
+        rows = np.concatenate([y[ok] + moves, y[ok] - moves]).reshape(-1, s.total)
+        anchors = np.tile(y[ok], (2 * len(steps), 1))
+        uv = _u_rows(u, [part], np.zeros(len(rows), dtype=int), rows, anchors,
+                     s).reshape(2, len(steps), -1)
+        fv = _eval_rows(f.values_at, rows).reshape(2, len(steps), -1)
+        quotients[ok, k] = (np.stack([uv[0] - uv[1], fv[0] - fv[1]], axis=-1)
+                            / (2 * steps)[:, None, None]).transpose(1, 0, 2)
+    n = int(tested.sum())
     if n == 0:
         raise InvalidArgumentError("no sampled direction was long enough to test")
-    return CheckReport("first_order_match", n, n_viol, worst, witnesses)
+    du, df = quotients[:, :, 0, 0], quotients[:, :, 0, 1]
+    gaps = np.abs(du - df) / (1.0 + np.maximum(np.abs(du), np.abs(df)))
+    flagged = np.argwhere(tested & (gaps > _SLOPE_TOL))
+    witnesses = [{"sample": int(i), "part": _part_label(parts[k]),
+                  "relative_gap": float(gaps[i, k]),
+                  "quotients": [{"h": h, "u_quotient": float(qu), "f_quotient": float(qf)}
+                                for h, (qu, qf) in zip(_STEPS, quotients[i, k])]}
+                 for i, k in flagged[:_MAX_WITNESSES]]
+    return CheckReport("first_order_match", n, len(flagged),
+                       float(np.fmax.reduce(gaps[tested], initial=0.0)), witnesses)
 
 
 def check_composite_smooth(u0, f0: ObjectiveOracle, space: SampleSpace,

@@ -228,6 +228,33 @@ class TestGmmParams:
         with pytest.raises(InvalidArgumentError):
             GmmParams(**fields)
 
+    @pytest.mark.parametrize("field,values,message", [
+        ("weights", [0.7, 0.7], "simplex"), ("weights", [1.1, -0.1], "simplex"),
+        ("weights", [np.nan, 1.0], "simplex"), ("weights", [np.inf, 0.0], "simplex"),
+        ("means", [np.inf, 0.0], "finite"), ("means", [np.nan, 0.0], "finite"),
+        ("variances", [np.nan, 1.0], "finite"), ("variances", [0.0, 1.0], "positive"),
+        ("variances", [-1.0, 1.0], "positive")])
+    def test_stacked_nll_checks_every_row(self, field, values, message):
+        """gmm_nll_rows applies GmmParams' rules to each row: one bad row
+        among good ones fails the stack with GmmParams' own error."""
+        good = {"weights": np.array([0.4, 0.6]), "means": np.array([-1.0, 2.0]),
+                "variances": np.array([1.0, 0.5])}
+        bad = {**good, field: np.array(values)}
+        with pytest.raises(InvalidArgumentError, match=message):
+            GmmParams(**bad)
+        rows = np.array([np.concatenate([p["weights"], p["means"], p["variances"]])
+                         for p in (good, bad, good)])
+        data = np.array([-1.0, 0.5, 2.0])
+        with pytest.raises(InvalidArgumentError, match=message):
+            app_classic.gmm_nll_rows(rows, data)
+        want = gmm_nll(GmmParams(**good), data)
+        assert app_classic.gmm_nll_rows(rows[[0, 2]], data).tolist() == [want, want]
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 0), (6,)])
+    def test_stacked_nll_needs_a_stack_of_equal_thirds(self, shape):
+        with pytest.raises(InvalidArgumentError, match="equal-length"):
+            app_classic.gmm_nll_rows(np.ones(shape), np.zeros(3))
+
     def test_point_roundtrip(self):
         theta = GmmParams(weights=np.array([0.25, 0.75]),
                           means=np.array([-1.0, 3.0]),

@@ -244,6 +244,34 @@ class TestObjectiveOracle:
         with pytest.raises(NumericFailure):
             f.value_at(np.zeros(1))
 
+    def test_stacked_and_per_row_forms_agree(self):
+        rows = np.array([[1.0, -2.0], [0.5, 3.0], [0.0, 0.0]])
+        per_row = ObjectiveOracle(value=lambda v: float(v @ v), gradient=lambda v: 2.0 * v)
+        stacked = ObjectiveOracle(value=per_row.value, gradient=per_row.gradient,
+                                  values=lambda r: np.vecdot(r, r), gradients=lambda r: 2.0 * r)
+        for f in (per_row, stacked):
+            np.testing.assert_array_equal(f.values_at(rows), [5.0, 9.25, 0.0])
+            np.testing.assert_array_equal(f.gradients_at(rows), 2.0 * rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_stacked_value_raises(self, bad):
+        f = ObjectiveOracle(value=lambda v: 1.0,
+                            values=lambda r: np.where(r[:, 0] > 0, bad, 1.0))
+        with pytest.raises(NumericFailure, match=f"non-finite value {float(bad)!r}"):
+            f.values_at(np.array([[-1.0], [1.0]]))
+        g = ObjectiveOracle(value=f.value, gradient=lambda v: v,
+                            gradients=lambda r: np.where(r > 0, bad, r))
+        with pytest.raises(NumericFailure):
+            g.gradients_at(np.array([[-1.0], [1.0]]))
+
+    def test_stacked_forms_give_one_result_per_row(self):
+        f = ObjectiveOracle(value=lambda v: 0.0, gradient=lambda v: v,
+                            values=lambda r: np.zeros(len(r) + 1), gradients=lambda r: r[:, :1])
+        with pytest.raises(InvalidArgumentError):
+            f.values_at(np.zeros((2, 2)))
+        with pytest.raises(InvalidArgumentError):
+            f.gradients_at(np.zeros((2, 2)))
+
 
 class TestTrace:
 
@@ -303,6 +331,11 @@ class TestRngStream:
     def test_non_integer_seed_key_and_substream_rejected(self, build):
         with pytest.raises(InvalidArgumentError, match="must be an integer"):
             build()
+
+    @pytest.mark.parametrize("key", [5, np.int64(5), 2.5, None, "12", b"1"])
+    def test_key_must_be_a_sequence(self, key):
+        with pytest.raises(InvalidArgumentError, match="stream key must be a sequence"):
+            RngStream(0, key=key)
 
     def test_numpy_integer_seed_and_key_accepted(self):
         rng = RngStream(np.int64(4), key=(np.int32(2),)).substream(np.uint8(1))

@@ -271,9 +271,9 @@ def reference_upper_bound_rows(space, gen, n, parts):
     return np.array(points), np.array(cands)
 
 
-def stacked(rows):
-    points, cands = zip(*rows)
-    return np.array(points), np.array(cands)
+def stacked(chunks):
+    points, cands = zip(*chunks)
+    return np.concatenate(points), np.concatenate(cands)
 
 
 MIXED_SPACES = {
@@ -292,7 +292,8 @@ class TestArraySampler:
     def test_upper_bound_layout_across_a_chunk_boundary(self, sets):
         structure = make_block_structure([1, 2])
         space = SampleSpace(structure, MIXED_SPACES[sets], -3.0, 3.0)
-        parts = [0, 1, (0, 1)]  # 4096 % 3 = 1, so the second chunk starts mid-cycle
+        parts = [0, 1, (0, 1)]
+        assert verify._CHUNK_ROWS % 3 == 1  # so the second chunk starts mid-cycle
         n = self.N_ACROSS_CHUNKS
         want = reference_upper_bound_rows(space, RngStream(5).generator(), n, parts)
         got = stacked(space.sample_rows(RngStream(5).generator(), n, parts))

@@ -249,6 +249,20 @@ class TestNetworkSpec:
         with pytest.raises(InvalidArgumentError, match="must be an integer"):
             NetworkSpec.build(*args, **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"noise_power": "2"}, {"noise_power": True}, {"power": True}, {"power": "12"},
+        {"noise_power": ["1"]}, {"power": (np.bool_(True),)}, {"noise_power": None},
+    ])
+    def test_noise_and_power_must_be_real_numbers(self, kwargs):
+        with pytest.raises(InvalidArgumentError, match="must be a real number"):
+            NetworkSpec.build(1, 1, 2, **kwargs)
+
+    def test_numpy_scalar_noise_and_power_accepted(self):
+        spec = NetworkSpec.build(2, 1, 2, noise_power=np.float32(0.5),
+                                 power=(np.int64(2), np.float64(3.0)))
+        assert spec.noise_power == (0.5, 0.5) and spec.power == (2.0, 3.0)
+        assert all(type(v) is float for v in spec.noise_power + spec.power)
+
     def test_numpy_integer_counts_accepted(self):
         spec = NetworkSpec.build(np.int64(2), np.int32(2), np.int64(3), streams=np.int8(2))
         assert spec == NetworkSpec.build(2, 2, 3, streams=2)
