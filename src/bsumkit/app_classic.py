@@ -252,7 +252,8 @@ class GmmJensenSurrogate:
         self._clamps: list[tuple[int, int]] = []
 
     def objective(self) -> ObjectiveOracle:
-        """The negative log-likelihood over the flat parameter vector."""
+        """The negative log-likelihood over the flat parameter vector, or
+        over each row of a stack of them."""
         return ObjectiveOracle(value=self._nll)
 
     def _log_densities(self, v: np.ndarray) -> np.ndarray:
@@ -275,6 +276,8 @@ class GmmJensenSurrogate:
         return entry[1]
 
     def _nll(self, v: np.ndarray) -> float:
+        if v.ndim == 2:
+            return gmm_nll_rows(v, self.data)
         return float(-self._lse(self._facts(v)).sum())
 
     def _responsibilities(self, anchor: Point) -> tuple[np.ndarray, np.float64]:
@@ -297,11 +300,6 @@ class GmmJensenSurrogate:
             cross = np.multiply(gamma, logp, out=out)
         cross[~(gamma > 0)] = 0.0
         return -_flat_sum(cross) + entropy
-
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        gamma, entropy = self._responsibilities(anchor)
-        logp = self._log_densities(anchor.with_part(part, xi).values)
-        return float(self._bound(gamma, entropy, logp, out=logp))
 
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:

@@ -348,7 +348,7 @@ def read_tensor(path) -> DenseTensor3:
 class CpSurrogate:
     """Per-factor upper-bound model around the current factors.
 
-    value(part, xi, y) = sqrt(|X - reconstruction|^2 + lam |xi - y_part|^2)
+    u(xi, y) = sqrt(|X - reconstruction|^2 + lam |xi - y_part|^2)
     where the reconstruction substitutes xi into factor block ``part``.
 
     The anchor's factors and lambda are built once per anchor ``Point``.
@@ -378,7 +378,8 @@ class CpSurrogate:
         self._points: list[tuple[np.ndarray, float, int | None]] = []
 
     def objective(self) -> ObjectiveOracle:
-        """The fit error |X - [A, B, C]|_F over the flat factor vector."""
+        """The fit error |X - [A, B, C]|_F over the flat factor vector, or
+        over each row of a stack of them."""
         return ObjectiveOracle(value=self._residual)
 
     def _split(self, v: np.ndarray) -> CpFactors:
@@ -394,6 +395,8 @@ class CpSurrogate:
         entry = self._facts(v)
         if entry is not None:
             return entry[1]
+        if v.ndim == 2:
+            return cp_residual_rows(self.tensor, v, self.rank)
         res = cp_residual(self.tensor, self._split(v))
         if self._anchor is None and not v.flags.writeable and v.base is None:
             self._points.append((v, res, None))  # the start point, which the first anchor reads
@@ -429,15 +432,6 @@ class CpSurrogate:
         res = cp_residual(self.tensor, self._split(merged))
         diff = xi - anchor.values[sl]
         return merged, res, float(np.sqrt(res * res + lam * float(diff @ diff)))
-
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        i = self._as_int(part)
-        _, lam = self._at(anchor)
-        xi = np.asarray(xi, dtype=np.float64).ravel()
-        if xi.shape[0] != self._dims[i]:
-            raise InvalidArgumentError(
-                f"factor block {i} has {self._dims[i]} entries, got {xi.shape[0]}")
-        return self._model(i, xi, anchor, lam)[2]
 
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:

@@ -64,10 +64,10 @@ class NetworkSpec:
         if len(streams) != n_users or any(d < 1 or d > n_antennas for d in streams):
             raise InvalidArgumentError("streams must satisfy 1 <= d <= n_antennas per user")
         noise_power = _items(noise_power, n_users, lambda v: _real(v, "noise power"))
-        if len(noise_power) != n_users or any(s <= 0 for s in noise_power):
+        if len(noise_power) != n_users or any(not s > 0 for s in noise_power):
             raise InvalidArgumentError("noise power must be positive per user")
         power = _items(power, n_cells, lambda v: _real(v, "a power budget"))
-        if len(power) != n_cells or any(p <= 0 for p in power):
+        if len(power) != n_cells or any(not p > 0 for p in power):
             raise InvalidArgumentError("power budgets must be positive per cell")
         return NetworkSpec(n_cells, users_per_cell, n_antennas, streams,
                            noise_power, power)

@@ -28,7 +28,6 @@ from . import app_classic, app_tensor, app_wmmse, problems, verify
 from .core import (
     BsumError,
     ObjectiveOracle,
-    Point,
     RngStream,
     Trace,
     box,
@@ -421,8 +420,7 @@ def _run_toy(params: dict, seeds: list[int], out_dir: str, opts: SolveOptions) -
 
 
 def _verify_jobs(seed: int):
-    """Shipped surrogates, each with its objective and sample space; every
-    surrogate and objective here has its stacked form (``values``)."""
+    """Shipped surrogates, each with its objective and sample space."""
     quad = problems.QuadraticProblem(
         Q=np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]]),
         b=np.array([1.0, -2.0, 0.5]))
@@ -434,10 +432,7 @@ def _verify_jobs(seed: int):
     cp = {key: entry[1] for key, entry in _PARAM_TABLES["cp"].items()}
     tensor = app_tensor.build_swamp_instance(cp["theta"])
     cp_structure = make_block_structure([n * cp["rank"] for n in tensor.shape])
-    cp_f = ObjectiveOracle(
-        value=lambda v: app_tensor.cp_residual(tensor, app_tensor.CpFactors.from_point(
-            Point(v, cp_structure), tensor.shape, cp["rank"])),
-        values=lambda rows: app_tensor.cp_residual_rows(tensor, rows, cp["rank"]))
+    cp_f = ObjectiveOracle(value=lambda rows: app_tensor.cp_residual_rows(tensor, rows, cp["rank"]))
     cp_u = app_tensor.CpSurrogate(
         tensor, cp["rank"], app_tensor.LambdaSchedule.diminishing(cp["lam0"], cp["lam1"]))
 
@@ -449,10 +444,7 @@ def _verify_jobs(seed: int):
         feasible=(simplex(floor=0.05), box([-4.0, -4.0], [4.0, 4.0]),
                   box([0.3, 0.3], [3.0, 3.0])),
         lo=-4.0, hi=4.0)
-    em_f = ObjectiveOracle(
-        value=lambda v: app_classic.gmm_nll(
-            app_classic.GmmParams.from_point(Point(v, em_structure)), em_data),
-        values=lambda rows: app_classic.gmm_nll_rows(rows, em_data))
+    em_f = ObjectiveOracle(value=lambda rows: app_classic.gmm_nll_rows(rows, em_data))
 
     boxed = verify.SampleSpace.boxed
     return {

@@ -218,13 +218,6 @@ def _with_part_rows(structure: BlockStructure, part: BlockIndex, xi_rows, anchor
     return y, z, where, xi - y[:, where]
 
 
-def _on_rows(stacked: Callable | None, single: Callable, rows: np.ndarray) -> np.ndarray:
-    # ``stacked(rows)``, or ``single`` called on each row when there is no stacked form.
-    if stacked is not None:
-        return np.asarray(stacked(rows), dtype=np.float64)
-    return np.array([single(r) for r in rows], dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class FeasibleSetOracle:
     """Closed convex set, given by its Euclidean projection.
@@ -303,16 +296,14 @@ def simplex(floor: float = 0.0) -> FeasibleSetOracle:
 class ObjectiveOracle:
     """Objective value (and optional gradient) over the flat vector.
 
-    ``values`` and ``gradients``, when given, take an (S, n) stack of points,
-    one per row, and return ``value`` (S,) or ``gradient`` (S, n) of each row;
-    ``values_at`` and ``gradients_at`` call ``value_at``/``gradient_at`` once
-    per row without them.
+    Each callable takes one point, from the drivers, or an (S, n) stack of
+    points, one per row, from the checks: ``value`` then gives (S,) values
+    and ``gradient`` (S, n) gradients, each row the bits of that row alone.
+    ``values_at`` and ``gradients_at`` take the stacks.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    values: Callable[[np.ndarray], np.ndarray] | None = None
-    gradients: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value_at(self, x: np.ndarray) -> float:
         v = float(self.value(np.asarray(x, dtype=np.float64)))
@@ -330,7 +321,7 @@ class ObjectiveOracle:
 
     def values_at(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
-        v = _on_rows(self.values, self.value_at, rows)
+        v = np.asarray(self.value(rows), dtype=np.float64)
         if rows.ndim != 2 or v.shape != rows.shape[:1]:
             raise InvalidArgumentError(f"values of {rows.shape} rows came back as {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -340,11 +331,9 @@ class ObjectiveOracle:
 
     def gradients_at(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
-        g = _on_rows(self.gradients, self.gradient_at, rows)
+        g = self.gradient_at(rows)
         if rows.ndim != 2 or g.shape != rows.shape:
             raise InvalidArgumentError(f"gradients of {rows.shape} rows came back as {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericFailure("gradient returned non-finite values")
         return g
 
 

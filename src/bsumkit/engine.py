@@ -45,6 +45,7 @@ import numpy as np
 
 from .core import (
     BlockIndex,
+    BlockStructure,
     BsumError,
     DescentDirectionError,
     InvalidArgumentError,
@@ -72,9 +73,10 @@ __all__ = [
 
 
 class BlockSurrogateOracle(Protocol):
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float: ...
-
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]: ...
+
+    def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
+               structure: BlockStructure, iteration: int = 1) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)

@@ -55,11 +55,13 @@ class QuadraticProblem:
         object.__setattr__(self, "b", b)
 
     def objective(self) -> ObjectiveOracle:
+        # Both take one point or a stack of points, one per row; the
+        # (1, n) @ Q and Q @ (n, 1) products give each row the bits of
+        # x @ Q @ x and Q @ x for that row alone.
+        Q, b = self.Q, self.b
         return ObjectiveOracle(
-            value=lambda x: 0.5 * float(x @ self.Q @ x) - float(self.b @ x),
-            gradient=lambda x: self.Q @ x - self.b,
-            values=lambda rows: 0.5 * np.vecdot(rows @ self.Q, rows) - np.vecdot(rows, self.b),
-        )
+            value=lambda x: 0.5 * np.vecdot((x[..., None, :] @ Q)[..., 0, :], x) - np.vecdot(x, b),
+            gradient=lambda x: np.matmul(Q, x[..., None])[..., 0] - b)
 
     def block_minimize(self, part: BlockIndex, anchor: Point) -> np.ndarray:
         # Exact part minimizer with the rest frozen: Q_pp x_p = b_p - Q_pr y_r.
@@ -105,17 +107,13 @@ def separable_quartic_dc(dims=(1,)) -> tuple[ObjectiveOracle, DcLinearization, P
     def f_grad(x):
         return x ** 3 - x
 
-    cvx = ConvexPartOracle(value=cvx_value, minimize_linear=lambda a: np.cbrt(-a),
-                           values=cvx_value)
     dc = DcLinearization(
-        f_cvx=cvx,
+        f_cvx=ConvexPartOracle(value=cvx_value, minimize_linear=lambda a: np.cbrt(-a)),
         cve_value=cve_value,
         cve_grad=np.negative,
         block_minimize_linear=lambda part, a, anchor: np.cbrt(-a),
-        cve_values=cve_value,
-        cve_grads=np.negative,
     )
-    objective = ObjectiveOracle(value=f_value, gradient=f_grad, values=f_value, gradients=f_grad)
+    objective = ObjectiveOracle(value=f_value, gradient=f_grad)
     return objective, dc, Point(np.zeros(structure.total), structure)
 
 
@@ -143,15 +141,12 @@ def lasso_problem(target, weight: float = 1.0, gamma: float = 1.0,
     def l1(x):
         return weight * np.abs(x).sum(axis=-1)
 
-    smooth = ObjectiveOracle(value=smooth_value, gradient=smooth_grad,
-                             values=smooth_value, gradients=smooth_grad)
     surrogate = LipschitzQuadraticSurrogate(
-        smooth=smooth,
+        smooth=ObjectiveOracle(value=smooth_value, gradient=smooth_grad),
         nonsmooth_total=l1,
         prox=lambda part, v, g: soft_threshold(v, weight * g),
         beta=1.0,
         gamma=gamma,
-        nonsmooth_totals=l1,
     )
     return surrogate.objective(), surrogate, Point(np.zeros(structure.total), structure)
 

@@ -1,19 +1,14 @@
 """Upper-bound and approximation surrogates used by the drivers.
 
-Every class here follows the ``BlockSurrogateOracle`` shape: ``value(part,
-xi, anchor, iteration)`` evaluates the surrogate for the given part at
-``xi`` with the rest of the variable frozen at the anchor, and
+Every class here follows the ``BlockSurrogateOracle`` shape:
 ``minimize(part, anchor, iteration)`` returns the anchor with the part
-moved to the argmin, together with the attained surrogate value.
-
-Each upper-bound and approximation surrogate here also has the stacked form
-``values(part, xi_rows, anchor_rows, structure, iteration)``: row r is
-``value(part, xi_rows[r], Point(anchor_rows[r], structure), iteration)``, to
-the bit, from (S, dim) part rows and (S, n) anchor rows. The checks in
-``verify`` evaluate through it, and call ``value`` once per row for a
-surrogate without it, such as ``ExactBlockSurrogate``. A callable
-field's stacked twin (``values``, ``cve_values``, ``nonsmooth_totals``, ...)
-is optional; without it the callable runs once per row.
+moved to the argmin, together with the attained surrogate value, and
+``values(part, xi_rows, anchor_rows, structure, iteration)`` evaluates the
+surrogate on stacks: row r is u at the anchor ``anchor_rows[r]`` with the
+part set to ``xi_rows[r]``, from (S, dim) part rows and (S, n) anchor rows,
+each row the bits of a one-row call. The checks in ``verify`` evaluate
+through it. A callable field takes one point, from ``minimize``, or an
+(S, n) stack of rows, from ``values``.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from .core import (
     InvalidArgumentError,
     ObjectiveOracle,
     Point,
-    _on_rows,
     _with_part_rows,
 )
 
@@ -55,8 +49,9 @@ class ExactBlockSurrogate:
     f: ObjectiveOracle
     solver: Callable[[BlockIndex, Point], np.ndarray]
 
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        return self.f.value_at(anchor.with_part(part, xi).values)
+    def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
+               structure: BlockStructure, iteration: int = 1) -> np.ndarray:
+        return self.f.values_at(_with_part_rows(structure, part, xi_rows, anchor_rows)[1])
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         z = anchor.with_part(part, self.solver(part, anchor))
@@ -92,10 +87,6 @@ class ProximalSurrogate:
         diff = z.part(part) - anchor.part(part)
         return self.f.value_at(z.values) + float(diff @ diff) / (2.0 * c)
 
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        c = self.coefficient(iteration, anchor)
-        return self._bound(part, anchor.with_part(part, xi), anchor, c)
-
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:
         y, z, _, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
@@ -115,12 +106,10 @@ class ConvexPartOracle:
 
     ``minimize_linear(a)`` returns argmin_x f_cvx(x) + a @ x over the whole
     variable and may raise SolverError when that problem is unbounded.
-    ``values``, when given, is ``value`` over an (S, n) stack of rows.
     """
 
     value: Callable[[np.ndarray], float]
     minimize_linear: Callable[[np.ndarray], np.ndarray]
-    values: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -130,24 +119,20 @@ class DcLinearization:
     u(x, y) = f_cvx(x) + (x - y) @ grad f_cve(y) + f_cve(y), a global upper
     bound since f_cve lies below its tangents. Minimizing it reproduces the
     concave-convex fixed-point update grad f_cvx(x+) = -grad f_cve(y).
-    Block steps need ``block_minimize_linear(part, a_part, anchor)``;
-    ``cve_values`` and ``cve_grads``, when given, are ``cve_value`` and
-    ``cve_grad`` over an (S, n) stack of rows.
+    Block steps need ``block_minimize_linear(part, a_part, anchor)``.
     """
 
     f_cvx: ConvexPartOracle
     cve_value: Callable[[np.ndarray], float]
     cve_grad: Callable[[np.ndarray], np.ndarray]
     block_minimize_linear: Callable[[BlockIndex, np.ndarray, Point], np.ndarray] | None = None
-    cve_values: Callable[[np.ndarray], np.ndarray] | None = None
-    cve_grads: Callable[[np.ndarray], np.ndarray] | None = None
 
     def objective(self) -> ObjectiveOracle:
-        return ObjectiveOracle(
-            value=lambda v: float(self.f_cvx.value(v)) + float(self.cve_value(v)))
+        return ObjectiveOracle(value=lambda v: self.f_cvx.value(v) + self.cve_value(v))
 
-    def _grad(self, anchor: Point) -> np.ndarray:
-        return np.asarray(self.cve_grad(anchor.values), dtype=np.float64)
+    def _grad(self, y: np.ndarray) -> np.ndarray:
+        # grad f_cve at one anchor vector or at each row of a stack.
+        return np.asarray(self.cve_grad(y), dtype=np.float64)
 
     def _bound(self, part: BlockIndex, z: Point, anchor: Point, g: np.ndarray) -> float:
         # u at z (the anchor with the part moved), given g = grad f_cve(anchor).
@@ -155,19 +140,15 @@ class DcLinearization:
         lin = float(g[where] @ (z.values[where] - anchor.values[where]))
         return float(self.f_cvx.value(z.values)) + lin + float(self.cve_value(anchor.values))
 
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        return self._bound(part, anchor.with_part(part, xi), anchor, self._grad(anchor))
-
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:
         y, z, where, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
-        g = _on_rows(self.cve_grads, self.cve_grad, y)
-        return (_on_rows(self.f_cvx.values, self.f_cvx.value, z) + np.vecdot(g[:, where], diff)
-                + _on_rows(self.cve_values, self.cve_value, y))
+        return (self.f_cvx.value(z) + np.vecdot(self._grad(y)[:, where], diff)
+                + self.cve_value(y))
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         part_n, where, dim = anchor.structure.locate(part)
-        g = self._grad(anchor)
+        g = self._grad(anchor.values)
         if dim == anchor.structure.total:
             # minimize_linear works on the whole vector.
             z = anchor.with_values(self.f_cvx.minimize_linear(g))
@@ -190,9 +171,7 @@ class LipschitzQuadraticSurrogate:
     [eps, 2/beta - eps] used by the convergence theory.
 
     ``nonsmooth_total`` evaluates sum_i f1_i at a full vector, ``prox(part,
-    v, gamma)`` solves argmin f1_part(x) + |x - v|^2 / (2 gamma);
-    ``nonsmooth_totals``, when given, is ``nonsmooth_total`` over an (S, n)
-    stack of rows.
+    v, gamma)`` solves argmin f1_part(x) + |x - v|^2 / (2 gamma).
     """
 
     smooth: ObjectiveOracle
@@ -201,7 +180,6 @@ class LipschitzQuadraticSurrogate:
     beta: float
     gamma: float
     eps: float = 1e-6
-    nonsmooth_totals: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.smooth.gradient is None:
@@ -216,12 +194,7 @@ class LipschitzQuadraticSurrogate:
                 f"gamma must lie in [{lo}, {hi}] for beta={self.beta}, got {self.gamma}")
 
     def objective(self) -> ObjectiveOracle:
-        return ObjectiveOracle(
-            value=lambda v: float(self.nonsmooth_total(v)) + self.smooth.value_at(v),
-            values=lambda rows: self._nonsmooth(rows) + self.smooth.values_at(rows))
-
-    def _nonsmooth(self, rows: np.ndarray) -> np.ndarray:
-        return _on_rows(self.nonsmooth_totals, self.nonsmooth_total, rows)
+        return ObjectiveOracle(value=lambda v: self.nonsmooth_total(v) + self.smooth.value(v))
 
     def _quadratic(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
         # The smooth part of u at xi, given g = grad f2(anchor).
@@ -240,14 +213,10 @@ class LipschitzQuadraticSurrogate:
         return (float(self.nonsmooth_total(z.values))
                 + self._quadratic(part, z.part(part), anchor, g))
 
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        return self._bound(part, anchor.with_part(part, xi), anchor,
-                           self.smooth.gradient_at(anchor.values))
-
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:
         y, z, where, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
-        return self._nonsmooth(z) + self._quadratic_rows(y, where, diff)
+        return self.nonsmooth_total(z) + self._quadratic_rows(y, where, diff)
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         g = self.smooth.gradient_at(anchor.values)
@@ -263,10 +232,6 @@ class LipschitzQuadraticSurrogate:
 @dataclass(frozen=True)
 class _SmoothQuadraticPart:
     parent: LipschitzQuadraticSurrogate
-
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        return self.parent._quadratic(part, np.asarray(xi, dtype=np.float64), anchor,
-                                      self.parent.smooth.gradient_at(anchor.values))
 
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:
@@ -302,10 +267,6 @@ class QuadraticApprox:
         if last[0] is not anchor:
             last = self._last[0] = (anchor, self.f.gradient_at(anchor.values))
         return last[1]
-
-    def value(self, part: BlockIndex, xi: np.ndarray, anchor: Point, iteration: int = 1) -> float:
-        return self._model(part, np.asarray(xi, dtype=np.float64), anchor,
-                           self.anchor_gradient(anchor))
 
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:

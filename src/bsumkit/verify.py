@@ -10,8 +10,8 @@ A check draws its samples' uniforms in one generator call per chunk of
 and projects each chunk block by block, so chunking never changes a report.
 It evaluates f and u on stacks of at most ``_CHUNK_ROWS`` rows: f through
 ``ObjectiveOracle.values_at`` and u through the stacked ``values(part,
-xi_rows, anchor_rows, structure)`` of ``surrogates``. A surrogate without
-``values`` gets one ``value`` call per row, with the same numbers.
+xi_rows, anchor_rows, structure)`` of ``surrogates``. Either one's
+non-finite value raises ``NumericFailure``, since a NaN gap fails no test.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .core import (
     BlockStructure,
     FeasibleSetOracle,
     InvalidArgumentError,
+    NumericFailure,
     ObjectiveOracle,
     Point,
     RngStream,
@@ -157,18 +158,16 @@ def _eval_rows(fn, *stacks: np.ndarray) -> np.ndarray:
 
 def _u_rows(u, parts: Sequence[BlockIndex], which: np.ndarray, cands: np.ndarray,
             anchors: np.ndarray, structure: BlockStructure) -> np.ndarray:
-    # u at each row r's anchor with part parts[which[r]] taken from cands[r]:
-    # one stacked call per part and chunk, or, for a surrogate that has no
-    # ``values``, one ``value`` call per row in row order.
-    where = [structure.locate(part)[1] for part in parts]
-    if not hasattr(u, "values"):
-        return np.array([float(u.value(parts[k], x[where[k]], Point._adopt(y, structure)))
-                         for k, x, y in zip(which, cands, anchors)], dtype=np.float64)
+    # u at each row r's anchor with part parts[which[r]] taken from cands[r],
+    # one stacked call per part and chunk; a non-finite u raises.
     out = np.empty(len(anchors))
     for k, part in enumerate(parts):
         rows = which == k
         out[rows] = _eval_rows(lambda xi, y: u.values(part, xi, y, structure),
-                               cands[rows][:, where[k]], anchors[rows])
+                               cands[rows][:, structure.locate(part)[1]], anchors[rows])
+    if not np.all(np.isfinite(out)):
+        raise NumericFailure(
+            f"surrogate returned non-finite value {float(out[~np.isfinite(out)][0])!r}")
     return out
 
 

@@ -32,6 +32,12 @@ from bsumkit.problems import QuadraticProblem, lasso_problem, separable_quartic_
 from bsumkit.verify import audit_trace
 
 
+def u_at(u, part, xi, anchor, iteration=1):
+    """u at ``xi`` with the rest frozen at ``anchor``: a one-row ``values`` call."""
+    return u.values(part, np.asarray(xi, dtype=np.float64)[None], anchor.values[None],
+                    anchor.structure, iteration)[0]
+
+
 def scalar_point(x):
     return Point(np.array([float(x)]), make_block_structure([1]))
 
@@ -368,7 +374,7 @@ class TestEmGmm:
         u = GmmJensenSurrogate(data, s_floor=1e-9)
         x = theta.to_point()
         part = (0, 1, 2)
-        np.testing.assert_allclose(u.value(part, x.values, x),
+        np.testing.assert_allclose(u_at(u, part, x.values, x),
                                    gmm_nll(theta, data), atol=1e-10)
 
 
@@ -448,7 +454,7 @@ class TestEmOncePerPoint:
                           opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-15))
         assert len(seen) == self.N_ITERS + 3
         for part, anchor, xi, umin in seen:
-            assert umin == GmmJensenSurrogate(data, s_floor=1.0).value(part, xi, anchor)
+            assert umin == u_at(GmmJensenSurrogate(data, s_floor=1.0), part, xi, anchor)
 
     @pytest.mark.parametrize("mode", ["full", "block"])
     def test_memo_stays_bounded(self, monkeypatch, mode):
@@ -478,8 +484,9 @@ class TestEmOncePerPoint:
         assert a is None and lse.shape == (300,)
 
     def test_cold_value_one_logsumexp(self, monkeypatch):
-        """A value at a fresh anchor runs one logsumexp (the anchor's), none
-        for the candidate; a second sample at that anchor runs none."""
+        """A values call runs one logsumexp (its anchors'), none for the
+        candidates, however many rows it has and whatever the last call's
+        anchor was."""
         calls = []
         logsumexp = app_classic._logsumexp
 
@@ -492,13 +499,14 @@ class TestEmOncePerPoint:
         u = GmmJensenSurrogate(data, s_floor=1e-9)
         x = GmmParams(weights=np.array([0.4, 0.6]), means=np.array([-1.0, 2.0]),
                       variances=np.array([1.2, 0.8])).to_point()
-        u.value(1, np.array([-1.5, 1.5]), x)
+        u_at(u, 1, np.array([-1.5, 1.5]), x)
         assert len(calls) == 1
-        u.value(2, np.array([1.0, 1.0]), x)
-        assert len(calls) == 1
-        y = x.with_part(1, np.array([0.0, 1.0]))
-        u.value((0, 1, 2), x.values, y)
+        u_at(u, 2, np.array([1.0, 1.0]), x)
         assert len(calls) == 2
+        y = x.with_part(1, np.array([0.0, 1.0]))
+        u.values((0, 1, 2), np.stack([x.values, y.values]), np.stack([y.values, x.values]),
+                 x.structure)
+        assert len(calls) == 3
 
 
 def broadcast_weighted_log_densities(theta, data):
@@ -601,7 +609,7 @@ class TestEmColumnArithmetic:
         x = theta.to_point()
         y = x.with_part(1, x.block(1) + 0.5)
         u = GmmJensenSurrogate(data, s_floor=1e-9)
-        bound = u.value(1, y.block(1), x)
+        bound = u_at(u, 1, y.block(1), x)
         gamma, entropy = u._responsibilities(x)
         want = broadcast_jensen_terms(broadcast_weighted_log_densities(theta, data),
                                       broadcast_weighted_log_densities(

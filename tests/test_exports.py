@@ -26,7 +26,8 @@ REMOVED = ["proximal_minimize", "dc_minimize", "forward_backward_step",
 UNREFERENCED_BY_DESIGN = {
     "__version__",  # package metadata
     # wrapped by the benchmark tracer (bench/tracing.py) as per-layer spans
-    "lambda_value", "mmse_receiver", "mse_matrix", "sum_rate", "update_transmitters",
+    "gmm_nll", "lambda_value", "mmse_receiver", "mse_matrix", "sum_rate",
+    "update_transmitters",
     "audit_trace",  # the README's documented trace audit
     "ball", "nonnegative", "khatri_rao",  # stand-alone primitives
 }
@@ -124,3 +125,28 @@ def test_test_only_members_are_gone():
     assert list(inspect.signature(engine.armijo_step).parameters) == ["f", "x", "d", "fprime", "fx"]
     assert [f.name for f in dataclasses.fields(app_tensor.LambdaSchedule)] == [
         "lam0", "lam1"]
+
+
+def test_one_evaluator_per_surrogate_and_objective():
+    """A surrogate evaluates only through the stacked ``values``, and an
+    oracle holds one callable per quantity, with no stacked twin."""
+    from bsumkit import app_classic, app_tensor, core, engine, surrogates
+
+    classes = [cls for module in (surrogates, app_tensor, app_classic)
+               for cls in vars(module).values()
+               if inspect.isclass(cls) and cls.__module__ == module.__name__]
+    assert [c.__name__ for c in classes if inspect.isfunction(getattr(c, "value", None))] == []
+    surrogate_classes = [c for c in classes if hasattr(c, "minimize")]
+    assert {c.__name__ for c in surrogate_classes} == {
+        "ExactBlockSurrogate", "ProximalSurrogate", "DcLinearization",
+        "LipschitzQuadraticSurrogate", "QuadraticApprox", "CpSurrogate", "GmmJensenSurrogate"}
+    assert [c.__name__ for c in surrogate_classes if not callable(getattr(c, "values", None))] == []
+    assert [m for m in ("value", "minimize", "values")
+            if hasattr(engine.BlockSurrogateOracle, m)] == ["minimize", "values"]
+    assert [f.name for f in dataclasses.fields(bsumkit.ObjectiveOracle)] == ["value", "gradient"]
+    assert [f.name for f in dataclasses.fields(bsumkit.ConvexPartOracle)] == [
+        "value", "minimize_linear"]
+    twins = {"cve_values", "cve_grads", "nonsmooth_totals"}
+    for cls in (bsumkit.DcLinearization, bsumkit.LipschitzQuadraticSurrogate):
+        assert twins.isdisjoint(f.name for f in dataclasses.fields(cls))
+    assert not hasattr(core, "_on_rows")

@@ -1,12 +1,11 @@
 """The check battery's stacked evaluation path.
 
 Every shipped surrogate and objective evaluates a stack of rows to the bits
-of its one-row ``value``/``value_at``; the battery reaches them only through
-the stacked entry points; and a surrogate or objective without them goes
-through the per-row adapter with today's report.
+of one-row calls, and a surrogate's ``values`` at its own argmin is the min u
+that ``minimize`` returned; the battery reaches them only through the
+stacked entry points; and a non-finite f or u fails the check.
 """
 
-import hashlib
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from bsumkit import cli, verify
 from bsumkit.core import (
     NumericFailure,
     ObjectiveOracle,
-    Point,
     RngStream,
     make_block_structure,
 )
@@ -43,81 +41,100 @@ def pairs():
 PAIRS = {name: (u, f, space) for name, u, f, space in pairs()}
 
 
+def parts_of(name, structure):
+    """Every block, and the group of all blocks except for CP, which updates
+    one factor at a time."""
+    parts = list(range(structure.n_blocks))
+    if structure.n_blocks > 1 and name != "cp":
+        parts.append(tuple(parts))
+    return parts
+
+
 @pytest.mark.parametrize("name", PAIRS)
 def test_stacked_values_are_the_per_row_bits(name):
-    """About 200 drawn (anchor, candidate) rows per part: ``u.values`` and
-    ``f.values_at`` give the bits of ``u.value`` and ``f.value_at`` row by
-    row, at the candidates and, as in the tightness check, at the anchors."""
+    """About 200 drawn (anchor, candidate) rows per part, evaluated in stacks
+    of exactly n rows (n the variable's length, so a product that only fits
+    by its shape is caught): each row of ``u.values`` and ``f.values_at`` has
+    the bits of a one-row call, at the candidates and, as in the tightness
+    check, at the anchors."""
     u, f, space = PAIRS[name]
     s = space.structure
-    parts = list(range(s.n_blocks))
-    if s.n_blocks > 1 and name != "cp":  # CP updates one factor at a time
-        parts.append(tuple(parts))
-    for k, part in enumerate(parts):
+    n = s.total
+    for k, part in enumerate(parts_of(name, s)):
         gen = RngStream(5, key=(k,)).generator()
-        anchors, cands = map(np.concatenate, zip(*space.sample_rows(gen, 200, [part])))
+        anchors, cands = map(np.concatenate,
+                             zip(*space.sample_rows(gen, n * math.ceil(200 / n), [part])))
         where = s.locate(part)[1]
-        for xi_rows in (cands[:, where], anchors[:, where]):
-            got = u.values(part, xi_rows, anchors, s)
-            want = [u.value(part, xi, Point(y, s)) for xi, y in zip(xi_rows, anchors)]
-            assert got.shape == (200,)
-            assert got.tobytes() == np.array(want).tobytes()
-        got = f.values_at(cands)
-        assert got.tobytes() == np.array([f.value_at(x) for x in cands]).tobytes()
+        for a in range(0, len(anchors), n):
+            y = anchors[a:a + n]
+            for xi_rows in (cands[a:a + n, where], y[:, where]):
+                got = u.values(part, xi_rows, y, s)
+                want = [u.values(part, xi_rows[r:r + 1], y[r:r + 1], s)[0] for r in range(n)]
+                assert got.shape == (n,)
+                assert got.tobytes() == np.array(want).tobytes()
+            got = f.values_at(cands[a:a + n])
+            assert got.tobytes() == np.array([f.values_at(cands[r:r + 1])[0]
+                                              for r in range(a, a + n)]).tobytes()
 
 
-class ValueOnly:
-    """A shipped surrogate seen through ``value`` alone, as a third-party one is."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def value(self, part, xi, anchor, iteration=1):
-        return self.inner.value(part, xi, anchor, iteration)
-
-
-class ComposedValueOnly(ValueOnly):
-
-    def smooth_part(self):
-        u0, f0 = self.inner.smooth_part()
-        return ValueOnly(u0), ObjectiveOracle(value=f0.value)
+@pytest.mark.parametrize("name", [name for name in PAIRS if name != "lipschitz_smooth"])
+def test_values_at_the_argmin_is_the_min_u(name):
+    """On 50 drawn anchors and every part, ``values`` at the point ``minimize``
+    returned gives the min u that ``minimize`` returned, to the bit."""
+    u, _, space = PAIRS[name]
+    s = space.structure
+    for y in space.sample_points(RngStream(6).generator(), 50):
+        for part in parts_of(name, s):
+            z, umin = u.minimize(part, y)
+            where = s.locate(part)[1]
+            got = u.values(part, z.values[where][None], y.values[None], s)
+            assert got.tobytes() == np.array([umin]).tobytes()
 
 
-def test_value_only_jobs_keep_the_pinned_report(tmp_path, monkeypatch):
-    """With every surrogate and objective of the battery stripped to its
-    one-row ``value``, the per-row adapter writes the report whose bytes
-    test_cli's ``test_verify_report_bits_are_pinned`` pins."""
-    jobs = cli._verify_jobs
-    calls = []
-
-    def value_only_jobs(seed):
-        out = {}
-        for name, (u, f, space) in jobs(seed).items():
-            wrap = ComposedValueOnly if hasattr(u, "smooth_part") else ValueOnly
-            out[name] = (wrap(u), ObjectiveOracle(value=f.value), space)
-        return out
-
-    value = ValueOnly.value
-    monkeypatch.setattr(ValueOnly, "value", lambda *a, **k: calls.append(1) or value(*a, **k))
-    monkeypatch.setattr(cli, "_verify_jobs", value_only_jobs)
-    out_dir = tmp_path / "out"
-    config = {"experiment": "verify", "seeds": [0],
-              "params": {"n_samples": 50, "n_anchors": 12}, "output_dir": str(out_dir)}
-    assert cli.run_experiment(config) == 0
-    blob = (out_dir / "verify_report.json").read_bytes()
-    assert hashlib.sha256(blob).hexdigest() == (
-        "dff61c97e6220777e11144a5d191dd5b4173de2ab9c66c4f496e1b4cc5d1f484")
-    assert len(calls) > 1000  # the adapter ran, one call per row
+@pytest.mark.parametrize("name", ["cp", "em_jensen"])
+def test_app_objectives_take_stacks(name):
+    """The objective a CP or EM surrogate hands the drivers also takes a stack
+    of rows, each row with the bits of the battery's fit error or NLL there,
+    and of the one-point call."""
+    u, f, space = PAIRS[name]
+    rows = np.concatenate([p for p, _ in space.sample_rows(RngStream(7).generator(), 100)])
+    want = f.values_at(rows)
+    assert u.objective().values_at(rows).tobytes() == want.tobytes()
+    assert np.array([u.objective().value_at(r) for r in rows]).tobytes() == want.tobytes()
 
 
 def test_nonfinite_stacked_objective_fails_the_check():
     prob = QuadraticProblem(np.array([[2.0]]), np.array([0.0]))
     f = prob.objective()
-    broken = ObjectiveOracle(value=f.value, values=lambda rows: np.where(
-        rows[:, 0] > 4.0, np.inf, f.values(rows)))
+    broken = ObjectiveOracle(value=lambda x: np.where(x[..., 0] > 4.0, np.inf, f.value(x)))
     space = verify.SampleSpace.boxed(make_block_structure([1]))
     with pytest.raises(NumericFailure, match="non-finite value inf"):
         check_upper_bound(prob.proximal_surrogate(), broken, space, RngStream(0), n_samples=500)
+
+
+class NanSurrogate:
+    """A surrogate whose u is NaN on every row."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def values(self, part, xi_rows, anchor_rows, structure, iteration=1):
+        return self.inner.values(part, xi_rows, anchor_rows, structure, iteration) * np.nan
+
+
+def test_nonfinite_surrogate_fails_every_check():
+    """A NaN u fails no comparison, so it would pass a check unseen; each
+    check raises on it instead, naming the value."""
+    prob = QuadraticProblem(np.array([[2.0]]), np.array([0.0]))
+    u, f = NanSurrogate(prob.proximal_surrogate()), prob.objective()
+    space = verify.SampleSpace.boxed(make_block_structure([1]))
+    anchors = space.sample_points(RngStream(0).generator(), 10)
+    checks = [lambda: check_tightness(u, f, anchors),
+              lambda: check_upper_bound(u, f, space, RngStream(1), n_samples=100),
+              lambda: check_first_order_match(u, f, anchors, space, RngStream(2))]
+    for run in checks:
+        with pytest.raises(NumericFailure, match="surrogate returned non-finite value nan"):
+            run()
 
 
 N_SAMPLES, N_ANCHORS = 1000, 40
@@ -126,8 +143,8 @@ N_SAMPLES, N_ANCHORS = 1000, 40
 @pytest.mark.parametrize("name", VERIFY_TARGETS)
 def test_battery_never_falls_back_to_rows(name, monkeypatch):
     """At the benchmark's size no check of a shipped job makes a per-row
-    ``value_at`` or ``value`` call, and each makes a number of stacked calls
-    bounded by the number of row chunks it evaluates."""
+    ``value_at`` call, and each makes a number of stacked calls bounded by
+    the number of row chunks it evaluates."""
     u, f, space = cli._verify_jobs(0)[name]
     classes = {type(u)} | ({type(u.smooth_part()[0])} if hasattr(u, "smooth_part") else set())
     counts = {"per_row": 0, "stacked": 0}
@@ -141,11 +158,10 @@ def test_battery_never_falls_back_to_rows(name, monkeypatch):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    assert all(hasattr(cls, "values") for cls in classes)
+    assert all(hasattr(cls, "values") and not hasattr(cls, "value") for cls in classes)
     counted(ObjectiveOracle, "value_at", "per_row")
     counted(ObjectiveOracle, "values_at", "stacked")
     for cls in classes:
-        counted(cls, "value", "per_row")
         counted(cls, "values", "stacked")
 
     n_parts = space.structure.n_blocks

@@ -21,6 +21,12 @@ from bsumkit.surrogates import (
 )
 
 
+def u_at(u, part, xi, anchor, iteration=1):
+    """u at ``xi`` with the rest frozen at ``anchor``: a one-row ``values`` call."""
+    return u.values(part, np.asarray(xi, dtype=np.float64)[None], anchor.values[None],
+                    anchor.structure, iteration)[0]
+
+
 def scalar_point(x):
     return Point(np.array([float(x)]), make_block_structure([1]))
 
@@ -81,7 +87,7 @@ class TestProximalSurrogate:
         for _ in range(10):
             y = scalar_point(rng.normal())
             xi = np.array([rng.normal()])
-            gap = u.value(0, xi, y) - f.value_at(xi)
+            gap = u_at(u, 0, xi, y) - f.value_at(xi)
             np.testing.assert_allclose(gap, (xi[0] - y.values[0]) ** 2, rtol=1e-12)
 
     def test_iteration_dependent_coefficient(self):
@@ -134,10 +140,10 @@ class TestDcMinimize:
         for _ in range(25):
             y = scalar_point(rng.uniform(-3, 3))
             xi = np.array([rng.uniform(-3, 3)])
-            at_anchor = dc.value(0, y.values, y)
+            at_anchor = u_at(dc, 0, y.values, y)
             np.testing.assert_allclose(at_anchor, f.value_at(y.values),
                                        atol=1e-10)
-            assert dc.value(0, xi, y) >= f.value_at(xi) - 1e-9
+            assert u_at(dc, 0, xi, y) >= f.value_at(xi) - 1e-9
 
 
 class TestForwardBackward:
@@ -169,9 +175,9 @@ class TestForwardBackward:
         _, s, _ = lasso_problem(target=[rng.normal() * 2], weight=0.7, gamma=0.8)
         x = scalar_point(rng.normal() * 3)
         z, umin = s.minimize(0, x)
-        assert umin == s.value(0, z.part(0), x)
+        assert umin == u_at(s, 0, z.part(0), x)
         for xi in np.linspace(-8.0, 8.0, 321):
-            assert s.value(0, np.array([xi]), x) >= umin - 1e-10
+            assert u_at(s, 0, np.array([xi]), x) >= umin - 1e-10
 
     def test_block_steps_componentwise(self):
         """Two l1 blocks with flat coupling: (3, -3) maps to (2, -2)."""
@@ -217,26 +223,26 @@ class TestForwardBackward:
         for _ in range(20):
             y = scalar_point(rng.normal() * 3)
             xi = np.array([rng.normal() * 3])
-            assert s.value(0, xi, y) >= f.value_at(xi.copy()) - 1e-9
+            assert u_at(s, 0, xi, y) >= f.value_at(xi.copy()) - 1e-9
 
     def test_boundary_gamma_is_tight(self):
         """gamma = 1/beta on f2 = beta x^2 / 2 gives a zero bound gap."""
         beta = 2.0
         s = LipschitzQuadraticSurrogate(
-            smooth=ObjectiveOracle(value=lambda v: 0.5 * beta * float(v[0] ** 2),
+            smooth=ObjectiveOracle(value=lambda v: 0.5 * beta * v[..., 0] ** 2,
                                    gradient=lambda v: beta * v),
             nonsmooth_total=lambda v: 0.0,
             prox=lambda part, v, g: v,
             beta=beta, gamma=1.0 / beta)
         y = scalar_point(1.5)
         xi = np.array([-0.25])
-        gap = s.value(0, xi, y) - 0.5 * beta * xi[0] ** 2
+        gap = u_at(s, 0, xi, y) - 0.5 * beta * xi[0] ** 2
         np.testing.assert_allclose(gap, 0.0, atol=1e-12)
 
 
 class TestOneGradientPerMinimize:
     """A minimize computes the gradient at the anchor once, and its minimum
-    is what value returns at the argmin, bit for bit."""
+    is what values returns at the argmin, bit for bit."""
 
     PARTS = (0, 1, (0, 1))
 
@@ -254,7 +260,7 @@ class TestOneGradientPerMinimize:
             grads.clear()
             z, umin = dc.minimize(part, x)
             assert len(grads) == 1
-            assert umin == dc.value(part, z.part(part), x)
+            assert umin == u_at(dc, part, z.part(part), x)
 
     def test_lipschitz_quadratic(self):
         grads = []
@@ -272,12 +278,12 @@ class TestOneGradientPerMinimize:
             grads.clear()
             z, umin = s.minimize(part, x)
             assert len(grads) == 1
-            assert umin == s.value(part, z.part(part), x)
+            assert umin == u_at(s, part, z.part(part), x)
 
 
 class TestOneEvaluationPerMinimize:
     """A minimize evaluates f once and the proximal coefficient once, without
-    calling value, and its minimum is what value returns at the argmin."""
+    calling values, and its minimum is what values returns at the argmin."""
 
     PARTS = (0, 1, (0, 1))
 
@@ -285,7 +291,7 @@ class TestOneEvaluationPerMinimize:
     def counting(f, calls):
         def value(v):
             calls.append("f")
-            return f.value_at(v)
+            return f.value(v)
         return ObjectiveOracle(value=value)
 
     def test_proximal_surrogate(self, monkeypatch):
@@ -301,11 +307,11 @@ class TestOneEvaluationPerMinimize:
         x = Point(np.array([3.0, 0.25]), make_block_structure([1, 1]))
         for part in self.PARTS:
             with monkeypatch.context() as m:
-                m.setattr(ProximalSurrogate, "value", None)
+                m.setattr(ProximalSurrogate, "values", None)
                 calls.clear()
                 z, umin = u.minimize(part, x, 2)
             assert sorted(calls) == ["c", "f"]
-            assert umin == u.value(part, z.part(part), x, 2)
+            assert umin == u_at(u, part, z.part(part), x, 2)
 
     def test_exact_block_surrogate(self, monkeypatch):
         calls = []
@@ -314,24 +320,23 @@ class TestOneEvaluationPerMinimize:
         x = Point(np.array([3.0, 0.25]), make_block_structure([1, 1]))
         for part in self.PARTS:
             with monkeypatch.context() as m:
-                m.setattr(ExactBlockSurrogate, "value", None)
+                m.setattr(ExactBlockSurrogate, "values", None)
                 calls.clear()
                 z, umin = u.minimize(part, x)
             assert calls == ["f"]
-            assert umin == u.value(part, z.part(part), x)
+            assert umin == u_at(u, part, z.part(part), x)
 
 
 class TestQuadraticApprox:
 
     def make(self, t=0.5):
-        f = ObjectiveOracle(value=lambda v: float(v[0] ** 4 / 4),
-                            gradient=lambda v: v ** 3)
+        f = ObjectiveOracle(value=lambda v: v[..., 0] ** 4 / 4, gradient=lambda v: v ** 3)
         return f, QuadraticApprox(f, t=t)
 
     def test_tight_at_anchor(self):
         f, h = self.make()
         y = scalar_point(1.3)
-        np.testing.assert_allclose(h.value(0, y.values, y), f.value_at(y.values),
+        np.testing.assert_allclose(u_at(h, 0, y.values, y), f.value_at(y.values),
                                    rtol=1e-12)
 
     def test_minimizer_is_gradient_step(self):
@@ -363,8 +368,8 @@ class TestQuadraticApprox:
             b = np.array([rng.normal() * 2])
             if abs(a[0] - b[0]) < 1e-6:
                 continue
-            mid = h.value(0, (a + b) / 2, y)
-            avg = 0.5 * (h.value(0, a, y) + h.value(0, b, y))
+            mid = u_at(h, 0, (a + b) / 2, y)
+            avg = 0.5 * (u_at(h, 0, a, y) + u_at(h, 0, b, y))
             assert mid < avg - 1e-12
 
     def test_invalid_construction(self):
@@ -383,7 +388,7 @@ class TestExactBlockSurrogate:
         f = prob.objective()
         y = Point(np.array([0.5, 0.5]), make_block_structure([1, 1]))
         xi = np.array([3.0])
-        np.testing.assert_allclose(u.value(0, xi, y),
+        np.testing.assert_allclose(u_at(u, 0, xi, y),
                                    f.value_at(np.array([3.0, 0.5])), rtol=1e-12)
 
     def test_minimize_returns_attained_value(self):
@@ -392,4 +397,4 @@ class TestExactBlockSurrogate:
         y = Point(np.zeros(2), make_block_structure([1, 1]))
         z, val = u.minimize(0, y)
         np.testing.assert_allclose(z.part(0), [1.0], rtol=1e-12)
-        np.testing.assert_allclose(val, u.value(0, z.part(0), y), rtol=1e-12)
+        np.testing.assert_allclose(val, u_at(u, 0, z.part(0), y), rtol=1e-12)

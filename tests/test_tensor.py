@@ -13,6 +13,7 @@ from bsumkit.app_tensor import (
     als_factor_update,
     build_swamp_instance,
     cp_residual,
+    cp_residual_rows,
     init_factors,
     khatri_rao,
     lambda_value,
@@ -27,7 +28,6 @@ from bsumkit.app_tensor import (
 from bsumkit.core import (
     InvalidArgumentError,
     ObjectiveOracle,
-    Point,
     RngStream,
     SolverError,
     make_block_structure,
@@ -40,6 +40,12 @@ from bsumkit.verify import (
     check_tightness,
     check_upper_bound,
 )
+
+
+def u_at(u, part, xi, anchor, iteration=1):
+    """u at ``xi`` with the rest frozen at ``anchor``: a one-row ``values`` call."""
+    return u.values(part, np.asarray(xi, dtype=np.float64)[None], anchor.values[None],
+                    anchor.structure, iteration)[0]
 
 
 def rank1_factors(a, b, c):
@@ -548,7 +554,7 @@ class TestCpOncePerAnchor:
                                           LambdaSchedule.constant(0.1),
                                           LambdaSchedule.diminishing()])
     def test_minimize_value_is_the_model_value(self, instance, schedule):
-        """minimize's min u equals value() at its argmin bit for bit, cached
+        """minimize's min u equals values() at its argmin bit for bit, cached
         or cold, and equals the model written out with the public helpers."""
         t = (build_swamp_instance(np.pi / 4) if instance == "swamp"
              else random_rank_instance((3, 4, 2), 3, RngStream(4)))
@@ -560,8 +566,8 @@ class TestCpOncePerAnchor:
             for part in range(3):
                 z, umin = u.minimize(part, x)
                 xi = z.block(part)
-                assert umin == u.value(part, xi, x)
-                assert umin == CpSurrogate(t, 3, schedule).value(part, xi, x)
+                assert umin == u_at(u, part, xi, x)
+                assert umin == u_at(CpSurrogate(t, 3, schedule), part, xi, x)
                 merged = CpFactors.from_point(x.with_part(part, xi), t.shape, 3)
                 res = cp_residual(t, merged)
                 diff = xi - x.block(part)
@@ -576,12 +582,12 @@ class TestCpSurrogateContract:
                              ids=["als_mbi", "const_prox", "dim_prox_misum"])
     def test_sampled_contract(self, schedule):
         """Under each CP mode's lambda the model is tight, bounds the fit
-        error from above and matches its slope. f is the public cp_residual,
-        not the surrogate's objective() that run_cp hands the driver."""
+        error from above and matches its slope. f is the public fit error
+        (cp_residual_rows), not the surrogate's objective() that run_cp
+        hands the driver."""
         t = build_swamp_instance(np.pi / 36)
         structure = make_block_structure([n * 3 for n in t.shape])
-        f = ObjectiveOracle(value=lambda v: cp_residual(
-            t, CpFactors.from_point(Point(v, structure), t.shape, 3)))
+        f = ObjectiveOracle(value=lambda rows: cp_residual_rows(t, rows, 3))
         u = CpSurrogate(t, 3, schedule)
         space = SampleSpace.boxed(structure)
         rng = RngStream(5)

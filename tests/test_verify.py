@@ -36,8 +36,8 @@ class ShiftedSurrogate:
         self.inner = inner
         self.offset = offset
 
-    def value(self, part, xi, anchor, iteration=1):
-        return self.inner.value(part, xi, anchor, iteration) + self.offset
+    def values(self, part, xi_rows, anchor_rows, structure, iteration=1):
+        return self.inner.values(part, xi_rows, anchor_rows, structure, iteration) + self.offset
 
 
 class SlopedSurrogate:
@@ -46,10 +46,9 @@ class SlopedSurrogate:
     def __init__(self, inner):
         self.inner = inner
 
-    def value(self, part, xi, anchor, iteration=1):
-        xi = np.asarray(xi, dtype=np.float64)
-        tilt = float(np.sum(xi - anchor.part(part)))
-        return self.inner.value(part, xi, anchor, iteration) + tilt
+    def values(self, part, xi_rows, anchor_rows, structure, iteration=1):
+        tilt = np.sum(xi_rows - anchor_rows[:, structure.locate(part)[1]], axis=-1)
+        return self.inner.values(part, xi_rows, anchor_rows, structure, iteration) + tilt
 
 
 def scalar_setup():
@@ -111,12 +110,12 @@ class TestCheckUpperBound:
         from bsumkit.surrogates import LipschitzQuadraticSurrogate
         beta = 2.0
         s = LipschitzQuadraticSurrogate(
-            smooth=ObjectiveOracle(value=lambda v: 0.5 * beta * float(v @ v),
+            smooth=ObjectiveOracle(value=lambda v: 0.5 * beta * np.vecdot(v, v),
                                    gradient=lambda v: beta * v),
             nonsmooth_total=lambda v: 0.0,
             prox=lambda part, v, g: v,
             beta=beta, gamma=1.0 / beta)
-        f = ObjectiveOracle(value=lambda v: 0.5 * beta * float(v @ v))
+        f = ObjectiveOracle(value=lambda v: 0.5 * beta * np.vecdot(v, v))
         space = SampleSpace.boxed(make_block_structure([1]))
         report = check_upper_bound(s, f, space, RngStream(3), n_samples=300)
         assert report.passed
@@ -301,21 +300,24 @@ class TestArraySampler:
         assert np.array_equal(got[1], want[1])
 
     def test_upper_bound_check_uses_that_layout(self):
-        """Every (part, xi, anchor) the check hands u matches the reference."""
+        """Every (part, xi, anchor) row the check hands u matches the reference."""
         structure = make_block_structure([1, 2])
         space = SampleSpace(structure, MIXED_SPACES["box_simplex"], -3.0, 3.0)
         parts = [0, 1, (0, 1)]
         seen = []
 
         class Recorder:
-            def value(self, part, xi, anchor, iteration=1):
-                seen.append((part, np.array(xi), anchor.values.copy()))
-                return 0.0
+            def values(self, part, xi_rows, anchor_rows, structure, iteration=1):
+                seen.extend((part, xi, y) for xi, y in zip(xi_rows.copy(), anchor_rows.copy()))
+                return np.zeros(len(xi_rows))
 
-        f = ObjectiveOracle(value=lambda v: -1.0)
+        f = ObjectiveOracle(value=lambda v: np.full(v.shape[:-1], -1.0))
         check_upper_bound(Recorder(), f, space, RngStream(9), n_samples=40, parts=parts)
         points, cands = reference_upper_bound_rows(space, RngStream(9).generator(), 40, parts)
-        for s_idx, (part, xi, anchor) in enumerate(seen):
+        # One chunk, handed over part by part, each part's samples in order.
+        order = [s_idx for k in range(3) for s_idx in range(k, 40, 3)]
+        assert len(seen) == len(order)
+        for s_idx, (part, xi, anchor) in zip(order, seen):
             assert part == parts[s_idx % 3]
             assert np.array_equal(anchor, points[s_idx])
             assert np.array_equal(xi, cands[s_idx][structure.locate(part)[1]])

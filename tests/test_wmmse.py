@@ -257,6 +257,16 @@ class TestNetworkSpec:
         with pytest.raises(InvalidArgumentError, match="must be a real number"):
             NetworkSpec.build(1, 1, 2, **kwargs)
 
+    @pytest.mark.parametrize("kwargs, what", [
+        ({"noise_power": float("nan")}, "noise power"),
+        ({"noise_power": (1.0, np.nan)}, "noise power"),
+        ({"power": float("nan")}, "power budgets"),
+        ({"power": np.float64("nan")}, "power budgets"),
+    ])
+    def test_nan_noise_and_power_rejected(self, kwargs, what):
+        with pytest.raises(InvalidArgumentError, match=f"{what} must be positive"):
+            NetworkSpec.build(1, 2, 2, **kwargs)
+
     def test_numpy_scalar_noise_and_power_accepted(self):
         spec = NetworkSpec.build(2, 1, 2, noise_power=np.float32(0.5),
                                  power=(np.int64(2), np.float64(3.0)))
