@@ -36,7 +36,6 @@ from .engine import (
     schedule_next,
 )
 from .surrogates import (
-    ConvexPartOracle,
     DcLinearization,
     ExactBlockSurrogate,
     LipschitzQuadraticSurrogate,
@@ -81,7 +80,6 @@ __all__ = [
     "run_misum",
     "run_sum",
     "schedule_next",
-    "ConvexPartOracle",
     "DcLinearization",
     "ExactBlockSurrogate",
     "LipschitzQuadraticSurrogate",

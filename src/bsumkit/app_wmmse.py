@@ -11,6 +11,7 @@ solved by one bisection on the dual variables of all cells at once).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,11 +65,11 @@ class NetworkSpec:
         if len(streams) != n_users or any(d < 1 or d > n_antennas for d in streams):
             raise InvalidArgumentError("streams must satisfy 1 <= d <= n_antennas per user")
         noise_power = _items(noise_power, n_users, lambda v: _real(v, "noise power"))
-        if len(noise_power) != n_users or any(not s > 0 for s in noise_power):
-            raise InvalidArgumentError("noise power must be positive per user")
+        if len(noise_power) != n_users or any(not 0 < s < math.inf for s in noise_power):
+            raise InvalidArgumentError("noise power must be positive and finite per user")
         power = _items(power, n_cells, lambda v: _real(v, "a power budget"))
-        if len(power) != n_cells or any(not p > 0 for p in power):
-            raise InvalidArgumentError("power budgets must be positive per cell")
+        if len(power) != n_cells or any(not 0 < p < math.inf for p in power):
+            raise InvalidArgumentError("power budgets must be positive and finite per cell")
         return NetworkSpec(n_cells, users_per_cell, n_antennas, streams,
                            noise_power, power)
 
@@ -357,6 +358,8 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0,
             cov, own = _signal_stack(spec, G, V)
             block = 1
         new_obj = _sum_in_order(_logdet_pd(_mse_stack(U, cov, own)))
+        if not math.isfinite(new_obj):
+            raise NumericFailure(f"objective is non-finite ({new_obj!r})")
         extras = {"sum_rate_nats": _rate(cov, own),
                   "max_power_violation": float(np.max(power_per_cell(spec, V) - budget))}
         return (V, U, cov, own), new_obj, block, None, extras, stall(obj, new_obj)

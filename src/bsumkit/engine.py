@@ -11,14 +11,15 @@ block surrogate u built around the current iterate:
   direction and an Armijo backtracking search picks the step size (fixed:
   alpha = 1, 1/2, ..., at most 60 halvings, sufficient decrease 0.01).
 
-A surrogate oracle exposes ``value(part, xi, anchor, iteration)`` and
-``minimize(part, anchor, iteration) -> (point, min value)`` where ``part``
-is an int block index or a tuple of indices, the anchor is the current
-``Point``, and ``point`` is the anchor with the part moved to the argmin:
-the next iterate, so a surrogate can keep facts about it for the next
-anchor. For the upper-bound drivers the surrogate must touch f at the
-anchor and dominate it elsewhere; those properties are not assumed silently,
-``bsumkit.verify`` checks them by sampling.
+A surrogate oracle exposes ``minimize(part, anchor, iteration) -> (point,
+min value)``, which the drivers call, where ``part`` is an int block index
+or a tuple of indices, the anchor is the current ``Point``, and ``point`` is
+the anchor with the part moved to the argmin: the next iterate, so a
+surrogate can keep facts about it for the next anchor. It also exposes
+``values(part, xi_rows, anchor_rows, structure, iteration)``, u on stacks of
+rows, which the checks call. For the upper-bound drivers the surrogate must
+touch f at the anchor and dominate it elsewhere; those properties are not
+assumed silently, ``bsumkit.verify`` checks them by sampling.
 
 ``run_bsum`` and ``run_bsca`` take a ``schedule=Schedule`` of block groups
 (default ``Schedule.cyclic``); ``run_misum`` picks its block and takes none.

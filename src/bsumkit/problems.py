@@ -17,7 +17,6 @@ from .core import (
 )
 from .engine import SolveOptions, run_bsca
 from .surrogates import (
-    ConvexPartOracle,
     DcLinearization,
     ExactBlockSurrogate,
     LipschitzQuadraticSurrogate,
@@ -101,19 +100,12 @@ def separable_quartic_dc(dims=(1,)) -> tuple[ObjectiveOracle, DcLinearization, P
     def cve_value(x):
         return -(x ** 2).sum(axis=-1) / 2.0
 
-    def f_value(x):
-        return (x ** 4).sum(axis=-1) / 4.0 - (x ** 2).sum(axis=-1) / 2.0
-
     def f_grad(x):
         return x ** 3 - x
 
-    dc = DcLinearization(
-        f_cvx=ConvexPartOracle(value=cvx_value, minimize_linear=lambda a: np.cbrt(-a)),
-        cve_value=cve_value,
-        cve_grad=np.negative,
-        block_minimize_linear=lambda part, a, anchor: np.cbrt(-a),
-    )
-    objective = ObjectiveOracle(value=f_value, gradient=f_grad)
+    dc = DcLinearization(cvx_value=cvx_value, cve_value=cve_value, cve_grad=np.negative,
+                         minimize_linear=lambda part, a, anchor: np.cbrt(-a))
+    objective = ObjectiveOracle(value=dc.objective().value, gradient=f_grad)
     return objective, dc, Point(np.zeros(structure.total), structure)
 
 
@@ -152,17 +144,17 @@ def lasso_problem(target, weight: float = 1.0, gamma: float = 1.0,
 
 
 def toy_trace(solver: str, opts: SolveOptions) -> Trace:
-    """The trace of one of the ``TOY_SOLVERS`` on its fixed small problem."""
+    """The trace of one of the ``TOY_SOLVERS`` on its fixed small problem,
+    whose objective takes one point or a stack of points, one per row."""
     if solver == "prox":
-        f = ObjectiveOracle(value=lambda x: float(x @ x),
-                            gradient=lambda x: 2.0 * x)
+        f = ObjectiveOracle(value=lambda x: np.vecdot(x, x), gradient=lambda x: 2.0 * x)
         x0 = Point(np.array([2.0]), make_block_structure([1]))
         _, trace = app_classic.proximal_point_solve(
             f, lambda part, y, c: y.part(part) / (2.0 * c + 1.0), x0, c=1.0, opts=opts)
         return trace
     if solver == "alternating_prox":
         # f = (x1 + x2 - 1)^2; block prox update is linear, closed form.
-        f = ObjectiveOracle(value=lambda x: float((x[0] + x[1] - 1.0) ** 2))
+        f = ObjectiveOracle(value=lambda x: (x[..., 0] + x[..., 1] - 1.0) ** 2)
 
         def prox(part, y, c):
             i = part if isinstance(part, int) else part[0]
@@ -185,11 +177,12 @@ def toy_trace(solver: str, opts: SolveOptions) -> Trace:
         return trace
     if solver == "bsca":
         def value(x):
-            return float((x[0] - 1.0) ** 4 + (x[1] + 2.0) ** 2 + x[0] * x[1] / 10.0)
+            a, b = x[..., 0], x[..., 1]
+            return (a - 1.0) ** 4 + (b + 2.0) ** 2 + a * b / 10.0
 
         def gradient(x):
-            return np.array([4.0 * (x[0] - 1.0) ** 3 + x[1] / 10.0,
-                             2.0 * (x[1] + 2.0) + x[0] / 10.0])
+            a, b = x[..., 0], x[..., 1]
+            return np.stack([4.0 * (a - 1.0) ** 3 + b / 10.0, 2.0 * (b + 2.0) + a / 10.0], axis=-1)
 
         f = ObjectiveOracle(value=value, gradient=gradient)
         x0 = Point(np.zeros(2), make_block_structure([1, 1]))

@@ -30,7 +30,6 @@ from .core import (
 __all__ = [
     "ExactBlockSurrogate",
     "ProximalSurrogate",
-    "ConvexPartOracle",
     "DcLinearization",
     "LipschitzQuadraticSurrogate",
     "QuadraticApprox",
@@ -81,35 +80,22 @@ class ProximalSurrogate:
     def coefficient(self, iteration: int, anchor: Point) -> float:
         return _coefficient(self.c, iteration, anchor)
 
-    def _bound(self, part: BlockIndex, z: Point, anchor: Point, c: float) -> float:
-        # u at z (the anchor with the part moved), given the coefficient c
-        # for this iteration and anchor.
-        diff = z.part(part) - anchor.part(part)
-        return self.f.value_at(z.values) + float(diff @ diff) / (2.0 * c)
+    @staticmethod
+    def _u(fz, diff, c):
+        # u from f at the moved point, the part step xi - y_i and c.
+        return fz + np.vecdot(diff, diff) / (2.0 * c)
 
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:
         y, z, _, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
         c = (np.array([self.coefficient(iteration, Point(v, structure)) for v in y])
              if callable(self.c) else self.coefficient(iteration, None))
-        return self.f.values_at(z) + np.vecdot(diff, diff) / (2.0 * c)
+        return self._u(self.f.values_at(z), diff, c)
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         c = self.coefficient(iteration, anchor)
         z = anchor.with_part(part, self.inner_solver(part, anchor, c))
-        return z, self._bound(part, z, anchor, c)
-
-
-@dataclass(frozen=True)
-class ConvexPartOracle:
-    """Convex component of a difference-of-convex objective.
-
-    ``minimize_linear(a)`` returns argmin_x f_cvx(x) + a @ x over the whole
-    variable and may raise SolverError when that problem is unbounded.
-    """
-
-    value: Callable[[np.ndarray], float]
-    minimize_linear: Callable[[np.ndarray], np.ndarray]
+        return z, float(self._u(self.f.value_at(z.values), z.part(part) - anchor.part(part), c))
 
 
 @dataclass(frozen=True)
@@ -119,45 +105,45 @@ class DcLinearization:
     u(x, y) = f_cvx(x) + (x - y) @ grad f_cve(y) + f_cve(y), a global upper
     bound since f_cve lies below its tangents. Minimizing it reproduces the
     concave-convex fixed-point update grad f_cvx(x+) = -grad f_cve(y).
-    Block steps need ``block_minimize_linear(part, a_part, anchor)``.
+    ``minimize_linear(part, a_part, anchor)`` returns the part's argmin of
+    f_cvx + a_part @ x_part with the other blocks frozen at the anchor (the
+    whole variable is the part that holds every block); it may raise
+    SolverError when that problem is unbounded.
     """
 
-    f_cvx: ConvexPartOracle
+    cvx_value: Callable[[np.ndarray], float]
     cve_value: Callable[[np.ndarray], float]
     cve_grad: Callable[[np.ndarray], np.ndarray]
-    block_minimize_linear: Callable[[BlockIndex, np.ndarray, Point], np.ndarray] | None = None
+    minimize_linear: Callable[[BlockIndex, np.ndarray, Point], np.ndarray]
 
     def objective(self) -> ObjectiveOracle:
-        return ObjectiveOracle(value=lambda v: self.f_cvx.value(v) + self.cve_value(v))
+        return ObjectiveOracle(value=lambda v: self.cvx_value(v) + self.cve_value(v))
 
     def _grad(self, y: np.ndarray) -> np.ndarray:
         # grad f_cve at one anchor vector or at each row of a stack.
         return np.asarray(self.cve_grad(y), dtype=np.float64)
 
-    def _bound(self, part: BlockIndex, z: Point, anchor: Point, g: np.ndarray) -> float:
-        # u at z (the anchor with the part moved), given g = grad f_cve(anchor).
-        where = anchor.structure.locate(part)[1]
-        lin = float(g[where] @ (z.values[where] - anchor.values[where]))
-        return float(self.f_cvx.value(z.values)) + lin + float(self.cve_value(anchor.values))
+    def _u(self, z, g, diff, y):
+        # u from the moved point z, the part g of grad f_cve(y), z_i - y_i and y.
+        return self.cvx_value(z) + np.vecdot(g, diff) + self.cve_value(y)
 
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:
         y, z, where, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
-        return (self.f_cvx.value(z) + np.vecdot(self._grad(y)[:, where], diff)
-                + self.cve_value(y))
+        return self._u(z, self._grad(y)[:, where], diff, y)
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
-        part_n, where, dim = anchor.structure.locate(part)
-        g = self._grad(anchor.values)
-        if dim == anchor.structure.total:
-            # minimize_linear works on the whole vector.
-            z = anchor.with_values(self.f_cvx.minimize_linear(g))
-        else:
-            if self.block_minimize_linear is None:
-                raise InvalidArgumentError(
-                    "block steps need a block_minimize_linear solver")
-            z = anchor.with_part(part_n, self.block_minimize_linear(part_n, g[where], anchor))
-        return z, self._bound(part_n, z, anchor, g)
+        part, where, _ = anchor.structure.locate(part)
+        y = anchor.values
+        g = self._grad(y)[where]
+        z = anchor.with_part(part, self.minimize_linear(part, g, anchor))
+        return z, float(self._u(z.values, g, z.values[where] - y[where], y))
+
+
+def _linear_model(fy, g, diff, t):
+    # f(y) + g @ d + |d|^2 / (2 t), with g the part of grad f(y) and d the
+    # part step, at one anchor or at each row of a stack.
+    return fy + np.vecdot(g, diff) + np.vecdot(diff, diff) / (2.0 * t)
 
 
 @dataclass(frozen=True)
@@ -196,47 +182,26 @@ class LipschitzQuadraticSurrogate:
     def objective(self) -> ObjectiveOracle:
         return ObjectiveOracle(value=lambda v: self.nonsmooth_total(v) + self.smooth.value(v))
 
-    def _quadratic(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
-        # The smooth part of u at xi, given g = grad f2(anchor).
-        diff = xi - anchor.part(part)
-        return (float(g[anchor.structure.locate(part)[1]] @ diff)
-                + float(diff @ diff) / (2.0 * self.gamma) + self.smooth.value_at(anchor.values))
-
-    def _quadratic_rows(self, y: np.ndarray, where, diff: np.ndarray) -> np.ndarray:
-        # ``_quadratic`` for a stack of anchors y and part steps diff.
-        g = self.smooth.gradients_at(y)
-        return (np.vecdot(g[:, where], diff) + np.vecdot(diff, diff) / (2.0 * self.gamma)
-                + self.smooth.values_at(y))
-
-    def _bound(self, part: BlockIndex, z: Point, anchor: Point, g: np.ndarray) -> float:
-        # u at z (the anchor with the part moved), given g = grad f2(anchor).
-        return (float(self.nonsmooth_total(z.values))
-                + self._quadratic(part, z.part(part), anchor, g))
+    def _u(self, z, fy, g, diff):
+        # u from the moved point z, f2(y), the part g of grad f2(y) and z_i - y_i.
+        return self.nonsmooth_total(z) + _linear_model(fy, g, diff, self.gamma)
 
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:
         y, z, where, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
-        return self.nonsmooth_total(z) + self._quadratic_rows(y, where, diff)
+        return self._u(z, self.smooth.values_at(y), self.smooth.gradients_at(y)[:, where], diff)
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
-        g = self.smooth.gradient_at(anchor.values)
-        v = anchor.part(part) - self.gamma * g[anchor.structure.locate(part)[1]]
-        z = anchor.with_part(part, self.prox(part, v, self.gamma))
-        return z, self._bound(part, z, anchor, g)
+        part, where, _ = anchor.structure.locate(part)
+        y = anchor.values
+        g = self.smooth.gradient_at(y)[where]
+        z = anchor.with_part(part, self.prox(part, y[where] - self.gamma * g, self.gamma))
+        return z, float(self._u(z.values, self.smooth.value_at(y), g, z.values[where] - y[where]))
 
-    def smooth_part(self) -> tuple["_SmoothQuadraticPart", ObjectiveOracle]:
-        """The (u0, f0) pair whose tightness and bound imply the full properties."""
-        return _SmoothQuadraticPart(self), self.smooth
-
-
-@dataclass(frozen=True)
-class _SmoothQuadraticPart:
-    parent: LipschitzQuadraticSurrogate
-
-    def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
-               structure: BlockStructure, iteration: int = 1) -> np.ndarray:
-        y, _, where, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
-        return self.parent._quadratic_rows(y, where, diff)
+    def smooth_part(self) -> tuple[QuadraticApprox, ObjectiveOracle]:
+        """The (u0, f0) pair whose tightness and bound imply the full properties:
+        u minus the nonsmooth term is the quadratic model of f2 with t = gamma."""
+        return QuadraticApprox(self.smooth, self.gamma), self.smooth
 
 
 @dataclass(frozen=True)
@@ -271,19 +236,14 @@ class QuadraticApprox:
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:
         y, _, where, diff = _with_part_rows(structure, part, xi_rows, anchor_rows)
-        return (self.f.values_at(y) + np.vecdot(self.f.gradients_at(y)[:, where], diff)
-                + np.vecdot(diff, diff) / (2.0 * self.t))
-
-    def _model(self, part: BlockIndex, xi: np.ndarray, anchor: Point, g: np.ndarray) -> float:
-        diff = xi - anchor.part(part)
-        return (self.f.value_at(anchor.values) + float(g[anchor.structure.locate(part)[1]] @ diff)
-                + float(diff @ diff) / (2.0 * self.t))
+        return _linear_model(self.f.values_at(y), self.f.gradients_at(y)[:, where], diff, self.t)
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
-        g = self.anchor_gradient(anchor)
         part, where, _ = anchor.structure.locate(part)
-        xi = anchor.values[where] - self.t * g[where]
-        return anchor.with_part(part, xi), self._model(part, xi, anchor, g)
+        y, g = anchor.values, self.anchor_gradient(anchor)[where]
+        xi = y[where] - self.t * g
+        return anchor.with_part(part, xi), float(
+            _linear_model(self.f.value_at(y), g, xi - y[where], self.t))
 
 
 def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:

@@ -198,16 +198,23 @@ class TestCccpSolve:
         assert abs(v ** 3 - v) <= 1e-8
 
     def test_stationarity_gap_failure_is_reported(self):
-        """Whole-variable steps work without a block solver; the post-run
-        per-block gap cannot be computed and the trace says why."""
+        """Whole-variable steps work with a solver that refuses a single
+        block; the post-run per-block gap cannot be computed and the trace
+        says why."""
         _, dc, _ = separable_quartic_dc([1, 1])
-        dc = dataclasses.replace(dc, block_minimize_linear=None)
+
+        def whole_variable_only(part, a, anchor):
+            if not isinstance(part, tuple):
+                raise InvalidArgumentError("this solver takes the whole variable only")
+            return np.cbrt(-a)
+
+        dc = dataclasses.replace(dc, minimize_linear=whole_variable_only)
         x0 = Point(np.array([8.0, -8.0]), make_block_structure([1, 1]))
         _, trace = cccp_solve(dc, x0)
         assert trace.terminal_status == "converged"
         assert trace.stationarity_gap is None
         assert trace.warnings == ["stationarity gap not computed: "
-                                  "block steps need a block_minimize_linear solver"]
+                                  "this solver takes the whole variable only"]
 
 
 class TestGmmParams:

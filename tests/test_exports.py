@@ -20,7 +20,8 @@ MODULES = ["bsumkit", "bsumkit.core", "bsumkit.engine", "bsumkit.surrogates",
 REMOVED = ["proximal_minimize", "dc_minimize", "forward_backward_step",
            "block_forward_backward_step", "directional_derivative_fd",
            "check_quasiconvexity", "DcProblem", "logdet_surrogate",
-           "AffineLogdetSurrogate", "affine_logdet_family", "ArmijoParams"]
+           "AffineLogdetSurrogate", "affine_logdet_family", "ArmijoParams",
+           "ConvexPartOracle"]
 
 # Exported names that no code in src/ reads, each kept on purpose.
 UNREFERENCED_BY_DESIGN = {
@@ -128,9 +129,10 @@ def test_test_only_members_are_gone():
 
 
 def test_one_evaluator_per_surrogate_and_objective():
-    """A surrogate evaluates only through the stacked ``values``, and an
-    oracle holds one callable per quantity, with no stacked twin."""
-    from bsumkit import app_classic, app_tensor, core, engine, surrogates
+    """A surrogate evaluates only through the stacked ``values``, writes u
+    once (no per-point twin of it), and an oracle holds one callable per
+    quantity, with no stacked twin."""
+    from bsumkit import app_classic, app_tensor, core, engine, problems, surrogates
 
     classes = [cls for module in (surrogates, app_tensor, app_classic)
                for cls in vars(module).values()
@@ -144,8 +146,12 @@ def test_one_evaluator_per_surrogate_and_objective():
     assert [m for m in ("value", "minimize", "values")
             if hasattr(engine.BlockSurrogateOracle, m)] == ["minimize", "values"]
     assert [f.name for f in dataclasses.fields(bsumkit.ObjectiveOracle)] == ["value", "gradient"]
-    assert [f.name for f in dataclasses.fields(bsumkit.ConvexPartOracle)] == [
-        "value", "minimize_linear"]
+    assert [f.name for f in dataclasses.fields(bsumkit.DcLinearization)] == [
+        "cvx_value", "cve_value", "cve_grad", "minimize_linear"]
+    lasso = problems.lasso_problem(target=[1.0])[1]
+    assert type(lasso.smooth_part()[0]) is bsumkit.QuadraticApprox
+    assert [f"{c.__name__}.{m}" for c in classes if c.__module__ == surrogates.__name__
+            for m in ("_bound", "_quadratic", "_quadratic_rows", "_model") if hasattr(c, m)] == []
     twins = {"cve_values", "cve_grads", "nonsmooth_totals"}
     for cls in (bsumkit.DcLinearization, bsumkit.LipschitzQuadraticSurrogate):
         assert twins.isdisjoint(f.name for f in dataclasses.fields(cls))

@@ -11,14 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from bsumkit import cli, verify
+from bsumkit import cli, engine, problems, verify
 from bsumkit.core import (
     NumericFailure,
     ObjectiveOracle,
     RngStream,
     make_block_structure,
 )
-from bsumkit.problems import QuadraticProblem
+from bsumkit.engine import SolveOptions
+from bsumkit.problems import TOY_SOLVERS, QuadraticProblem
 from bsumkit.verify import check_first_order_match, check_tightness, check_upper_bound
 
 VERIFY_TARGETS = ("proximal", "dc", "lipschitz", "quadratic_approx", "cp", "em_jensen")
@@ -77,7 +78,7 @@ def test_stacked_values_are_the_per_row_bits(name):
                                               for r in range(a, a + n)]).tobytes()
 
 
-@pytest.mark.parametrize("name", [name for name in PAIRS if name != "lipschitz_smooth"])
+@pytest.mark.parametrize("name", PAIRS)
 def test_values_at_the_argmin_is_the_min_u(name):
     """On 50 drawn anchors and every part, ``values`` at the point ``minimize``
     returned gives the min u that ``minimize`` returned, to the bit."""
@@ -101,6 +102,33 @@ def test_app_objectives_take_stacks(name):
     want = f.values_at(rows)
     assert u.objective().values_at(rows).tobytes() == want.tobytes()
     assert np.array([u.objective().value_at(r) for r in rows]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("solver", TOY_SOLVERS)
+def test_toy_pairs_pass_the_battery(solver, monkeypatch):
+    """The (u, f) pair a toy run hands its driver takes stacks: it is tight on
+    drawn anchors, a BSUM toy's u bounds f and the BSCA model matches f's
+    slope."""
+    captured = []
+
+    def capture(driver):
+        def wrapper(f, u, x0, *args):
+            captured.append((u, f, x0.structure))
+            return driver(f, u, x0, *args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "_upper_bound_loop", capture(engine._upper_bound_loop))
+    monkeypatch.setattr(problems, "run_bsca", capture(problems.run_bsca))
+    problems.toy_trace(solver, SolveOptions(max_iters=20))
+    [(u, f, structure)] = captured
+    space = verify.SampleSpace.boxed(structure)
+    anchors = space.sample_points(RngStream(8).generator(), 20)
+    reports = [check_tightness(u, f, anchors)]
+    if solver == "bsca":
+        reports.append(check_first_order_match(u, f, anchors, space, RngStream(9)))
+    else:
+        reports.append(check_upper_bound(u, f, space, RngStream(9), n_samples=200))
+    assert [r.passed for r in reports] == [True, True]
 
 
 def test_nonfinite_stacked_objective_fails_the_check():

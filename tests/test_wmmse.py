@@ -262,8 +262,13 @@ class TestNetworkSpec:
         ({"noise_power": (1.0, np.nan)}, "noise power"),
         ({"power": float("nan")}, "power budgets"),
         ({"power": np.float64("nan")}, "power budgets"),
+        ({"noise_power": float("inf")}, "noise power"),
+        ({"power": float("inf")}, "power budgets"),
+        ({"power": (np.inf,)}, "power budgets"),
     ])
     def test_nan_noise_and_power_rejected(self, kwargs, what):
+        """A NaN fails every comparison and an infinity passes ``> 0``; both
+        are refused."""
         with pytest.raises(InvalidArgumentError, match=f"{what} must be positive"):
             NetworkSpec.build(1, 2, 2, **kwargs)
 
@@ -519,6 +524,16 @@ class TestRunWmmse:
         V0 = [np.full((2, 1), 10.0, dtype=np.complex128) for _ in range(2)]
         with pytest.raises(InvalidArgumentError):
             run_wmmse(spec, H, V0)
+
+    def test_nonfinite_objective_fails_loudly(self):
+        """Finite channel entries so large that the covariances overflow: the
+        half-step that meets the non-finite objective raises, naming itself."""
+        spec = NetworkSpec.build(1, 2, 2)
+        H = gen_channels(spec, RngStream(0))
+        V0 = init_transmitters(spec, RngStream(0).substream(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericFailure, match=r"^iteration 1: objective is non-finite"):
+                run_wmmse(spec, ChannelSet(H.gains * 1e200), V0, SolveOptions(max_iters=5))
 
     @pytest.mark.parametrize("extra", [-1, 1], ids=["one_too_few", "one_too_many"])
     def test_start_of_wrong_length_rejected(self, extra):
