@@ -12,14 +12,13 @@ solved by one bisection on the dual variables of all cells at once).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import InvalidArgumentError, NumericFailure, SolverError, Trace, _index
-from .engine import SolveOptions, _iterate, _Stall
+from .core import InvalidArgumentError, NumericFailure, SolverError, Trace, _index, _real
+from .engine import Schedule, SolveOptions, _upper_bound_loop, schedule_next
 
 __all__ = [
     "NetworkSpec",
@@ -90,14 +89,6 @@ class NetworkSpec:
 def _items(value, n: int, rule) -> tuple:
     # One value for all n items, or a sequence of them, each through ``rule``.
     return tuple(rule(v) for v in ((value,) * n if np.ndim(value) == 0 else value))
-
-
-def _real(value, what: str) -> float:
-    # The float rule, beside core._index: a real number, numpy scalars
-    # included, as a float; a bool or a string is refused.
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise InvalidArgumentError(f"{what} must be a real number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -313,6 +304,35 @@ def _transmitter_stack(spec: NetworkSpec, H: ChannelSet, U, W) -> np.ndarray:
     return V
 
 
+class _HalfSteps:
+    """The two blocks on the state (V, U, cov, own, f), f = sum_u logdet E_u(U, V):
+    ``minimize`` returns (next state, min u). Block 0's min u is the new f. Block
+    1's is the tangent bound at E0 = E(U, V_old), sum_u [logdet E0_u + tr(E0_u^-1
+    E_u(U, V)) - d] with d the padded stream count, whose logdet terms sum to f."""
+
+    def __init__(self, spec: NetworkSpec, H: ChannelSet):
+        self.spec, self.H, self.G = spec, H, H.gains[:, list(spec.user_cell)]
+
+    def minimize(self, part: int, state, iteration: int = 1):
+        V, U, cov, own, f0 = state
+        if part == 0:  # V is unchanged, and so is its covariance stack
+            U = np.linalg.solve(cov, own)
+        else:
+            try:
+                W = np.linalg.inv(_mse_stack(U, cov, own))
+            except np.linalg.LinAlgError as exc:
+                raise SolverError("error covariance is singular") from exc
+            V = _transmitter_stack(self.spec, self.H, U, W)
+            cov, own = _signal_stack(self.spec, self.G, V)
+        E = _mse_stack(U, cov, own)
+        f = _sum_in_order(_logdet_pd(E))
+        if not math.isfinite(f):
+            raise NumericFailure(f"objective is non-finite ({f!r})")
+        umin = f if part == 0 else f0 + _sum_in_order(
+            np.einsum("uab,uba->u", W, E).real - E.shape[-1])
+        return (V, U, cov, own, f), umin
+
+
 def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0,
               opts: SolveOptions = SolveOptions()) -> tuple[TransceiverState, Trace]:
     """Alternate exact receiver updates with bounded transmitter updates.
@@ -321,12 +341,12 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0,
     block 1 the transmitter update. The starting receivers are zero, which
     makes the starting objective exactly 0; all-zero transmitters are a
     stationary point and the run stalls there (documented behavior). ``V0``
-    must fit the power budgets; ``init_transmitters`` draws one that does.
+    must be finite and fit the power budgets, as ``init_transmitters``' draws do.
 
-    Half-steps run through the engine's driver loop: ``max_iters`` counts
-    them, a failure names its half-step ("iteration r: ..."), and the run
-    converges below ``target_objective`` or once the objective decrease stays
-    within ``tol * (1 + |f|)`` for two half-steps in a row.
+    Half-steps run through the engine's upper-bound loop on the 2-block cyclic
+    schedule: ``max_iters`` counts them, a failure names its half-step
+    ("iteration r: ..."), the run converges as the BSUM drivers do, and the
+    trace carries the stationarity gap at the final state.
     """
     if H.gains.shape[:3] != (spec.n_users, spec.n_cells, spec.n_antennas):
         raise InvalidArgumentError("channel shape does not match the network")
@@ -336,35 +356,23 @@ def run_wmmse(spec: NetworkSpec, H: ChannelSet, V0,
     for u, v in enumerate(V):
         if v.shape != (spec.n_antennas, spec.streams[u]):
             raise InvalidArgumentError(f"V0[{u}] has the wrong shape")
+        if not np.all(np.isfinite(v)):
+            raise InvalidArgumentError(f"V0[{u}] has a non-finite entry")
     V = _pad(spec, V)
     budget = np.asarray(spec.power)  # init_transmitters' rounding grows with it
     if np.any(power_per_cell(spec, V) - budget > 1e-9 * np.maximum(1.0, budget)):
         raise InvalidArgumentError("V0 violates a cell power budget")
 
-    G = H.gains[:, list(spec.user_cell)]
-    stall = _Stall(opts.tol, 2)
+    halfsteps, schedule = _HalfSteps(spec, H), Schedule.cyclic(2)
 
-    def step(r: int, state, obj: float):
-        V, U, cov, own = state
-        if r % 2 == 1:  # V is unchanged, and so is its covariance stack
-            U = np.linalg.solve(cov, own)
-            block = 0
-        else:
-            try:
-                W = np.linalg.inv(_mse_stack(U, cov, own))
-            except np.linalg.LinAlgError as exc:
-                raise SolverError("error covariance is singular") from exc
-            V = _transmitter_stack(spec, H, U, W)
-            cov, own = _signal_stack(spec, G, V)
-            block = 1
-        new_obj = _sum_in_order(_logdet_pd(_mse_stack(U, cov, own)))
-        if not math.isfinite(new_obj):
-            raise NumericFailure(f"objective is non-finite ({new_obj!r})")
-        extras = {"sum_rate_nats": _rate(cov, own),
-                  "max_power_violation": float(np.max(power_per_cell(spec, V) - budget))}
-        return (V, U, cov, own), new_obj, block, None, extras, stall(obj, new_obj)
+    def choose(r: int, state):
+        part = schedule_next(schedule, r)
+        new, umin = halfsteps.minimize(part, state, r)
+        return part, new, umin, {
+            "sum_rate_nats": _rate(new[2], new[3]),
+            "max_power_violation": float(np.max(power_per_cell(spec, new[0]) - budget))}
 
-    # Starting objective: the sum of logdet of identity error covariances.
-    start = (V, np.zeros_like(V), *_signal_stack(spec, G, V))
-    (V, U, _, _), trace = _iterate(start, 0.0, opts, step)
+    # Zero receivers make every error covariance the identity, and f exactly 0.
+    start = (V, np.zeros_like(V), *_signal_stack(spec, halfsteps.G, V), 0.0)
+    (V, U, *_), trace = _upper_bound_loop(lambda s: s[-1], halfsteps, start, opts, choose, schedule)
     return TransceiverState(V=tuple(_unpad(spec, V)), U=tuple(_unpad(spec, U))), trace

@@ -14,6 +14,7 @@ and the exception hierarchy used across the package.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence, Union
@@ -138,6 +139,14 @@ def _index(value, what: str, error: type[BsumError] = InvalidArgumentError) -> i
         except TypeError:
             pass
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value, what: str) -> float:
+    """The real-number rule beside ``_index``: a real number, numpy scalars
+    included, as a float; a bool or a string raises InvalidArgumentError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def make_block_structure(dims: Sequence[int]) -> BlockStructure:

@@ -24,17 +24,17 @@ assumed silently, ``bsumkit.verify`` checks them by sampling.
 ``run_bsum`` and ``run_bsca`` take a ``schedule=Schedule`` of block groups
 (default ``Schedule.cyclic``); ``run_misum`` picks its block and takes none.
 
-Every driver, ``app_wmmse.run_wmmse`` included, is a step run by one loop,
-``_iterate``: it records the steps and stops as converged on the step's own
-stop rule or once f drops below ``target_objective``. It is also the one
-place that ties a failure to its iteration: an error raised in iteration r
-reads "iteration r: ...". Feasibility is the surrogate's: each block step
-minimizes over the block's feasible set, so no driver checks it. Stop rules:
-``run_sum``/``run_bsum``/``run_misum`` stop when the decrease, or the promised
-decrease ``f(anchor) - min u``, stays within ``tol * (1 + |f|)`` for one
-schedule period (1 for ``run_sum``, the block count for ``run_misum``);
-``run_bsca`` when every block's model step has norm at most ``tol``;
-``run_wmmse`` when the decrease stays within that bound for two half-steps.
+Every driver is a step run by one loop, ``_iterate``: it records the steps
+and stops as converged on the step's own stop rule or once f drops below
+``target_objective``. It is also the one place that ties a failure to its
+iteration: an error raised in iteration r reads "iteration r: ...".
+Feasibility is the surrogate's: each block step minimizes over the block's
+feasible set, so no driver checks it. Stop rules: ``run_sum``/``run_bsum``/
+``run_misum`` and ``app_wmmse.run_wmmse`` (on its transceiver state) stop when
+the decrease, or the promised decrease ``f(anchor) - min u``, stays within
+``tol * (1 + |f|)`` for one schedule period (1 for ``run_sum``, the block count
+for ``run_misum``, two half-steps for ``run_wmmse``), then record the
+stationarity gap; ``run_bsca`` when every model step has norm at most ``tol``.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .core import (
     Trace,
     TraceRecord,
     _index,
+    _real,
 )
 
 __all__ = [
@@ -182,21 +183,24 @@ class SolveOptions:
     target_objective: float | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if _index(self.max_iters, "max_iters") < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
-        if not self.tol > 0:
-            raise InvalidArgumentError("tol must be positive")
+        if not 0 < _real(self.tol, "tol") < np.inf:
+            raise InvalidArgumentError("tol must be positive and finite")
+        target = self.target_objective
+        if target is not None and not np.isfinite(_real(target, "target_objective")):
+            raise InvalidArgumentError("target_objective must be finite")
 
 
-def _stationarity_gap(u: BlockSurrogateOracle, x: Point, trace: Trace) -> None:
-    # max over blocks of f(x) - min_xi u(xi, x), with f(x) the trace's last
-    # objective; zero at a coordinatewise surrogate-stationary point. Any
-    # failure leaves the gap None with the reason in the warnings: the run
-    # itself has finished.
+def _stationarity_gap(u: BlockSurrogateOracle, x, n_blocks: int, trace: Trace) -> None:
+    # max over the n_blocks blocks of f(x) - min_xi u(xi, x), with f(x) the
+    # trace's last objective; zero at a coordinatewise surrogate-stationary
+    # point. Any failure leaves the gap None with the reason in the warnings:
+    # the run itself has finished.
     fx = trace.final_objective
     try:
         gaps = []
-        for i in range(x.structure.n_blocks):
+        for i in range(n_blocks):
             _, umin = u.minimize(i, x, trace.n_iterations)
             gaps.append(fx - float(umin))
         trace.stationarity_gap = float(max(gaps))
@@ -238,27 +242,26 @@ class _Stall:
         self.tol, self.period = tol, period
         self.small_steps = self.small_gaps = 0
 
-    def __call__(self, f_old: float, f_new: float, umin: float | None = None) -> bool:
+    def __call__(self, f_old: float, f_new: float, umin: float) -> bool:
         bound = self.tol * (1.0 + abs(f_new))
         self.small_steps = self.small_steps + 1 if abs(f_old - f_new) <= bound else 0
-        if umin is not None:
-            self.small_gaps = self.small_gaps + 1 if abs(f_old - umin) <= bound else 0
+        self.small_gaps = self.small_gaps + 1 if abs(f_old - umin) <= bound else 0
         return self.small_steps >= self.period or self.small_gaps >= self.period
 
 
-def _upper_bound_loop(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
-                      opts: SolveOptions, choose, period: int) -> tuple[Point, Trace]:
-    # ``choose(r, x) -> (part, next iterate, min u, extras)`` solves the
-    # subproblem(s) of iteration r and picks the part to move.
-    stall = _Stall(opts.tol, period)
+def _upper_bound_loop(f, u: BlockSurrogateOracle, x0, opts: SolveOptions, choose,
+                      schedule: Schedule) -> tuple[object, Trace]:
+    # ``f(x)`` is the objective at iterate x. ``choose(r, x) -> (part, next iterate,
+    # min u, extras)`` solves the subproblem(s) of iteration r and picks the part to move.
+    stall = _Stall(opts.tol, schedule.period)
 
-    def step(r: int, x: Point, fx: float):
+    def step(r: int, x, fx: float):
         part, x_new, umin, extras = choose(r, x)
-        f_new = f.value_at(x_new.values)
+        f_new = f(x_new)
         return x_new, f_new, part, None, extras, stall(fx, f_new, umin)
 
-    x, trace = _iterate(x0, f.value_at(x0.values), opts, step)
-    _stationarity_gap(u, x, trace)
+    x, trace = _iterate(x0, f(x0), opts, step)
+    _stationarity_gap(u, x, schedule.n_blocks, trace)
     return x, trace
 
 
@@ -288,7 +291,7 @@ def run_bsum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
         z, umin = u.minimize(part, x, r)
         return part, z, float(umin), {}
 
-    return _upper_bound_loop(f, u, x0, opts, choose, schedule.period)
+    return _upper_bound_loop(lambda x: f.value_at(x.values), u, x0, opts, choose, schedule)
 
 
 def run_misum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
@@ -304,7 +307,8 @@ def run_misum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
         return k, results[k][0], float(minima[k]), {
             "block_minima": tuple(float(v) for v in minima)}
 
-    return _upper_bound_loop(f, u, x0, opts, choose, x0.structure.n_blocks)
+    return _upper_bound_loop(lambda x: f.value_at(x.values), u, x0, opts, choose,
+                             Schedule.cyclic(x0.structure.n_blocks))
 
 
 def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,

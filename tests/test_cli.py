@@ -657,7 +657,7 @@ def test_task_records_match_traces(tmp_path, monkeypatch, experiment, params):
     """Each task's record in summary.json holds its trace CSV's row count and
     last objective, and the status, stationarity gap and warnings of the
     trace the library returns for it; the gap is null only where the driver
-    computes none (WMMSE and BSCA)."""
+    computes none (BSCA)."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "data.txt").write_text("\n".join(["-2.5", "-2.0", "-1.5", "-1.0"] + ["3.0"] * 6))
     config = {"experiment": experiment, "params": params, "seeds": [0, 1], "output_dir": "out"}
@@ -677,7 +677,7 @@ def test_task_records_match_traces(tmp_path, monkeypatch, experiment, params):
         trace = library_trace(experiment, p, rec["mode"], rec["seed"])
         assert (rec["status"], rec["stationarity_gap"], rec["warnings"]) == (
             trace.terminal_status, trace.stationarity_gap, trace.warnings)
-        assert (rec["stationarity_gap"] is None) == (rec["mode"] in (None, "bsca"))
+        assert (rec["stationarity_gap"] is None) == (rec["mode"] == "bsca")
     if experiment == "em" and p["data_file"] is not None:
         assert all(rec["warnings"] for rec in summary["tasks"])
 

@@ -578,6 +578,30 @@ class TestSolveOptions:
         with pytest.raises(InvalidArgumentError):
             SolveOptions(tol=0.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iters": True}, "max_iters must be an integer"),
+        ({"max_iters": 2.5}, "max_iters must be an integer"),
+        ({"max_iters": "3"}, "max_iters must be an integer"),
+        ({"tol": np.inf}, "tol must be positive and finite"),
+        ({"tol": np.nan}, "tol must be positive and finite"),
+        ({"tol": -1e-8}, "tol must be positive and finite"),
+        ({"tol": True}, "tol must be a real number"),
+        ({"tol": "1e-8"}, "tol must be a real number"),
+        ({"target_objective": np.nan}, "target_objective must be finite"),
+        ({"target_objective": -np.inf}, "target_objective must be finite"),
+        ({"target_objective": "0"}, "target_objective must be a real number"),
+    ])
+    def test_refuses_counts_that_are_not_integers_and_reals_that_are_not_finite(
+            self, kwargs, message):
+        """A bool count would run one iteration, 2.5 would fail inside a
+        driver and a NaN target would never fire: each is refused up front."""
+        with pytest.raises(InvalidArgumentError, match=message):
+            SolveOptions(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        opts = SolveOptions(np.int64(3), np.float32(0.5), np.int64(-2))
+        assert (opts.max_iters, opts.tol, opts.target_objective) == (3, 0.5, -2)
+
 
 @pytest.mark.parametrize("error", [NumericFailure, ValueError], ids=["package", "foreign"])
 @pytest.mark.parametrize("driver", ["run_bsum", "run_misum", "run_bsca", "run_wmmse"])

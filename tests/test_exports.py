@@ -114,6 +114,21 @@ def test_every_unreferenced_export_is_kept_on_purpose():
     assert exported - read == UNREFERENCED_BY_DESIGN
 
 
+def test_only_engine_reads_the_driver_loop_and_its_stop_rule():
+    """An AST scan of src/: no module but ``engine`` reads ``_iterate`` or
+    ``_Stall``, so every driver, WMMSE's included, runs engine's loop."""
+    private = {"_iterate", "_Stall"}
+    hits = []
+    for path in sorted(pathlib.Path(bsumkit.__file__).parent.glob("*.py")):
+        if path.name == "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ({a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                     else {getattr(node, "id", None), getattr(node, "attr", None)})
+            hits += [f"{path.name}:{node.lineno}:{n}" for n in sorted(private & names)]
+    assert hits == []
+
+
 def test_test_only_members_are_gone():
     from bsumkit import app_tensor, app_wmmse, core, engine, problems
 

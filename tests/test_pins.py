@@ -82,10 +82,10 @@ PINS = {
                  'toy_prox_seed0.csv': '49914ba73b86adb0484c6b4203c0a7aa90ac37403c43a4a3538c296d5d7938f3'},
     'toy_splitting': {'summary.json': '5e352d897a1e06da42522db3078f2d8a33347fc2ef2478ec5762dcc8d2e84fbd',
                       'toy_splitting_seed0.csv': 'e176dde1fa14bcfb5f8f4fad27758215ee91b46587d86c6d9c803315bad22e73'},
-    'wmmse_default': {'summary.json': '444f2cc001e7db8e94699152248bbe7c1ed057427553eeb70366f76aa7e41a68',
+    'wmmse_default': {'summary.json': 'd8a3c467fb2c51ee305144897ef1334f842d29e22155b649fc79b33508107ad7',
                       'wmmse_rates_seed0.csv': '167718e91640176abb6030743d3f88c410e8641beb3766b3e2782c68654f9a6e',
                       'wmmse_seed0.csv': '3831aa306fc205b0dc9f3143e1445135416ab097c972b07ee030a515ee638445'},
-    'wmmse_dense': {'summary.json': '18349430a168369d1609274a7c5452b64c2f6c888fb644a3a8947cd8d5e83791',
+    'wmmse_dense': {'summary.json': 'c9d37431d00098d18a5613a3da848df46e3f7010e6776e06438cca2f26dc500f',
                     'wmmse_rates_seed0.csv': '2218d3a7c4842fd1694bf54a4a6e44a68fa2a7926c7da228dcb56c75cee356e8',
                     'wmmse_seed0.csv': '3283d43922fdad92cc622e66a2a6b635790e302363250f6c6ba1371592f65268'}}
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from bsumkit import cli, engine, problems, verify
+from bsumkit import app_classic, cli, problems, verify
 from bsumkit.core import (
     NumericFailure,
     ObjectiveOracle,
@@ -117,8 +117,10 @@ def test_toy_pairs_pass_the_battery(solver, monkeypatch):
             return driver(f, u, x0, *args)
         return wrapper
 
-    monkeypatch.setattr(engine, "_upper_bound_loop", capture(engine._upper_bound_loop))
-    monkeypatch.setattr(problems, "run_bsca", capture(problems.run_bsca))
+    # The drivers by the names the toys call them, each taking (f, u, x0, ...).
+    for module, name in ((app_classic, "run_sum"), (app_classic, "run_bsum"),
+                         (problems, "run_bsca")):
+        monkeypatch.setattr(module, name, capture(getattr(module, name)))
     problems.toy_trace(solver, SolveOptions(max_iters=20))
     [(u, f, structure)] = captured
     space = verify.SampleSpace.boxed(structure)

@@ -13,6 +13,7 @@ from bsumkit.app_wmmse import (
     _pad,
     _power_curve,
     _signal_stack,
+    _unpad,
     gen_channels,
     init_transmitters,
     mmse_receiver,
@@ -200,7 +201,8 @@ def loop_run_wmmse(spec, H, V0, opts):
         for u in range(spec.n_users):
             new_obj += loop_logdet_pd(loop_mse_matrix(spec, H, V, U, u))
         extras = {"sum_rate_nats": loop_sum_rate(spec, H, V)}
-        return (V, U), new_obj, 1 - r % 2, None, extras, stall(obj, new_obj)
+        # min u = the new objective: the promised decrease is the decrease.
+        return (V, U), new_obj, 1 - r % 2, None, extras, stall(obj, new_obj, new_obj)
 
     return _iterate((list(V0), U0), 0.0, opts, step)
 
@@ -518,11 +520,24 @@ class TestRunWmmse:
         assert trace.terminal_status == "converged"
         for v in state.V:
             np.testing.assert_array_equal(v, np.zeros((2, 1)))
+        assert trace.stationarity_gap == 0.0
 
     def test_infeasible_start_rejected(self):
         spec, H = two_cell_network()
         V0 = [np.full((2, 1), 10.0, dtype=np.complex128) for _ in range(2)]
         with pytest.raises(InvalidArgumentError):
+            run_wmmse(spec, H, V0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imaginary_inf"])
+    def test_nonfinite_start_rejected(self, bad):
+        """The power check is blind to a NaN, which would otherwise fail the
+        first half-step as a solver error: the start is refused up front."""
+        spec, H = two_cell_network()
+        V0 = init_transmitters(spec, RngStream(0))
+        V0[1] = V0[1].copy()
+        V0[1][0, 0] = bad
+        with pytest.raises(InvalidArgumentError, match=r"V0\[1\] has a non-finite entry"):
             run_wmmse(spec, H, V0)
 
     def test_nonfinite_objective_fails_loudly(self):
@@ -550,6 +565,65 @@ class TestRunWmmse:
         state, trace = run_wmmse(spec, H, V0, SolveOptions(max_iters=200, tol=1e-10))
         after = sum_rate(spec, H, state.V)
         assert after >= before - 1e-12
+
+
+def loop_tangent_bound(spec, H, V, U, V_new):
+    """sum_u logdet E_u + tr(E_u^-1 E_u(U, V_new)) - d_u, with E_u = E_u(U, V):
+    the tangent bound of logdet at V, evaluated at V_new."""
+    total = 0.0
+    for u, d in enumerate(spec.streams):
+        E = loop_mse_matrix(spec, H, V, U, u)
+        W_E_new = np.linalg.inv(E) @ loop_mse_matrix(spec, H, V_new, U, u)
+        total += loop_logdet_pd(E) + np.trace(W_E_new).real - d
+    return total
+
+
+def recorded_halfsteps(monkeypatch):
+    """(block, state, next state, min u) of every half-step taken, the
+    post-run gap's included."""
+    seen = []
+    minimize = app_wmmse._HalfSteps.minimize
+
+    def recording(self, part, state, iteration=1):
+        new, umin = minimize(self, part, state, iteration)
+        seen.append((part, state, new, umin))
+        return new, umin
+
+    monkeypatch.setattr(app_wmmse._HalfSteps, "minimize", recording)
+    return seen
+
+
+class TestHalfStepsAreBsum:
+    """WMMSE is BSUM over two blocks: the receiver block's min u is the new
+    objective, the transmitter block's min u is the tangent bound of logdet,
+    which lies above the new objective; the post-run gap is f - min u."""
+
+    @pytest.mark.parametrize("network", [two_cell_network, mixed_stream_network],
+                             ids=["default", "mixed_stream"])
+    def test_min_u_bounds_the_new_objective(self, network, monkeypatch):
+        spec, H = network(0)
+        V0 = init_transmitters(spec, RngStream(0).substream(1))
+        seen = recorded_halfsteps(monkeypatch)
+        _, trace = run_wmmse(spec, H, V0, SolveOptions(max_iters=1000, tol=1e-9))
+        assert trace.terminal_status == "converged"
+        assert len(seen) == trace.n_iterations + 2
+        assert [umin for part, _, _, umin in seen if part == 0] == [
+            new[-1] for part, _, new, _ in seen if part == 0]
+        for part, (V, U, *_), new, umin in seen:
+            if part == 1:
+                f = new[-1]
+                assert umin >= f - 1e-12 * (1.0 + abs(f))
+                want = loop_tangent_bound(spec, H, _unpad(spec, V), _unpad(spec, U),
+                                          _unpad(spec, new[0]))
+                assert abs(umin - want) <= 1e-9 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_converged_default_runs_are_stationary(self, seed):
+        spec, H = two_cell_network(seed)
+        V0 = init_transmitters(spec, RngStream(seed).substream(1))
+        _, trace = run_wmmse(spec, H, V0, SolveOptions(max_iters=400, tol=1e-9))
+        assert trace.terminal_status == "converged"
+        assert 0.0 <= trace.stationarity_gap <= 1e-8
 
 
 def batched_curve(eigvals, rows_norm2, mu):
