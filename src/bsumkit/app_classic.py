@@ -22,6 +22,8 @@ from .core import (
     ObjectiveOracle,
     Point,
     Trace,
+    _index,
+    _real,
     _with_part_rows,
     make_block_structure,
 )
@@ -119,7 +121,7 @@ class GmmParams:
 
     @staticmethod
     def from_point(x: Point) -> "GmmParams":
-        return GmmParams(weights=x.block(0), means=x.block(1), variances=x.block(2))
+        return GmmParams(weights=x.part(0), means=x.part(1), variances=x.part(2))
 
 
 def _check_mixture(w: np.ndarray, m: np.ndarray, s: np.ndarray) -> None:
@@ -235,13 +237,11 @@ class GmmJensenSurrogate:
     """
 
     def __init__(self, data: np.ndarray, s_floor: float):
-        data = np.asarray(data, dtype=np.float64).ravel()
-        if data.size < 1:
-            raise InvalidArgumentError("need at least one observation")
-        if s_floor <= 0:
-            raise InvalidArgumentError("variance floor must be positive")
+        data = np.asarray(data, dtype=np.float64)
+        if data.ndim != 1 or data.size < 1:
+            raise InvalidArgumentError(f"data must be a 1-d sample, got shape {data.shape}")
         self.data = data
-        self.s_floor = float(s_floor)
+        self.s_floor = _real(s_floor, "variance floor", "positive")
         # (vector, [log-density matrix or None, row logsumexp or None]) for the
         # anchor and the points minimize returned at it, matched with ``is``.
         self._points: list[tuple[np.ndarray, list]] = []
@@ -327,7 +327,7 @@ class GmmJensenSurrogate:
             pieces[1] = np.multiply(gamma, self.data, out=terms).sum(axis=1) / mass
         if 2 in blocks:
             # Around the new means when the part holds them, else the anchor's.
-            means = pieces[1] if 1 in blocks else anchor.block(1)
+            means = pieces[1] if 1 in blocks else anchor.part(1)
             np.subtract(self.data, means[:, None], out=terms)  # row j: w_t - mu_j
             terms *= terms
             variances = np.multiply(gamma, terms, out=terms).sum(axis=1) / mass
@@ -369,9 +369,10 @@ def em_gmm(data: np.ndarray, n_components: int, theta0: GmmParams | None = None,
     ``s_floor`` (default 1e-6 times the data variance); clamping events are
     reported in ``trace.warnings``.
     """
-    data = np.asarray(data, dtype=np.float64).ravel()
-    if n_components < 1:
-        raise InvalidArgumentError("need at least one component")
+    data = np.asarray(data, dtype=np.float64)
+    n_components = _index(n_components, "n_components", least=1)
+    if data.ndim != 1:
+        raise InvalidArgumentError(f"data must be a 1-d sample, got shape {data.shape}")
     if data.size < 2:
         raise InvalidArgumentError("need at least two observations")
     if not np.isfinite(data).all():

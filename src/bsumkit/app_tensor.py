@@ -24,6 +24,8 @@ from .core import (
     RngStream,
     SolverError,
     Trace,
+    _index,
+    _real,
     _with_part_rows,
     make_block_structure,
 )
@@ -122,9 +124,9 @@ class CpFactors:
     def from_point(x: Point, shape: tuple[int, int, int], rank: int) -> "CpFactors":
         i, j, k = shape
         return CpFactors(
-            A=x.block(0).reshape(i, rank),
-            B=x.block(1).reshape(j, rank),
-            C=x.block(2).reshape(k, rank),
+            A=x.part(0).reshape(i, rank),
+            B=x.part(1).reshape(j, rank),
+            C=x.part(2).reshape(k, rank),
         )
 
 
@@ -135,17 +137,17 @@ class LambdaSchedule:
     lam0: float
     lam1: float
 
+    def __post_init__(self):
+        for name in ("lam0", "lam1"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, "nonnegative"))
+
     @staticmethod
     def constant(lam: float) -> "LambdaSchedule":
-        if lam < 0:
-            raise InvalidArgumentError("lambda must be nonnegative")
-        return LambdaSchedule(float(lam), 0.0)
+        return LambdaSchedule(lam, 0.0)
 
     @staticmethod
     def diminishing(lam0: float = 1e-7, lam1: float = 0.1) -> "LambdaSchedule":
-        if lam0 < 0 or lam1 < 0:
-            raise InvalidArgumentError("lambda coefficients must be nonnegative")
-        return LambdaSchedule(float(lam0), float(lam1))
+        return LambdaSchedule(lam0, lam1)
 
 
 def khatri_rao(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -302,9 +304,7 @@ def build_swamp_instance(theta: float) -> DenseTensor3:
 def random_rank_instance(shape: tuple[int, int, int], rank: int,
                          rng: RngStream) -> DenseTensor3:
     """Exactly rank-R tensor built from uniform [0, 1) factors."""
-    if rank < 1:
-        raise InvalidArgumentError("rank must be >= 1")
-    return reconstruct(_uniform_factors(shape, rank, rng))
+    return reconstruct(_uniform_factors(shape, _index(rank, "rank", least=1), rng))
 
 
 def write_tensor(path, t: DenseTensor3) -> None:
@@ -330,11 +330,10 @@ def read_tensor(path) -> DenseTensor3:
     if len(header) != 3:
         raise InvalidArgumentError("tensor file must start with a line 'I J K'")
     try:
-        i, j, k = (int(tok) for tok in header)
+        dims = [int(tok) for tok in header]
     except ValueError as exc:
         raise InvalidArgumentError("tensor dimensions must be integers") from exc
-    if min(i, j, k) < 1:
-        raise InvalidArgumentError("tensor dimensions must be positive")
+    i, j, k = (_index(n, "a tensor dimension", least=1) for n in dims)
     if len(body) != i * j * k:
         raise InvalidArgumentError(
             f"expected {i * j * k} tensor entries, found {len(body)}")
@@ -361,10 +360,8 @@ class CpSurrogate:
     """
 
     def __init__(self, tensor: DenseTensor3, rank: int, schedule: LambdaSchedule):
-        if rank < 1:
-            raise InvalidArgumentError("rank must be >= 1")
         self.tensor = tensor
-        self.rank = int(rank)
+        self.rank = _index(rank, "rank", least=1)
         self.schedule = schedule
         self.unfoldings = (unfold(tensor, 1), unfold(tensor, 2), unfold(tensor, 3))
         self._norm = tensor.norm()
@@ -423,15 +420,11 @@ class CpSurrogate:
             raise InvalidArgumentError("factor updates work on single blocks 0, 1, 2 only")
         return int(part)
 
-    def _model(self, i: int, xi: np.ndarray, anchor: Point,
-               lam: float) -> tuple[np.ndarray, float, float]:
-        # The anchor's vector with block i set to xi, the fit error there and u there.
-        sl = self._slices[i]
-        merged = anchor.values.copy()
-        merged[sl] = xi
-        res = cp_residual(self.tensor, self._split(merged))
-        diff = xi - anchor.values[sl]
-        return merged, res, float(np.sqrt(res * res + lam * float(diff @ diff)))
+    @staticmethod
+    def _u(res, lam, diff):
+        # u from the fit error at the moved point, lambda and the part step
+        # xi - y_part, at one anchor or at each row of a stack.
+        return np.sqrt(res * res + lam * np.vecdot(diff, diff))
 
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:
@@ -439,8 +432,7 @@ class CpSurrogate:
         self._check(structure)
         y, z, _, diff = _with_part_rows(structure, i, xi_rows, anchor_rows)
         lam = _lambda(self.schedule, self._norm, lambda: cp_residual_rows(self.tensor, y, self.rank))
-        res = cp_residual_rows(self.tensor, z, self.rank)
-        return np.sqrt(res * res + lam * np.vecdot(diff, diff))
+        return self._u(cp_residual_rows(self.tensor, z, self.rank), lam, diff)
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         i = self._as_int(part)
@@ -448,14 +440,17 @@ class CpSurrogate:
         facts = self._facts(anchor.values)
         if lam == 0.0 and facts is not None and facts[2] == i:
             # Made by this very update, which reads only the other factors;
-            # u there is _model's sqrt(res^2 + lam * 0), rounded the same way.
+            # u there is _u's sqrt(res^2 + lam * 0), rounded the same way.
             return anchor, float(np.sqrt(facts[1] * facts[1]))
         xi = als_factor_update(self.tensor, factors, mode=i + 1, lam=lam,
                                unfolded=self.unfoldings[i]).ravel()
-        merged, res, umin = self._model(i, xi, anchor, lam)
+        sl = self._slices[i]
+        merged = anchor.values.copy()
+        merged[sl] = xi
+        res = cp_residual(self.tensor, self._split(merged))
         z = Point._adopt(merged, anchor.structure)
         self._points.append((z.values, res, i if lam == 0.0 else None))
-        return z, umin
+        return z, float(self._u(res, lam, xi - anchor.values[sl]))
 
 
 CP_MODES = ("als", "const_prox", "dim_prox", "mbi", "misum")
@@ -498,13 +493,10 @@ def run_cp(t: DenseTensor3, rank: int, mode: str = "als",
     update the most promising factor. The trace objective is the unsquared
     fit error, so ``opts.target_objective`` acts as the fit threshold.
     """
-    if rank < 1:
-        raise InvalidArgumentError("rank must be >= 1")
     schedule, driver = _mode_pack(mode, lam, lam0, lam1)
-    factors0 = init if init is not None else init_factors(t, rank, rng)
-    if factors0.rank != rank:
-        raise InvalidArgumentError("initial factors have the wrong rank")
-    x0 = factors0.to_point()
     surrogate = CpSurrogate(t, rank, schedule)
-    x, trace = driver(surrogate.objective(), surrogate, x0, opts)
-    return CpFactors.from_point(x, t.shape, rank), trace
+    factors0 = init if init is not None else init_factors(t, surrogate.rank, rng)
+    if factors0.rank != surrogate.rank:
+        raise InvalidArgumentError("initial factors have the wrong rank")
+    x, trace = driver(surrogate.objective(), surrogate, factors0.to_point(), opts)
+    return CpFactors.from_point(x, t.shape, surrogate.rank), trace

@@ -51,24 +51,22 @@ class NetworkSpec:
     @staticmethod
     def build(n_cells: int, users_per_cell, n_antennas: int, streams=1,
               noise_power=1.0, power=1.0) -> "NetworkSpec":
-        n_cells, n_antennas = _index(n_cells, "n_cells"), _index(n_antennas, "n_antennas")
-        if n_cells < 1:
-            raise InvalidArgumentError("need at least one cell")
-        users_per_cell = _items(users_per_cell, n_cells, lambda v: _index(v, "users_per_cell"))
-        if len(users_per_cell) != n_cells or any(i < 1 for i in users_per_cell):
-            raise InvalidArgumentError("users_per_cell must list a positive count per cell")
+        n_cells = _index(n_cells, "n_cells", least=1)
+        n_antennas = _index(n_antennas, "n_antennas", least=1)
+        users_per_cell = _items(users_per_cell, n_cells,
+                                lambda v: _index(v, "users_per_cell", least=1))
+        if len(users_per_cell) != n_cells:
+            raise InvalidArgumentError("users_per_cell must list one count per cell")
         n_users = sum(users_per_cell)
-        if n_antennas < 1:
-            raise InvalidArgumentError("n_antennas must be positive")
-        streams = _items(streams, n_users, lambda v: _index(v, "streams"))
-        if len(streams) != n_users or any(d < 1 or d > n_antennas for d in streams):
+        streams = _items(streams, n_users, lambda v: _index(v, "streams", least=1))
+        if len(streams) != n_users or any(d > n_antennas for d in streams):
             raise InvalidArgumentError("streams must satisfy 1 <= d <= n_antennas per user")
-        noise_power = _items(noise_power, n_users, lambda v: _real(v, "noise power"))
-        if len(noise_power) != n_users or any(not 0 < s < math.inf for s in noise_power):
-            raise InvalidArgumentError("noise power must be positive and finite per user")
-        power = _items(power, n_cells, lambda v: _real(v, "a power budget"))
-        if len(power) != n_cells or any(not 0 < p < math.inf for p in power):
-            raise InvalidArgumentError("power budgets must be positive and finite per cell")
+        noise_power = _items(noise_power, n_users, lambda v: _real(v, "noise power", "positive"))
+        if len(noise_power) != n_users:
+            raise InvalidArgumentError("noise power must list one value per user")
+        power = _items(power, n_cells, lambda v: _real(v, "power budgets", "positive"))
+        if len(power) != n_cells:
+            raise InvalidArgumentError("power budgets must list one value per cell")
         return NetworkSpec(n_cells, users_per_cell, n_antennas, streams,
                            noise_power, power)
 

@@ -16,7 +16,6 @@ import json
 import locale  # noqa: F401 - argparse's gettext would import it inside each main() call
 import math
 import os
-import sys
 import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -27,9 +26,12 @@ import numpy as np
 from . import app_classic, app_tensor, app_wmmse, problems, verify
 from .core import (
     BsumError,
+    InvalidArgumentError,
     ObjectiveOracle,
     RngStream,
     Trace,
+    _index,
+    _real,
     box,
     make_block_structure,
     simplex,
@@ -78,8 +80,7 @@ def _validate_seeds(seeds: Any) -> list[int]:
     _expect(isinstance(seeds, list) and len(seeds) >= 1,
             "seeds must be a non-empty list of integers", "seeds")
     for s in seeds:
-        _expect(isinstance(s, int) and not isinstance(s, bool) and s >= 0,
-                f"seed {s!r} is not a nonnegative integer", "seeds")
+        _expect(_accepts(_index, s, least=0), f"seed {s!r} is not a nonnegative integer", "seeds")
     _expect(len(set(seeds)) == len(seeds), "seeds must not repeat", "seeds")
     return list(seeds)
 
@@ -136,21 +137,20 @@ _PARAM_TABLES: dict[str, dict[str, tuple]] = {
     },
 }
 
-def _count(val: Any) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool) and val >= 1
-
-
-def _finite(val: Any) -> bool:
-    # The bound also rejects NaN, infinities and ints too large for a float.
-    return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and abs(val) <= sys.float_info.max)
+def _accepts(rule: Callable, val: Any, *args, **kwargs) -> bool:
+    # Whether a core argument rule (``_index`` or ``_real``) takes ``val``.
+    try:
+        rule(val, "a parameter", *args, **kwargs)
+    except InvalidArgumentError:
+        return False
+    return True
 
 
 _KINDS: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "count": (_count, "an integer >= 1"),
-    "num": (_finite, "a finite number"),
-    "pos": (lambda v: _finite(v) and v > 0, "a positive number"),
-    "nonneg": (lambda v: _finite(v) and v >= 0, "a nonnegative number"),
+    "count": (lambda v: _accepts(_index, v, least=1), "an integer >= 1"),
+    "num": (lambda v: _accepts(_real, v), "a finite number"),
+    "pos": (lambda v: _accepts(_real, v, "positive"), "a positive number"),
+    "nonneg": (lambda v: _accepts(_real, v, "nonnegative"), "a nonnegative number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "list": (lambda v: isinstance(v, list), "a list"),
 }
@@ -200,14 +200,14 @@ def validate_config(config: Any) -> dict:
                 "instance 'file' needs a tensor_file path", "tensor_file")
     if experiment == "cp" and params["instance"] == "random":
         dims = params["dims"]
-        _expect(len(dims) == 3 and all(_count(d) for d in dims),
+        _expect(len(dims) == 3 and all(_accepts(_index, d, least=1) for d in dims),
                 "dims must be three positive integers", "dims")
     if experiment == "wmmse":
         _expect(params["streams"] <= params["n_antennas"],
                 "streams must not exceed n_antennas", "streams")
     if experiment == "em":
         centers = params["centers"]
-        _expect(len(centers) == 2 and all(_finite(c) for c in centers),
+        _expect(len(centers) == 2 and all(_accepts(_real, c) for c in centers),
                 "centers must be two finite numbers", "centers")
     return {"experiment": experiment, "params": params, "seeds": seeds,
             "output_dir": output_dir}

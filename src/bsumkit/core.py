@@ -130,31 +130,47 @@ class BlockStructure:
         return part if type(part) is tuple else (part,)
 
 
-def _index(value, what: str, error: type[BsumError] = InvalidArgumentError) -> int:
-    """The package's one integer rule for index-like arguments: ``value``
-    through ``operator.index``; a bool, a float or a string raises ``error``."""
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+
+
+def _index(value, what: str, error: type[BsumError] = InvalidArgumentError,
+           least: int | None = None) -> int:
+    """The package's one rule for counts and indices: ``value`` through
+    ``operator.index``, within numpy's index range and at least ``least``
+    when given; a bool, a float or a string raises ``error``."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            least = -_INDEX_MAX - 1 if least is None else least
+            if least <= value <= _INDEX_MAX:
+                return value
+            raise error(f"{what} must be an integer in [{least}, {_INDEX_MAX}], got {value!r}")
     raise error(f"{what} must be an integer, got {value!r}")
 
 
-def _real(value, what: str) -> float:
-    """The real-number rule beside ``_index``: a real number, numpy scalars
-    included, as a float; a bool or a string raises InvalidArgumentError."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+def _real(value, what: str, sign: str = "") -> float:
+    """The package's one rule for reals: a finite real number, numpy scalars
+    included, as a float, and above zero for ``sign="positive"`` or not below
+    it for ``"nonnegative"``; anything else raises InvalidArgumentError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidArgumentError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x) or x < 0 and sign == "nonnegative" or x <= 0 and sign == "positive":
+        raise InvalidArgumentError(f"{what} must be {sign + ' and ' if sign else ''}finite, "
+                                   f"got {value!r}")
+    return x
 
 
 def make_block_structure(dims: Sequence[int]) -> BlockStructure:
-    dims_t = tuple(_index(d, "a block size") for d in dims)
+    dims_t = tuple(_index(d, "a block size", least=1) for d in dims)
     if len(dims_t) == 0:
         raise InvalidArgumentError("at least one block is required")
-    if any(d < 1 for d in dims_t):
-        raise InvalidArgumentError(f"block sizes must be positive, got {dims_t}")
     offsets = tuple(int(o) for o in np.concatenate(([0], np.cumsum(dims_t)[:-1])))
     return BlockStructure(dims=dims_t, offsets=offsets, total=int(sum(dims_t)))
 
@@ -184,9 +200,6 @@ class Point:
     @property
     def dim(self) -> int:
         return self.structure.total
-
-    def block(self, i: int) -> np.ndarray:
-        return self.values[self.structure.locate(i)[1]]
 
     def part(self, part: BlockIndex) -> np.ndarray:
         return self.values[self.structure.locate(part)[1]]
@@ -246,10 +259,11 @@ def unconstrained() -> FeasibleSetOracle:
 
 
 def box(lo, hi) -> FeasibleSetOracle:
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if np.any(lo > hi):
-        raise InvalidArgumentError("box lower bound exceeds upper bound")
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    # Bounds are arrays, so the scalar rule does not apply; a NaN bound fails ``<=``.
+    if lo.dtype.kind not in "iuf" or hi.dtype.kind not in "iuf" or not np.all(lo <= hi):
+        raise InvalidArgumentError(f"box bounds must be real with lo <= hi, got {lo!r} and {hi!r}")
+    lo, hi = lo.astype(np.float64), hi.astype(np.float64)
     return FeasibleSetOracle(lambda x: np.clip(x, lo, hi))
 
 
@@ -258,9 +272,7 @@ def nonnegative() -> FeasibleSetOracle:
 
 
 def ball(radius: float) -> FeasibleSetOracle:
-    radius = float(radius)
-    if radius <= 0:
-        raise InvalidArgumentError("ball radius must be positive")
+    radius = _real(radius, "ball radius", "positive")
 
     def _proj(x):
         # Row norms from dot products, as np.linalg.norm of one vector; rows inside scale by 1.
@@ -286,9 +298,7 @@ def _project_simplex(x: np.ndarray) -> np.ndarray:
 
 def simplex(floor: float = 0.0) -> FeasibleSetOracle:
     """Probability simplex, optionally shrunk so every coordinate is >= floor."""
-    floor = float(floor)
-    if floor < 0:
-        raise InvalidArgumentError("simplex floor must be nonnegative")
+    floor = _real(floor, "simplex floor", "nonnegative")
 
     def _proj(x):
         n = x.shape[-1]
@@ -402,10 +412,7 @@ class RngStream:
     key: tuple[int, ...] = ()
 
     def __post_init__(self):
-        seed = _index(self.seed, "seed")
-        if seed < 0:
-            raise InvalidArgumentError("seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _index(self.seed, "seed", least=0))
         if not isinstance(self.key, Iterable) or isinstance(self.key, (str, bytes)):
             raise InvalidArgumentError(f"a stream key must be a sequence of integers, got {self.key!r}")
         object.__setattr__(self, "key", tuple(_index(k, "a stream key entry") for k in self.key))
@@ -415,8 +422,5 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
     def substream(self, index: int) -> "RngStream":
-        index = _index(index, "substream index")
-        if index < 0:
-            raise InvalidArgumentError("substream index must be nonnegative")
-        return RngStream(self.seed, self.key + (index,))
+        return RngStream(self.seed, self.key + (_index(index, "substream index", least=0),))
 

@@ -96,13 +96,10 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("n_blocks", "period"):
-            object.__setattr__(self, name, _index(getattr(self, name), name, InvalidScheduleError))
-        if self.n_blocks < 1:
-            raise InvalidScheduleError("need at least one block")
+            object.__setattr__(self, name, _index(getattr(self, name), name,
+                                                  InvalidScheduleError, least=1))
         if not self.groups:
             raise InvalidScheduleError("need at least one group")
-        if self.period < 1:
-            raise InvalidScheduleError("period must be >= 1")
         visits: list[list[int]] = [[] for _ in range(self.n_blocks)]
         for k, g in enumerate(self.groups):
             if not g:
@@ -183,13 +180,10 @@ class SolveOptions:
     target_objective: float | None = None
 
     def __post_init__(self):
-        if _index(self.max_iters, "max_iters") < 1:
-            raise InvalidArgumentError("max_iters must be >= 1")
-        if not 0 < _real(self.tol, "tol") < np.inf:
-            raise InvalidArgumentError("tol must be positive and finite")
-        target = self.target_objective
-        if target is not None and not np.isfinite(_real(target, "target_objective")):
-            raise InvalidArgumentError("target_objective must be finite")
+        _index(self.max_iters, "max_iters", least=1)
+        _real(self.tol, "tol", "positive")
+        if self.target_objective is not None:
+            _real(self.target_objective, "target_objective")
 
 
 def _stationarity_gap(u: BlockSurrogateOracle, x, n_blocks: int, trace: Trace) -> None:

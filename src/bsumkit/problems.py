@@ -13,6 +13,7 @@ from .core import (
     ObjectiveOracle,
     Point,
     Trace,
+    _real,
     make_block_structure,
 )
 from .engine import SolveOptions, run_bsca
@@ -117,8 +118,7 @@ def lasso_problem(target, weight: float = 1.0, gamma: float = 1.0,
     step gamma, and a zero starting point.
     """
     target = np.asarray(target, dtype=np.float64).ravel()
-    if weight < 0:
-        raise InvalidArgumentError("weight must be nonnegative")
+    weight = _real(weight, "weight", "nonnegative")
     structure = make_block_structure(dims if dims is not None else [target.size])
     if structure.total != target.size:
         raise InvalidArgumentError("dims must cover the target vector")

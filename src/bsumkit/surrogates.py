@@ -24,6 +24,7 @@ from .core import (
     InvalidArgumentError,
     ObjectiveOracle,
     Point,
+    _real,
     _with_part_rows,
 )
 
@@ -58,10 +59,7 @@ class ExactBlockSurrogate:
 
 
 def _coefficient(c, iteration: int, anchor: Point) -> float:
-    value = float(c(iteration, anchor)) if callable(c) else float(c)
-    if not value > 0:
-        raise InvalidArgumentError(f"proximal coefficient must be positive, got {value}")
-    return value
+    return _real(c(iteration, anchor) if callable(c) else c, "proximal coefficient", "positive")
 
 
 @dataclass(frozen=True)
@@ -170,12 +168,11 @@ class LipschitzQuadraticSurrogate:
     def __post_init__(self):
         if self.smooth.gradient is None:
             raise InvalidArgumentError("smooth part needs a gradient")
-        if not self.beta > 0:
-            raise InvalidArgumentError("beta must be positive")
-        if not 0 < self.eps < 1.0 / self.beta:
+        beta, eps = _real(self.beta, "beta", "positive"), _real(self.eps, "eps")
+        if not 0 < eps < 1.0 / beta:
             raise InvalidArgumentError("eps must lie in (0, 1/beta)")
-        lo, hi = self.eps, 2.0 / self.beta - self.eps
-        if not lo <= self.gamma <= hi:
+        lo, hi = eps, 2.0 / beta - eps
+        if not lo <= _real(self.gamma, "gamma") <= hi:
             raise InvalidArgumentError(
                 f"gamma must lie in [{lo}, {hi}] for beta={self.beta}, got {self.gamma}")
 
@@ -223,8 +220,7 @@ class QuadraticApprox:
     def __post_init__(self):
         if self.f.gradient is None:
             raise InvalidArgumentError("quadratic model needs an objective gradient")
-        if not self.t > 0:
-            raise InvalidArgumentError("curvature parameter t must be positive")
+        _real(self.t, "curvature parameter t", "positive")
 
     def anchor_gradient(self, anchor: Point) -> np.ndarray:
         """grad f at the anchor, as the model uses it."""
@@ -248,8 +244,7 @@ class QuadraticApprox:
 
 def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
     """Proximal map of threshold * |.|_1 (componentwise shrinkage)."""
-    if threshold < 0:
-        raise InvalidArgumentError("threshold must be nonnegative")
+    threshold = _real(threshold, "threshold", "nonnegative")
     v = np.asarray(v, dtype=np.float64)
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 

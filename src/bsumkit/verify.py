@@ -31,6 +31,8 @@ from .core import (
     Point,
     RngStream,
     Trace,
+    _index,
+    _real,
     unconstrained,
 )
 
@@ -95,6 +97,8 @@ class SampleSpace:
     def __post_init__(self):
         if len(self.feasible) != self.structure.n_blocks:
             raise InvalidArgumentError("one feasible set per block is required")
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not 0.0 < self.hi - self.lo < np.inf:
             raise InvalidArgumentError("need lo < hi with a finite width hi - lo")
 
@@ -103,7 +107,7 @@ class SampleSpace:
               feasible: Sequence[FeasibleSetOracle] | None = None) -> "SampleSpace":
         if feasible is None:
             feasible = tuple(unconstrained() for _ in range(structure.n_blocks))
-        return SampleSpace(structure, tuple(feasible), float(lo), float(hi))
+        return SampleSpace(structure, tuple(feasible), lo, hi)
 
     def sample_points(self, gen: np.random.Generator, n: int) -> list[Point]:
         """``n`` feasible points, drawn as ``n`` one-point draws would be."""
@@ -202,8 +206,7 @@ def check_upper_bound(u, f: ObjectiveOracle, space: SampleSpace, rng: RngStream,
 
     ``worst_gap`` is the smallest signed slack u - f seen (negative = bad).
     """
-    if n_samples < 1:
-        raise InvalidArgumentError("n_samples must be >= 1")
+    n_samples = _index(n_samples, "n_samples", least=1)
     s = space.structure
     parts = _default_parts(s, parts)
     worst, n_viol, witnesses, start = np.inf, 0, [], 0
@@ -300,6 +303,7 @@ def audit_trace(trace: Trace, slack: float = 1e-12) -> CheckReport:
     chain, starting from the initial objective when it is recorded.
     ``worst_gap`` is the largest relative uptick.
     """
+    slack = _real(slack, "slack", "nonnegative")
     objectives = [r.objective for r in trace.records]
     iterations = [r.iteration for r in trace.records]
     if np.isfinite(trace.initial_objective):

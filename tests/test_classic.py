@@ -372,6 +372,14 @@ class TestEmGmm:
         with pytest.raises(InvalidArgumentError):
             em_gmm(np.array([1.0]), 2)
 
+    def test_data_must_be_one_dimensional(self):
+        """A 3 x 3 array is not read as a flattened 9-sample."""
+        data = np.arange(9.0).reshape(3, 3)
+        with pytest.raises(InvalidArgumentError, match="1-d"):
+            em_gmm(data, 2)
+        with pytest.raises(InvalidArgumentError, match="1-d"):
+            GmmJensenSurrogate(data, s_floor=1e-3)
+
     def test_surrogate_tight_at_anchor(self):
         """The bound evaluated at the anchor equals the NLL there."""
         data = two_cluster_dataset(RngStream(1), n_per_cluster=50)
@@ -552,7 +560,7 @@ def m_step_by_reduction(gamma, data, anchor, part, s_floor):
     blocks = anchor.structure.part_blocks(part)
     mass = gamma.sum(axis=1)
     means = (gamma * data).sum(axis=1) / mass
-    around = means if 1 in blocks else anchor.block(1)
+    around = means if 1 in blocks else anchor.part(1)
     diff = data - around[:, None]
     variances = np.maximum((gamma * (diff * diff)).sum(axis=1) / mass, s_floor)
     pieces = {0: mass / data.size, 1: means, 2: variances}
@@ -614,9 +622,9 @@ class TestEmColumnArithmetic:
         assert a.tobytes() == broadcast_weighted_log_densities(theta, data).tobytes()
 
         x = theta.to_point()
-        y = x.with_part(1, x.block(1) + 0.5)
+        y = x.with_part(1, x.part(1) + 0.5)
         u = GmmJensenSurrogate(data, s_floor=1e-9)
-        bound = u_at(u, 1, y.block(1), x)
+        bound = u_at(u, 1, y.part(1), x)
         gamma, entropy = u._responsibilities(x)
         want = broadcast_jensen_terms(broadcast_weighted_log_densities(theta, data),
                                       broadcast_weighted_log_densities(

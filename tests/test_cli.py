@@ -567,9 +567,9 @@ def test_battery_job_minimizes_every_block(name):
     for block in range(space.structure.n_blocks):
         z, value = u.minimize(block, y)
         assert z.structure == y.structure
-        assert np.isfinite(z.block(block)).all() and np.isfinite(value)
+        assert np.isfinite(z.part(block)).all() and np.isfinite(value)
         others = [i for i in range(space.structure.n_blocks) if i != block]
-        assert all((z.block(i) == y.block(i)).all() for i in others)
+        assert all((z.part(i) == y.part(i)).all() for i in others)
 
 
 @pytest.mark.parametrize("power", [1e8, 1e10])

@@ -106,9 +106,9 @@ class TestPoint:
         s = make_block_structure([2, 3])
         p = Point(np.arange(5.0), s)
         q = p.with_part(0, np.array([9.0, 9.0]))
-        np.testing.assert_array_equal(q.block(0), [9.0, 9.0])
-        np.testing.assert_array_equal(q.block(1), p.block(1))
-        np.testing.assert_array_equal(p.block(0), [0.0, 1.0])
+        np.testing.assert_array_equal(q.part(0), [9.0, 9.0])
+        np.testing.assert_array_equal(q.part(1), p.part(1))
+        np.testing.assert_array_equal(p.part(0), [0.0, 1.0])
 
     def test_values_are_read_only(self):
         s = make_block_structure([3])

@@ -353,10 +353,10 @@ class TestQuadraticApprox:
         s = make_block_structure([2, 1, 3])
         y = Point(np.random.default_rng(4).normal(size=6), s)
         g = f.gradient_at(y.values)
-        want = np.concatenate([y.block(i) - 0.3 * g[s.locate(i)[1]] for i in (0, 2)])
+        want = np.concatenate([y.part(i) - 0.3 * g[s.locate(i)[1]] for i in (0, 2)])
         z, _ = h.minimize((2, 0), y)
         assert np.array_equal(z.part((0, 2)), want)
-        assert np.array_equal(z.block(1), y.block(1))
+        assert np.array_equal(z.part(1), y.part(1))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_strictly_convex_in_xi(self, seed):

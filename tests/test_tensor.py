@@ -542,9 +542,9 @@ class TestCpOncePerAnchor:
         u = CpSurrogate(t, 3, LambdaSchedule.constant(0.0))
         z, _ = u.minimize(0, x)
         assert u.minimize(0, z)[0] is z
-        again, _ = u.minimize(0, x.with_part(0, z.block(0)))
+        again, _ = u.minimize(0, x.with_part(0, z.part(0)))
         assert again is not z and again.values.tobytes() == z.values.tobytes()
-        block = x.block(0).copy()
+        block = x.part(0).copy()
         block[1] = bad
         with pytest.raises(SolverError):
             u.minimize(0, x.with_part(0, block))
@@ -565,12 +565,12 @@ class TestCpOncePerAnchor:
             lam = lambda_value(schedule, t, f)
             for part in range(3):
                 z, umin = u.minimize(part, x)
-                xi = z.block(part)
+                xi = z.part(part)
                 assert umin == u_at(u, part, xi, x)
                 assert umin == u_at(CpSurrogate(t, 3, schedule), part, xi, x)
                 merged = CpFactors.from_point(x.with_part(part, xi), t.shape, 3)
                 res = cp_residual(t, merged)
-                diff = xi - x.block(part)
+                diff = xi - x.part(part)
                 assert umin == float(np.sqrt(res * res + lam * float(diff @ diff)))
 
 

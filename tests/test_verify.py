@@ -210,6 +210,13 @@ class TestAuditTrace:
         assert report.n_violations == 1
         assert report.witnesses[0]["iteration"] == 1
 
+    @pytest.mark.parametrize("slack", [np.nan, np.inf, -1e-12, "0"])
+    def test_slack_must_be_finite_and_nonnegative(self, slack):
+        """A NaN or infinite slack fails every comparison, so a rising trace
+        passed the audit; such a slack is refused."""
+        with pytest.raises(InvalidArgumentError, match="slack"):
+            audit_trace(self.make_trace([5.0], initial=0.0), slack=slack)
+
 
 class TestSampleSpace:
 
