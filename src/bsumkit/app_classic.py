@@ -24,6 +24,7 @@ from .core import (
     Trace,
     _index,
     _real,
+    _value_of,
     _with_part_rows,
     make_block_structure,
 )
@@ -152,10 +153,10 @@ def _mixture_rows(rows: np.ndarray) -> SimpleNamespace:
 def two_cluster_dataset(rng, n_per_cluster: int = 500,
                         centers=(-5.0, 5.0), sigma: float = 1.0) -> np.ndarray:
     """Two labeled gaussian clusters, cluster 0 first in the array."""
+    n, sigma = _index(n_per_cluster, "n_per_cluster", least=1), _real(sigma, "sigma")
     gen = rng.generator()
-    a = centers[0] + sigma * gen.standard_normal(n_per_cluster)
-    b = centers[1] + sigma * gen.standard_normal(n_per_cluster)
-    return np.concatenate([a, b])
+    return np.concatenate([_real(c, "a cluster center") + sigma * gen.standard_normal(n)
+                           for c in (centers[0], centers[1])])
 
 
 def _log_component_densities(data: np.ndarray, means: np.ndarray,
@@ -227,13 +228,13 @@ class GmmJensenSurrogate:
     is the familiar reweighted update restricted to those parameters.
 
     Every per-point array is (J, T), one contiguous row per component.
-    ``minimize`` keeps the weighted log-density matrix of the point it
-    returns, so ``objective()``, the negative log-likelihood, takes its
-    logsumexp from it, and the responsibilities at that point as the next
-    anchor come from the same numbers: gamma is built in place on the
-    anchor's matrix. Each number comes from the same expressions as in
-    ``gmm_nll``, computed once. The M-step's sums over the sample are numpy's
-    pairwise sums of contiguous rows.
+    ``minimize`` leaves the weighted log-density matrix on the point it
+    returns, and f there as the sum of its logsumexp, so ``objective()``,
+    the negative log-likelihood, and the responsibilities at that point as
+    the next anchor (built in place on the matrix) come from the same
+    numbers, each from the same expressions as in ``gmm_nll``, computed
+    once. The M-step's sums over the sample are numpy's pairwise sums of
+    contiguous rows.
     """
 
     def __init__(self, data: np.ndarray, s_floor: float):
@@ -242,11 +243,6 @@ class GmmJensenSurrogate:
             raise InvalidArgumentError(f"data must be a 1-d sample, got shape {data.shape}")
         self.data = data
         self.s_floor = _real(s_floor, "variance floor", "positive")
-        # (vector, [log-density matrix or None, row logsumexp or None]) for the
-        # anchor and the points minimize returned at it, matched with ``is``.
-        self._points: list[tuple[np.ndarray, list]] = []
-        # (anchor vector, gamma, sum gamma log gamma).
-        self._anchor: tuple[np.ndarray, np.ndarray, np.float64] | None = None
         self._minimize_calls = 0
         # (minimize call number, iteration) of each call that clamped.
         self._clamps: list[tuple[int, int]] = []
@@ -261,36 +257,35 @@ class GmmJensenSurrogate:
         theta = GmmParams(weights=v[:j], means=v[j:2 * j], variances=v[2 * j:])
         return _weighted_log_densities(theta, self.data)
 
-    def _facts(self, v: np.ndarray) -> list:
-        """The log-density entry of the point with vector ``v``."""
-        entry = next((entry for w, entry in self._points if w is v), None)
-        if entry is None:
-            entry = [self._log_densities(v), None]
-            if self._anchor is None and not v.flags.writeable and v.base is None:
-                self._points.append((v, entry))  # the start point, which the first anchor reads
-        return entry
-
-    def _lse(self, entry: list) -> np.ndarray:
-        if entry[1] is None:
-            entry[1] = _logsumexp(entry[0])
-        return entry[1]
-
     def _nll(self, v: np.ndarray) -> float:
         if v.ndim == 2:
             return gmm_nll_rows(v, self.data)
-        return float(-self._lse(self._facts(v)).sum())
+        return float(-_logsumexp(self._log_densities(v)).sum())
+
+    def _at(self, x: Point) -> list:
+        """[log-density matrix, its logsumexp, (gamma, sum gamma log gamma)]
+        at the point, each None until built or once spent; f there is left
+        as the sum of the logsumexp."""
+        facts = x._facts.get(self)
+        if facts is None:
+            facts = x._facts[self] = [self._log_densities(x.values), None, None]
+            x._facts.setdefault(self._nll, lambda: float(-self._lse(facts).sum()))
+        return facts
+
+    @staticmethod
+    def _lse(facts: list) -> np.ndarray:
+        if facts[1] is None:
+            facts[1] = _logsumexp(facts[0])
+        return facts[1]
 
     def _responsibilities(self, anchor: Point) -> tuple[np.ndarray, np.float64]:
         """Gamma at the anchor and sum gamma log gamma."""
-        v = anchor.values
-        if self._anchor is None or self._anchor[0] is not v:
-            entry = self._facts(v)
-            if entry[0] is None:  # an earlier anchor's, whose matrix went with its gamma
-                entry[0] = self._log_densities(v)
-            logd, lse = entry[0], self._lse(entry)
-            entry[0] = None  # the matrix becomes gamma
-            self._anchor = (v, *_gamma_in_place(logd, lse))
-        return self._anchor[1], self._anchor[2]
+        facts = self._at(anchor)
+        if facts[2] is None:
+            _value_of(self.objective(), anchor)  # f there needs the logsumexp, which goes next
+            facts[2] = _gamma_in_place(facts[0], self._lse(facts))
+            facts[0] = None  # the matrix became gamma
+        return facts[2]
 
     @staticmethod
     def _bound(gamma: np.ndarray, entropy, logp: np.ndarray, out: np.ndarray):
@@ -336,12 +331,10 @@ class GmmJensenSurrogate:
                 variances = np.maximum(variances, self.s_floor)
             pieces[2] = variances
         z = anchor.with_part(part, np.concatenate([pieces[i] for i in blocks]))
-        # The previous anchor's logsumexp goes only now, just before the new
-        # matrix: freed at the anchor change, it costs more page faults.
-        self._points = [p for p in self._points if p[0] is anchor.values]
-        entry = [self._log_densities(z.values), None]
-        self._points.append((z.values, entry))
-        return z, float(self._bound(gamma, entropy, entry[0], out=terms))
+        # The anchor's logsumexp goes only now, just before the new matrix:
+        # freed at the anchor change, it costs more page faults.
+        self._at(anchor)[1] = None
+        return z, float(self._bound(gamma, entropy, self._at(z)[0], out=terms))
 
 
 def _default_start(data: np.ndarray, n_components: int) -> GmmParams:
@@ -392,6 +385,7 @@ def em_gmm(data: np.ndarray, n_components: int, theta0: GmmParams | None = None,
         raise InvalidArgumentError("theta0 has the wrong component count")
     surrogate = GmmJensenSurrogate(data, s_floor)
     x0 = theta0.to_point()
+    surrogate._at(x0)  # f at x0 and its first responsibilities then share one matrix
     driver = run_sum if mode == "full" else run_bsum
     x, trace = driver(surrogate.objective(), surrogate, x0, opts)
     # The drivers call minimize once per iteration; later calls are the

@@ -26,6 +26,7 @@ from .core import (
     Trace,
     _index,
     _real,
+    _value_of,
     _with_part_rows,
     make_block_structure,
 )
@@ -231,8 +232,8 @@ def als_factor_update(t: DenseTensor3, f: CpFactors, mode: int,
     (2-norm condition number at most 1e12). Non-finite factors or lambda and
     a system that is not positive definite raise SolverError.
     """
-    if lam < 0:
-        raise InvalidArgumentError("lambda must be nonnegative")
+    if not (isinstance(lam, float) and 0.0 <= lam < math.inf):
+        lam = _real(lam, "lambda", "nonnegative")
     current, kr = _mode_pieces(f, mode)
     x_mat = unfold(t, mode) if unfolded is None else unfolded
     lhs = kr.T @ kr
@@ -286,6 +287,7 @@ def _lambda(schedule: LambdaSchedule, norm: float, residual) -> float:
 
 def swamp_factors(theta: float) -> CpFactors:
     """Rank-3 factors whose columns become collinear as theta -> 0."""
+    theta = _real(theta, "theta")
     ct, st = np.cos(theta), np.sin(theta)
     A = np.array([[1.0, ct, 0.0],
                   [0.0, st, 1.0]])
@@ -350,13 +352,13 @@ class CpSurrogate:
     u(xi, y) = sqrt(|X - reconstruction|^2 + lam |xi - y_part|^2)
     where the reconstruction substitutes xi into factor block ``part``.
 
-    The anchor's factors and lambda are built once per anchor ``Point``.
-    ``minimize`` remembers the fit error at the point it returns, so
-    ``objective()`` reads it there and a diminishing lambda reuses it when
-    that point is the next anchor. A point made by a lambda = 0 update of
-    block i is remembered as such: that update reads only the other two
-    factors, so at that point it gives block i back, and a greedy step does
-    not re-solve the block it moved the iteration before.
+    Each point keeps its facts: its factors and lambda, built once when it
+    is an anchor, and the block of the lambda = 0 update that made it.
+    ``minimize`` leaves the fit error on the point it returns, so the
+    objective there and a diminishing lambda at the next anchor read it. A
+    lambda = 0 update of block i reads only the other two factors, so at the
+    point it made it gives block i back, and a greedy step does not re-solve
+    the block it moved the iteration before.
     """
 
     def __init__(self, tensor: DenseTensor3, rank: int, schedule: LambdaSchedule):
@@ -368,11 +370,6 @@ class CpSurrogate:
         self._dims = tuple(n * self.rank for n in tensor.shape)
         ends = np.cumsum(self._dims)
         self._slices = tuple(slice(e - d, e) for d, e in zip(self._dims, ends))
-        self._anchor: tuple[Point, CpFactors, float] | None = None
-        # (vector, fit error, block of the lambda = 0 update that made it or
-        # None) for the anchor and the points minimize returned at it,
-        # matched with ``is``.
-        self._points: list[tuple[np.ndarray, float, int | None]] = []
 
     def objective(self) -> ObjectiveOracle:
         """The fit error |X - [A, B, C]|_F over the flat factor vector, or
@@ -384,30 +381,21 @@ class CpSurrogate:
         a, b, c = self._slices
         return CpFactors._views(v[a].reshape(i, r), v[b].reshape(j, r), v[c].reshape(k, r))
 
-    def _facts(self, v: np.ndarray) -> tuple[np.ndarray, float, int | None] | None:
-        return next((entry for entry in self._points if entry[0] is v), None)
-
     def _residual(self, v: np.ndarray) -> float:
-        """Fit error at the flat factor vector ``v``."""
-        entry = self._facts(v)
-        if entry is not None:
-            return entry[1]
+        """Fit error at the flat factor vector ``v``, or at each row of a stack."""
         if v.ndim == 2:
             return cp_residual_rows(self.tensor, v, self.rank)
-        res = cp_residual(self.tensor, self._split(v))
-        if self._anchor is None and not v.flags.writeable and v.base is None:
-            self._points.append((v, res, None))  # the start point, which the first anchor reads
-        return res
+        return cp_residual(self.tensor, self._split(v))
 
-    def _at(self, anchor: Point) -> tuple[CpFactors, float]:
-        """The anchor's factors and lambda."""
-        state = self._anchor
-        if state is None or state[0] is not anchor:
+    def _at(self, anchor: Point) -> list:
+        """[factors, lambda, block of the lambda = 0 update that made it] at the anchor."""
+        facts = anchor._facts.setdefault(self, [None, None, None])
+        if facts[0] is None:
             self._check(anchor.structure)
-            lam = _lambda(self.schedule, self._norm, lambda: self._residual(anchor.values))
-            self._points = [e for e in self._points if e[0] is anchor.values]
-            state = self._anchor = (anchor, self._split(anchor.values), lam)
-        return state[1], state[2]
+            facts[1] = _lambda(self.schedule, self._norm,
+                               lambda: _value_of(self.objective(), anchor))
+            facts[0] = self._split(anchor.values)
+        return facts
 
     def _check(self, structure: BlockStructure) -> None:
         if structure.dims != self._dims:
@@ -416,7 +404,7 @@ class CpSurrogate:
                 f"{self.tensor.shape} at rank {self.rank}")
 
     def _as_int(self, part: BlockIndex) -> int:
-        if not isinstance(part, (int, np.integer)) or not 0 <= part < 3:
+        if isinstance(part, bool) or not isinstance(part, (int, np.integer)) or not 0 <= part < 3:
             raise InvalidArgumentError("factor updates work on single blocks 0, 1, 2 only")
         return int(part)
 
@@ -436,12 +424,12 @@ class CpSurrogate:
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         i = self._as_int(part)
-        factors, lam = self._at(anchor)
-        facts = self._facts(anchor.values)
-        if lam == 0.0 and facts is not None and facts[2] == i:
+        factors, lam, made_by = self._at(anchor)
+        if lam == 0.0 and made_by == i:
             # Made by this very update, which reads only the other factors;
             # u there is _u's sqrt(res^2 + lam * 0), rounded the same way.
-            return anchor, float(np.sqrt(facts[1] * facts[1]))
+            res = _value_of(self.objective(), anchor)
+            return anchor, float(np.sqrt(res * res))
         xi = als_factor_update(self.tensor, factors, mode=i + 1, lam=lam,
                                unfolded=self.unfoldings[i]).ravel()
         sl = self._slices[i]
@@ -449,7 +437,8 @@ class CpSurrogate:
         merged[sl] = xi
         res = cp_residual(self.tensor, self._split(merged))
         z = Point._adopt(merged, anchor.structure)
-        self._points.append((z.values, res, i if lam == 0.0 else None))
+        z._facts[self._residual] = lambda: res
+        z._facts[self] = [None, None, i if lam == 0.0 else None]
         return z, float(self._u(res, lam, xi - anchor.values[sl]))
 
 

@@ -180,11 +180,13 @@ class Point:
     """Immutable flat vector tied to a block structure.
 
     ``values`` is stored read-only; all mutation goes through ``with_part``
-    which copies. Writing one part never disturbs the others.
+    which copies. Writing one part never disturbs the others. ``_facts``
+    keeps what layers computed at the point, which never goes stale.
     """
 
     values: np.ndarray
     structure: BlockStructure
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -222,6 +224,7 @@ class Point:
         point = object.__new__(cls)
         object.__setattr__(point, "values", values)
         object.__setattr__(point, "structure", structure)
+        object.__setattr__(point, "_facts", {})
         return point
 
     def with_values(self, values: np.ndarray) -> "Point":
@@ -325,10 +328,7 @@ class ObjectiveOracle:
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value_at(self, x: np.ndarray) -> float:
-        v = float(self.value(np.asarray(x, dtype=np.float64)))
-        if not math.isfinite(v):
-            raise NumericFailure(f"objective returned non-finite value {v!r}")
-        return v
+        return _finite(self.value(np.asarray(x, dtype=np.float64)))
 
     def gradient_at(self, x: np.ndarray) -> np.ndarray:
         if self.gradient is None:
@@ -354,6 +354,29 @@ class ObjectiveOracle:
         if rows.ndim != 2 or g.shape != rows.shape:
             raise InvalidArgumentError(f"gradients of {rows.shape} rows came back as {g.shape}")
         return g
+
+
+def _finite(v) -> float:
+    v = float(v)
+    if not math.isfinite(v):
+        raise NumericFailure(f"objective returned non-finite value {v!r}")
+    return v
+
+
+def _value_of(f: ObjectiveOracle, x: Point) -> float:
+    """f at the point, evaluated once per point and kept there under
+    ``f.value``. A layer that can get f more cheaply leaves a zero-argument
+    callable under that key, run (and checked finite) only when f is asked for."""
+    fact = x._facts.get(f.value)
+    if fact is None or callable(fact):
+        fact = x._facts[f.value] = f.value_at(x.values) if fact is None else _finite(fact())
+    return fact
+
+
+def _gradient_of(f: ObjectiveOracle, x: Point) -> np.ndarray:
+    """grad f at the point, evaluated once per point and kept there under ``f.gradient``."""
+    g = x._facts.get(f.gradient)
+    return g if g is not None else x._facts.setdefault(f.gradient, f.gradient_at(x.values))
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,12 @@ A surrogate oracle exposes ``minimize(part, anchor, iteration) -> (point,
 min value)``, which the drivers call, where ``part`` is an int block index
 or a tuple of indices, the anchor is the current ``Point``, and ``point`` is
 the anchor with the part moved to the argmin: the next iterate, so a
-surrogate can keep facts about it for the next anchor. It also exposes
-``values(part, xi_rows, anchor_rows, structure, iteration)``, u on stacks of
-rows, which the checks call. For the upper-bound drivers the surrogate must
-touch f at the anchor and dominate it elsewhere; those properties are not
-assumed silently, ``bsumkit.verify`` checks them by sampling.
+surrogate can leave facts on it, f included, which the driver reads
+(``core._value_of``). It also exposes ``values(part, xi_rows, anchor_rows,
+structure, iteration)``, u on stacks of rows, which the checks call. For the
+upper-bound drivers the surrogate must touch f at the anchor and dominate it
+elsewhere; those properties are not assumed silently, ``bsumkit.verify``
+checks them by sampling.
 
 ``run_bsum`` and ``run_bsca`` take a ``schedule=Schedule`` of block groups
 (default ``Schedule.cyclic``); ``run_misum`` picks its block and takes none.
@@ -57,8 +58,10 @@ from .core import (
     SolverError,
     Trace,
     TraceRecord,
+    _gradient_of,
     _index,
     _real,
+    _value_of,
 )
 
 __all__ = [
@@ -153,7 +156,8 @@ def armijo_step(f: ObjectiveOracle, x: Point, d: np.ndarray, fprime: float,
 
     Accepts alpha when f(x) - f(x + alpha d) >= -0.01 * alpha * fprime,
     with fprime the directional derivative of f at x along d (must be <= 0)
-    and ``fx`` the caller's f(x). Returns (alpha, x + alpha d, f there).
+    and ``fx`` the caller's f(x). Returns (alpha, x + alpha d, f there), f
+    also left on the point.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.shape != x.values.shape:
@@ -165,10 +169,10 @@ def armijo_step(f: ObjectiveOracle, x: Point, d: np.ndarray, fprime: float,
         raise DescentDirectionError(f"directional derivative {fprime} is positive")
     alpha = _ALPHA0
     for _ in range(_MAX_BACKTRACKS + 1):
-        trial = x.values + alpha * d
-        f_trial = f.value_at(trial)
+        trial = x.with_values(x.values + alpha * d)
+        f_trial = _value_of(f, trial)
         if fx - f_trial >= -_SIGMA * alpha * fprime:
-            return alpha, x.with_values(trial), f_trial
+            return alpha, trial, f_trial
         alpha *= _BETA
     raise LineSearchError(f"no acceptable step after {_MAX_BACKTRACKS} backtracks")
 
@@ -285,7 +289,7 @@ def run_bsum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
         z, umin = u.minimize(part, x, r)
         return part, z, float(umin), {}
 
-    return _upper_bound_loop(lambda x: f.value_at(x.values), u, x0, opts, choose, schedule)
+    return _upper_bound_loop(lambda x: _value_of(f, x), u, x0, opts, choose, schedule)
 
 
 def run_misum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
@@ -301,7 +305,7 @@ def run_misum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
         return k, results[k][0], float(minima[k]), {
             "block_minima": tuple(float(v) for v in minima)}
 
-    return _upper_bound_loop(lambda x: f.value_at(x.values), u, x0, opts, choose,
+    return _upper_bound_loop(lambda x: _value_of(f, x), u, x0, opts, choose,
                              Schedule.cyclic(x0.structure.n_blocks))
 
 
@@ -314,15 +318,12 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
     (the schedule defaults to cyclic), takes d = argmin - current part as a
     direction, and line-searches f along it with ``armijo_step``'s fixed
     schedule (alpha = 1, 1/2, ..., 2^-60; sigma = 0.01). h need not
-    upper-bound f; f must expose a gradient.
-    A model with ``anchor_gradient(anchor)`` (grad f at the anchor, as the
-    model used it) hands the directional derivative its gradient, so f's
-    gradient is not evaluated twice per iteration.
+    upper-bound f; f must expose a gradient, which a model over the same
+    oracle shares at the anchor (``core._gradient_of``).
     """
     if f.gradient is None:
         raise InvalidArgumentError("run_bsca requires an objective gradient")
     schedule = _cyclic_schedule(x0, schedule)
-    anchor_gradient = getattr(h, "anchor_gradient", None)
 
     def part_direction(part: BlockIndex, x: Point, r: int) -> np.ndarray:
         z, _ = h.minimize(part, x, r)
@@ -337,7 +338,7 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
             return x, fx, part, None, {}, all(
                 float(np.linalg.norm(part_direction(i, x, r))) <= opts.tol
                 for i in range(x.structure.n_blocks))
-        g = anchor_gradient(x) if anchor_gradient is not None else f.gradient_at(x.values)
+        g = _gradient_of(f, x)
         where = x.structure.locate(part)[1]
         fprime = float(g[where] @ d_part)
         d_full = np.zeros(x.dim)
@@ -345,4 +346,4 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
         alpha, x_new, f_new = armijo_step(f, x, d_full, fprime, fx)
         return x_new, f_new, part, alpha, {"directional_derivative": fprime}, False
 
-    return _iterate(x0, f.value_at(x0.values), opts, step)
+    return _iterate(x0, _value_of(f, x0), opts, step)

@@ -8,12 +8,13 @@ surrogate on stacks: row r is u at the anchor ``anchor_rows[r]`` with the
 part set to ``xi_rows[r]``, from (S, dim) part rows and (S, n) anchor rows,
 each row the bits of a one-row call. The checks in ``verify`` evaluate
 through it. A callable field takes one point, from ``minimize``, or an
-(S, n) stack of rows, from ``values``.
+(S, n) stack of rows, from ``values``. ``minimize`` reads f and grad f as
+facts of a point (``core._value_of``), each evaluated once per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,9 @@ from .core import (
     InvalidArgumentError,
     ObjectiveOracle,
     Point,
+    _gradient_of,
     _real,
+    _value_of,
     _with_part_rows,
 )
 
@@ -55,7 +58,7 @@ class ExactBlockSurrogate:
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         z = anchor.with_part(part, self.solver(part, anchor))
-        return z, self.f.value_at(z.values)
+        return z, _value_of(self.f, z)
 
 
 def _coefficient(c, iteration: int, anchor: Point) -> float:
@@ -93,7 +96,7 @@ class ProximalSurrogate:
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         c = self.coefficient(iteration, anchor)
         z = anchor.with_part(part, self.inner_solver(part, anchor, c))
-        return z, float(self._u(self.f.value_at(z.values), z.part(part) - anchor.part(part), c))
+        return z, float(self._u(_value_of(self.f, z), z.part(part) - anchor.part(part), c))
 
 
 @dataclass(frozen=True)
@@ -190,10 +193,10 @@ class LipschitzQuadraticSurrogate:
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         part, where, _ = anchor.structure.locate(part)
-        y = anchor.values
-        g = self.smooth.gradient_at(y)[where]
+        y, g = anchor.values, _gradient_of(self.smooth, anchor)[where]
         z = anchor.with_part(part, self.prox(part, y[where] - self.gamma * g, self.gamma))
-        return z, float(self._u(z.values, self.smooth.value_at(y), g, z.values[where] - y[where]))
+        return z, float(self._u(z.values, _value_of(self.smooth, anchor), g,
+                                z.values[where] - y[where]))
 
     def smooth_part(self) -> tuple[QuadraticApprox, ObjectiveOracle]:
         """The (u0, f0) pair whose tightness and bound imply the full properties:
@@ -208,26 +211,16 @@ class QuadraticApprox:
     h(xi, y) = f(y) + grad_i f(y) @ (xi - y_i) + |xi - y_i|^2 / (2 t); its
     minimizer is the gradient step y_i - t grad_i f(y). Strictly
     convex for t > 0, tight and gradient-matched at the anchor, but not an
-    upper bound in general. grad f is computed once per anchor ``Point``.
+    upper bound in general. f and grad f are read from the anchor's facts.
     """
 
     f: ObjectiveOracle
     t: float
-    # One slot holding (anchor, grad f(anchor)) for the last anchor seen.
-    _last: list = field(default_factory=lambda: [(None, None)], init=False,
-                        repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.gradient is None:
             raise InvalidArgumentError("quadratic model needs an objective gradient")
         _real(self.t, "curvature parameter t", "positive")
-
-    def anchor_gradient(self, anchor: Point) -> np.ndarray:
-        """grad f at the anchor, as the model uses it."""
-        last = self._last[0]
-        if last[0] is not anchor:
-            last = self._last[0] = (anchor, self.f.gradient_at(anchor.values))
-        return last[1]
 
     def values(self, part: BlockIndex, xi_rows: np.ndarray, anchor_rows: np.ndarray,
                structure: BlockStructure, iteration: int = 1) -> np.ndarray:
@@ -236,10 +229,10 @@ class QuadraticApprox:
 
     def minimize(self, part: BlockIndex, anchor: Point, iteration: int = 1) -> tuple[Point, float]:
         part, where, _ = anchor.structure.locate(part)
-        y, g = anchor.values, self.anchor_gradient(anchor)[where]
+        y, g = anchor.values, _gradient_of(self.f, anchor)[where]
         xi = y[where] - self.t * g
         return anchor.with_part(part, xi), float(
-            _linear_model(self.f.value_at(y), g, xi - y[where], self.t))
+            _linear_model(_value_of(self.f, anchor), g, xi - y[where], self.t))
 
 
 def soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:

@@ -12,7 +12,16 @@ import pytest
 
 from bsumkit import problems
 from bsumkit.app_classic import em_gmm, two_cluster_dataset
-from bsumkit.app_tensor import CpSurrogate, LambdaSchedule, random_rank_instance, run_cp
+from bsumkit.app_tensor import (
+    CpSurrogate,
+    LambdaSchedule,
+    als_factor_update,
+    build_swamp_instance,
+    init_factors,
+    random_rank_instance,
+    run_cp,
+    swamp_factors,
+)
 from bsumkit.app_wmmse import NetworkSpec
 from bsumkit.core import (
     BsumError,
@@ -39,6 +48,7 @@ COUNT = ("2",)
 _OPTS = SolveOptions(max_iters=3)
 _TENSOR = random_rank_instance((2, 3, 3), 2, RngStream(5))
 _DATA = two_cluster_dataset(RngStream(3), n_per_cluster=10)
+_FACTORS = init_factors(_TENSOR, 2, RngStream(6))
 _QUAD = problems.QuadraticProblem(Q=np.array([[2.0, 0.5], [0.5, 1.0]]), b=np.array([1.0, -1.0]))
 _X = Point(np.zeros(2), make_block_structure([1, 1]))
 _LASSO_F, _LASSO, _LASSO_X = problems.lasso_problem([1.0, -2.0], gamma=0.5)
@@ -100,8 +110,17 @@ CASES = {
     "run_cp.lam1": (lambda v: _cp(2, mode="dim_prox", lam1=v), NONNEG),
     "random_rank_instance": (lambda v: random_rank_instance((2, 2, 2), v, RngStream(1)).values,
                              COUNT),
+    "als_factor_update.lam": (lambda v: als_factor_update(_TENSOR, _FACTORS, 1, lam=v), NONNEG),
+    "swamp_factors": (lambda v: swamp_factors(v).A, ("2.5", "2", "-1", "0")),
+    "build_swamp_instance": (lambda v: build_swamp_instance(v).values, ("2.5", "2", "-1", "0")),
     "CpSurrogate.rank": (lambda v: CpSurrogate(_TENSOR, v, LambdaSchedule.constant(0.1)).rank,
                          COUNT),
+    "two_cluster_dataset.n_per_cluster": (
+        lambda v: two_cluster_dataset(RngStream(0), n_per_cluster=v), COUNT),
+    "two_cluster_dataset.centers": (
+        lambda v: two_cluster_dataset(RngStream(0), 2, centers=(v, 1.0)), ("2.5", "2", "-1", "0")),
+    "two_cluster_dataset.sigma": (  # a negative sigma mirrors the clusters; the CLI takes it
+        lambda v: two_cluster_dataset(RngStream(0), 2, sigma=v), ("2.5", "2", "-1", "0")),
     "em_gmm.n_components": (lambda v: em_gmm(_DATA, v, opts=_OPTS)[1].final_objective, COUNT),
     "em_gmm.s_floor": (lambda v: em_gmm(_DATA, 2, opts=_OPTS, s_floor=v)[1].final_objective,
                        REALS),

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bsumkit import app_classic
+from bsumkit import app_classic, engine
 from bsumkit.app_classic import (
     GmmJensenSurrogate,
     GmmParams,
@@ -421,6 +421,28 @@ class TestEmOncePerPoint:
         assert trace.n_iterations == self.N_ITERS
         assert len(calls) == 1 + self.N_ITERS + 3
 
+    @pytest.mark.parametrize("mode", ["full", "block"])
+    def test_logsumexp_count(self, monkeypatch, mode):
+        """1 at x0 and 1 per iteration (f at the candidate, whose
+        responsibilities reuse it), none in the post-run stationarity check."""
+        calls, in_gap = [], []
+        logsumexp, stationarity_gap = app_classic._logsumexp, engine._stationarity_gap
+
+        def counted(a):
+            calls.append(bool(in_gap))
+            return logsumexp(a)
+
+        def gap(*args):
+            in_gap.append(True)
+            return stationarity_gap(*args)
+
+        monkeypatch.setattr(app_classic, "_logsumexp", counted)
+        monkeypatch.setattr(engine, "_stationarity_gap", gap)
+        _, trace = em_gmm(self.data(), 2, mode=mode,
+                          opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-15))
+        assert trace.n_iterations == self.N_ITERS and in_gap
+        assert calls == [False] * (1 + self.N_ITERS)
+
     @pytest.mark.parametrize("n_cols", range(1, 11))
     def test_logsumexp_is_the_axis_reduction(self, n_cols):
         """Bit for bit the max and sum along axis 0 of the (J, T) matrix,
@@ -473,30 +495,33 @@ class TestEmOncePerPoint:
 
     @pytest.mark.parametrize("mode", ["full", "block"])
     def test_memo_stays_bounded(self, monkeypatch, mode):
-        """The surrogate keeps facts only about the last anchor and the point
-        minimize returned at it, and keeps them on those very vectors."""
-        made = []
+        """The surrogate keeps no per-point state: after a run it holds what
+        it held when built, and each fact lives on its point. The final
+        iterate, the gap's anchor, keeps f and gamma, but neither its matrix,
+        which became gamma, nor its logsumexp."""
+        made, anchors = [], []
 
         class Recorded(GmmJensenSurrogate):
             def __init__(self, *args):
                 super().__init__(*args)
-                made.append(self)
+                made.append((self, dict(vars(self))))
+
+            def minimize(self, part, anchor, iteration=1):
+                anchors.append(anchor)
+                return super().minimize(part, anchor, iteration)
 
         monkeypatch.setattr(app_classic, "GmmJensenSurrogate", Recorded)
-        data = self.data()
-        x, _ = em_gmm(data, 2, mode=mode,
-                      opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-15))
-        u = made[0]
+        x, trace = em_gmm(self.data(), 2, mode=mode,
+                          opts=SolveOptions(max_iters=self.N_ITERS, tol=1e-15))
+        (u, built), = made
+        assert vars(u).keys() == built.keys()
+        assert [k for k, v in vars(u).items() if v is not built[k]] == ["_minimize_calls"]
         # The post-run stationarity check ran minimize last, at the final iterate.
-        anchor, gamma, _ = u._anchor
-        assert anchor.tobytes() == x.to_point().values.tobytes()
-        assert gamma.shape == (2, 300)
-        assert len(u._points) == 2 and u._points[0][0] is anchor
-        for v, _ in u._points:
-            assert not v.flags.writeable and v.base is None
-        # An anchor keeps its logsumexp but not its matrix once gamma is built.
-        a, lse = u._points[0][1]
-        assert a is None and lse.shape == (300,)
+        final = anchors[-1]
+        assert final.values.tobytes() == x.to_point().values.tobytes()
+        logd, lse, (gamma, _) = final._facts[u]
+        assert logd is None and lse is None and gamma.shape == (2, 300)
+        assert final._facts[u.objective().value] == trace.final_objective
 
     def test_cold_value_one_logsumexp(self, monkeypatch):
         """A values call runs one logsumexp (its anchors'), none for the

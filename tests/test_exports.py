@@ -9,6 +9,7 @@ import inspect
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import bsumkit
@@ -173,3 +174,60 @@ def test_one_evaluator_per_surrogate_and_objective():
     for cls in (bsumkit.DcLinearization, bsumkit.LipschitzQuadraticSurrogate):
         assert twins.isdisjoint(f.name for f in dataclasses.fields(cls))
     assert not hasattr(core, "_on_rows")
+
+
+def test_no_module_guesses_a_start_point_from_array_flags():
+    """An AST scan of src/: no module reads an array's ``.flags``. Facts
+    about a point live on the ``Point``, so no layer guesses which vector
+    is the start point from its flags."""
+    hits = [f"{path.name}:{node.lineno}"
+            for path in sorted(pathlib.Path(bsumkit.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "flags"]
+    assert hits == []
+
+
+def test_quadratic_approx_keeps_no_anchor_cache():
+    from bsumkit import problems
+
+    h = bsumkit.QuadraticApprox(problems.QuadraticProblem(np.eye(1), np.ones(1)).objective(), 0.5)
+    assert [f.name for f in dataclasses.fields(h)] == ["f", "t"]
+    assert [n for n in ("anchor_gradient", "_last") if hasattr(h, n)] == []
+
+
+def test_surrogates_keep_no_per_point_state(monkeypatch):
+    """After a CP run and an EM run, each surrogate holds no ``Point`` and
+    no array but those it was built with: its facts live on the points."""
+    from bsumkit import app_classic, app_tensor
+
+    def held(obj, out):
+        # The Points and the ids of the arrays reachable through containers.
+        if isinstance(obj, (list, tuple, set)):
+            for item in obj:
+                held(item, out)
+        elif isinstance(obj, dict):
+            held(list(obj.values()), out)
+        elif isinstance(obj, bsumkit.Point):
+            out["points"] += 1
+        elif isinstance(obj, np.ndarray):
+            out["arrays"].add(id(obj))
+        return out
+
+    built = []
+    for module, name in ((app_tensor, "CpSurrogate"), (app_classic, "GmmJensenSurrogate")):
+        class Recorded(getattr(module, name)):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append((self, held(vars(self), {"points": 0, "arrays": set()})))
+
+        monkeypatch.setattr(module, name, Recorded)
+    opts = bsumkit.SolveOptions(max_iters=5, tol=1e-15)
+    tensor = app_tensor.build_swamp_instance(np.pi / 4)
+    for mode in app_tensor.CP_MODES:
+        app_tensor.run_cp(tensor, 3, mode=mode, opts=opts)
+    data = app_classic.two_cluster_dataset(bsumkit.RngStream(1), n_per_cluster=50)
+    for mode in app_classic.EM_MODES:
+        app_classic.em_gmm(data, 2, mode=mode, opts=opts)
+    assert len(built) == len(app_tensor.CP_MODES) + len(app_classic.EM_MODES)
+    for u, at_build in built:
+        assert held(vars(u), {"points": 0, "arrays": set()}) == at_build, type(u).__name__

@@ -241,8 +241,9 @@ class TestForwardBackward:
 
 
 class TestOneGradientPerMinimize:
-    """A minimize computes the gradient at the anchor once, and its minimum
-    is what values returns at the argmin, bit for bit."""
+    """A minimize computes the gradient at the anchor once (the Lipschitz
+    surrogate once per anchor), and its minimum is what values returns at
+    the argmin, bit for bit."""
 
     PARTS = (0, 1, (0, 1))
 
@@ -273,12 +274,15 @@ class TestOneGradientPerMinimize:
         _, s, _ = lasso_problem(target=[2.0, -1.0], weight=0.5, gamma=0.8, dims=[1, 1])
         s = dataclasses.replace(s, smooth=CountingOracle(value=s.smooth.value,
                                                          gradient=s.smooth.gradient))
-        x = Point(np.array([3.0, 0.25]), make_block_structure([1, 1]))
-        for part in self.PARTS:
+        # One gradient per anchor, however many parts are minimized there:
+        # it is a fact of the point.
+        for x in (Point(np.array([3.0, 0.25]), make_block_structure([1, 1])),
+                  Point(np.array([-1.0, 4.0]), make_block_structure([1, 1]))):
             grads.clear()
-            z, umin = s.minimize(part, x)
+            results = [(part, *s.minimize(part, x)) for part in self.PARTS]
             assert len(grads) == 1
-            assert umin == u_at(s, part, z.part(part), x)
+            for part, z, umin in results:
+                assert umin == u_at(s, part, z.part(part), x)
 
 
 class TestOneEvaluationPerMinimize:

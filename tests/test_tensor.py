@@ -599,6 +599,25 @@ class TestCpSurrogateContract:
             ("tightness", 0), ("upper_bound", 0), ("first_order_match", 0)]
         assert [r.n_samples for r in reports] == [24, 200, 24]
 
+    @pytest.mark.parametrize("part", [True, False, np.bool_(True), 1.0, 3, -1, (0, 1)])
+    def test_part_must_be_one_factor_index(self, part):
+        """A bool is not a block index: True would update factor block 1."""
+        t = build_swamp_instance(np.pi / 4)
+        x = init_factors(t, 3, RngStream(0)).to_point()
+        u = CpSurrogate(t, 3, LambdaSchedule.constant(0.1))
+        with pytest.raises(InvalidArgumentError, match="single blocks 0, 1, 2"):
+            u.minimize(part, x)
+        with pytest.raises(InvalidArgumentError, match="single blocks 0, 1, 2"):
+            u_at(u, part, x.part(1), x)
+
+    def test_numpy_integer_part_is_that_block(self):
+        t = build_swamp_instance(np.pi / 4)
+        x = init_factors(t, 3, RngStream(0)).to_point()
+        u = CpSurrogate(t, 3, LambdaSchedule.constant(0.1))
+        z, umin = u.minimize(np.int64(1), x)
+        assert z.values.tobytes() == u.minimize(1, x)[0].values.tobytes()
+        assert u_at(u, np.int32(1), z.part(1), x) == umin
+
 
 class TestTensorFileIO:
 
