@@ -229,11 +229,10 @@ def als_factor_update(t: DenseTensor3, f: CpFactors, mode: int,
     Solves (gram + lam I) on the right where gram is the Hadamard product of
     the frozen factors' Gram matrices; lam = 0 is the plain alternating
     least-squares step and requires a well-conditioned gram matrix
-    (2-norm condition number at most 1e12). Non-finite factors or lambda and
-    a system that is not positive definite raise SolverError.
+    (2-norm condition number at most 1e12). A bad lam raises InvalidArgumentError;
+    non-finite factors or a system not positive definite raise SolverError.
     """
-    if not (isinstance(lam, float) and 0.0 <= lam < math.inf):
-        lam = _real(lam, "lambda", "nonnegative")
+    lam = _real(lam, "lambda", "nonnegative")
     current, kr = _mode_pieces(f, mode)
     x_mat = unfold(t, mode) if unfolded is None else unfolded
     lhs = kr.T @ kr

@@ -181,7 +181,7 @@ class Point:
 
     ``values`` is stored read-only; all mutation goes through ``with_part``
     which copies. Writing one part never disturbs the others. ``_facts``
-    keeps what layers computed at the point, which never goes stale.
+    keeps what layers computed at the point and lives as long as the point.
     """
 
     values: np.ndarray
@@ -321,7 +321,8 @@ class ObjectiveOracle:
     Each callable takes one point, from the drivers, or an (S, n) stack of
     points, one per row, from the checks: ``value`` then gives (S,) values
     and ``gradient`` (S, n) gradients, each row the bits of that row alone.
-    ``values_at`` and ``gradients_at`` take the stacks.
+    ``values_at`` and ``gradients_at`` take the stacks. Both must depend on x alone:
+    f and grad f are kept on each ``Point``, so a reused point serves them cached.
     """
 
     value: Callable[[np.ndarray], float]

@@ -169,7 +169,7 @@ def armijo_step(f: ObjectiveOracle, x: Point, d: np.ndarray, fprime: float,
         raise DescentDirectionError(f"directional derivative {fprime} is positive")
     alpha = _ALPHA0
     for _ in range(_MAX_BACKTRACKS + 1):
-        trial = x.with_values(x.values + alpha * d)
+        trial = Point._adopt(x.values + alpha * d, x.structure)
         f_trial = _value_of(f, trial)
         if fx - f_trial >= -_SIGMA * alpha * fprime:
             return alpha, trial, f_trial
@@ -281,7 +281,8 @@ def run_sum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
 def run_bsum(f: ObjectiveOracle, u: BlockSurrogateOracle, x0: Point,
              opts: SolveOptions = SolveOptions(),
              schedule: Schedule | None = None) -> tuple[Point, Trace]:
-    """Block-coordinate surrogate minimization; the schedule defaults to cyclic."""
+    """Block-coordinate surrogate minimization; the schedule defaults to cyclic.
+    f (pure in x) and anchor facts stay on x0 and the result: a rerun reads f(x0) cached."""
     schedule = _cyclic_schedule(x0, schedule)
 
     def choose(r: int, x: Point):
@@ -338,9 +339,8 @@ def run_bsca(f: ObjectiveOracle, h: BlockSurrogateOracle, x0: Point,
             return x, fx, part, None, {}, all(
                 float(np.linalg.norm(part_direction(i, x, r))) <= opts.tol
                 for i in range(x.structure.n_blocks))
-        g = _gradient_of(f, x)
         where = x.structure.locate(part)[1]
-        fprime = float(g[where] @ d_part)
+        fprime = float(_gradient_of(f, x)[where] @ d_part)
         d_full = np.zeros(x.dim)
         d_full[where] = d_part
         alpha, x_new, f_new = armijo_step(f, x, d_full, fprime, fx)
