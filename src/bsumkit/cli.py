@@ -7,6 +7,12 @@ override it. Exit codes: 0 success, 2 bad params (including an unreadable
 input file), 3 a failed solver task. Per-seed trace CSVs and summary.json
 are written atomically and are byte-identical across reruns of the same
 config.
+
+An experiment's (mode, seed) fits are independent, so on Linux they run on
+up to ``os.cpu_count()`` processes: the parent forks one child per extra
+CPU, each child pickles its fits' traces back through a pipe, and the
+parent writes every artifact. One BSUM run stays on one CPU, because its
+block order is sequential.
 """
 
 from __future__ import annotations
@@ -16,9 +22,12 @@ import json
 import locale  # noqa: F401 - argparse's gettext would import it inside each main() call
 import math
 import os
+import pickle
+import signal
+import sys
 import tempfile
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -285,35 +294,117 @@ def summarize(iteration_counts: dict[str, list]) -> dict:
 
 # -------------------------------------------------------------- experiments
 
+def _share(solve: Callable, tasks: list, first: int, step: int) -> list:
+    """``(index, outcome)`` for tasks ``first, first + step, ...``: ``(trace,
+    None)``, ``(None, message)`` for a ``BsumError``, or any other exception,
+    which ends the share as it would end a serial run."""
+    done = []
+    for i in range(first, len(tasks), step):
+        try:
+            done.append((i, (solve(*tasks[i]), None)))
+        except BsumError as exc:
+            done.append((i, (None, str(exc))))
+        except Exception as exc:
+            return done + [(i, exc)]
+    return done
+
+
+def _child(solve: Callable, tasks: list, first: int, step: int, pipe: int) -> None:
+    """In a forked child: run one share, pickle it into ``pipe`` and exit."""
+    code = 1
+    try:
+        done = _share(solve, tasks, first, step)
+        i, last = done[-1]
+        if isinstance(last, Exception):
+            try:  # the parent must be able to unpickle the exception it re-raises
+                pickle.loads(pickle.dumps(last))
+            except Exception:
+                done[-1] = (i, RuntimeError(repr(last)))
+        with open(pipe, "wb") as fh:
+            fh.write(pickle.dumps(done))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _outcomes(solve: Callable, tasks: list) -> list:
+    """The outcome of every task (see ``_share``), in task order.
+
+    Of W = min(tasks, ``os.cpu_count()``) workers, W - 1 are forked children:
+    child w runs tasks w, w + W, ..., and the parent runs the share from task
+    0. A child that ends without a complete answer fails each of its tasks
+    with an error naming how it ended. Another exception is re-raised for the
+    lowest task index, as a serial run raises it. No child outlives the call.
+    """
+    step = min(len(tasks), os.cpu_count() or 1)
+    # numpy's BLAS is not fork-safe on every platform, and forking a process
+    # with a second Python thread can deadlock the child.
+    if sys.platform != "linux" or threading.active_count() > 1:
+        step = 1
+    mine, children = [0], {}  # the parent's shares; pid -> (read end, first task)
+    try:
+        for first in range(1, step):
+            read_end, write_end = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns at fork() while the process has a
+                    # second OS thread. Python threads are ruled out above, and
+                    # OpenBLAS's idle pool registers pthread_atfork handlers.
+                    warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-"
+                                            r"threaded, use of fork\(\)", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no process to spare: the parent runs this share
+                os.close(read_end)
+                os.close(write_end)
+                mine.append(first)
+                continue
+            if pid == 0:
+                _child(solve, tasks, first, step, write_end)
+            os.close(write_end)
+            children[pid] = open(read_end, "rb"), first
+        done = dict(item for first in mine for item in _share(solve, tasks, first, step))
+        for pid, (answer, first) in list(children.items()):
+            with answer:
+                data = answer.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code == 0:
+                done.update(pickle.loads(data))
+                continue
+            names = {int(s): s.name for s in signal.Signals}
+            how = (f"killed by {names.get(-code, f'signal {-code}')}" if code < 0
+                   else f"exited with status {code}")
+            done.update((i, (None, f"worker process {how} before it answered"))
+                        for i in range(first, len(tasks), step))
+    finally:
+        for pid, (answer, _) in children.items():  # left only when the parent raises
+            answer.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [i for i, outcome in done.items() if isinstance(outcome, Exception)]
+    if failed:
+        raise done[min(failed)]
+    return [done[i] for i in range(len(tasks))]
+
+
 def _run_tasks(name: str, modes: Sequence, seeds: list[int],
                solve: Callable[[Any, int], Trace], out_dir: str,
-               rates: bool = False, threaded: bool = False) -> tuple[list, dict]:
-    """Run ``solve(mode, seed)`` for every mode and seed, in task order.
+               rates: bool = False) -> tuple[list, dict]:
+    """Run ``solve(mode, seed)`` for every mode and seed, on up to
+    ``os.cpu_count()`` processes (see ``_outcomes``).
 
     Each trace is written to ``{name}_{mode}_seed{seed}.csv``, or
     ``{name}_seed{seed}.csv`` when the mode is None, plus the rates CSV when
-    ``rates`` is set. A ``BsumError`` inside a task becomes an ``errors``
-    entry and that task's trace is None. Returns the ``(mode, seed, trace)``
-    triples in task order, and the summary's ``tasks`` (a record of each
-    finished task) and ``errors`` (sorted by mode and seed). ``threaded`` runs
-    the tasks on up to ``os.cpu_count()`` threads, with the same results.
+    ``rates`` is set; the parent writes every file, in task order, so the
+    artifacts do not depend on the number of CPUs. A ``BsumError`` inside a
+    task, or a worker process that dies, becomes an ``errors`` entry and
+    that task's trace is None. Returns the ``(mode, seed, trace)`` triples in
+    task order, and the summary's ``tasks`` (a record of each finished task)
+    and ``errors`` (sorted by mode and seed).
     """
     tasks = [(mode, seed) for mode in modes for seed in seeds]
-
-    def one(task):
-        try:
-            return solve(*task), None
-        except BsumError as exc:
-            return None, str(exc)
-
-    workers = min(os.cpu_count() or 1, len(tasks)) if threaded else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, tasks))
-    else:
-        outcomes = [one(t) for t in tasks]
     results, records, errors = [], [], []
-    for (mode, seed), (trace, err) in zip(tasks, outcomes):
+    for (mode, seed), (trace, err) in zip(tasks, _outcomes(solve, tasks)):
         tag = f"seed{seed}" if mode is None else f"{mode}_seed{seed}"
         if err is None:
             _atomic_write(os.path.join(out_dir, f"{name}_{tag}.csv"),
@@ -405,8 +496,7 @@ def _run_em(params: dict, seeds: list[int], out_dir: str, opts: SolveOptions) ->
     def solve(mode, seed):
         return app_classic.em_gmm(samples[seed], params["n_components"], mode=mode, opts=opts)[1]
 
-    # EM's numpy passes release the GIL; cp and wmmse are interpreter-bound and a pool slows them.
-    _, summary = _run_tasks("em", params["modes"], seeds, solve, out_dir, threaded=True)
+    _, summary = _run_tasks("em", params["modes"], seeds, solve, out_dir)
     final: dict[str, dict] = {m: {} for m in params["modes"]}
     for rec in summary["tasks"]:
         final[rec["mode"]][str(rec["seed"])] = {"nll": rec["objective"],

@@ -6,11 +6,12 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -385,39 +386,130 @@ class TestWorkerPool:
         assert len(blobs[0]) == 5
         assert blobs[0] == blobs[1]
 
-    def test_only_em_runs_on_threads(self, tmp_path, monkeypatch):
-        """cp, wmmse and toy run serially; em's pool leaves its artifacts as
-        a serial run writes them. BSUM_THREADS has no say."""
-        built = []
+    # (experiment, params, seeds): 4, 2, 4, 2 and 1 tasks.
+    FORK_RUNS = [("cp", {"modes": ["als", "mbi"], "max_iters": 5}, [0, 1]),
+                 ("wmmse", {"max_iters": 5}, [0, 1]),
+                 ("em", {"modes": ["full", "block"], "n_per_cluster": 50, "max_iters": 5}, [0, 1]),
+                 ("toy", {"max_iters": 5}, [0, 1]),
+                 ("wmmse", {"max_iters": 5}, [0])]
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                built.append(max_workers)
-                super().__init__(max_workers=max_workers)
+    def test_forks_one_child_per_extra_worker(self, tmp_path, monkeypatch):
+        """Every experiment runs its W = min(tasks, cpu_count) workers as the
+        parent and W - 1 forked children, so a one-task run forks nothing, and
+        the artifacts are the bytes that one worker writes."""
+        fork, forks = os.fork, []
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setenv("BSUM_THREADS", "2")
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        def counting_fork():
+            forks.append(os.getpid())
+            return fork()
 
-        def run(experiment, params, out):
-            return run_experiment({"experiment": experiment, "params": params,
-                                   "seeds": [0, 1], "output_dir": str(tmp_path / out)})
+        monkeypatch.setattr(os, "fork", counting_fork)
+        blobs = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+            for k, (experiment, params, seeds) in enumerate(self.FORK_RUNS):
+                out, before = tmp_path / f"cpus{cpus}_run{k}", len(forks)
+                assert run_experiment({"experiment": experiment, "params": params,
+                                       "seeds": seeds, "output_dir": str(out)}) == 0
+                tasks = len(params.get("modes", [None])) * len(seeds)
+                assert len(forks) - before == min(tasks, cpus) - 1, (cpus, experiment)
+                blobs[cpus, k] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+        for (cpus, k), blob in blobs.items():
+            assert blob == blobs[1, k], (cpus, self.FORK_RUNS[k][0])
 
-        assert run("cp", {"modes": ["als", "mbi"], "max_iters": 5}, "cp") == 0
-        assert run("wmmse", {"max_iters": 5}, "wmmse") == 0
-        assert run("toy", {"max_iters": 5}, "toy") == 0
-        assert built == []
-        em = {"modes": ["full", "block"], "n_per_cluster": 50, "max_iters": 5}
-        assert run("em", em, "em_pooled") == 0
-        assert built == [4]  # min(os.cpu_count(), 4 tasks)
+    def test_a_failed_fork_leaves_the_share_to_the_parent(self, tmp_path, monkeypatch):
+        """With no process to spare, the parent runs every share itself: the
+        run writes the bytes one worker writes and leaks no pipe."""
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        config = {"experiment": "em", "seeds": [0, 1],
+                  "params": {"modes": ["full", "block"], "n_per_cluster": 50, "max_iters": 5}}
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert run("em", em, "em_serial") == 0
-        assert built == [4]
-        pooled = sorted(os.listdir(tmp_path / "em_pooled"))
-        assert pooled == sorted(os.listdir(tmp_path / "em_serial"))
-        for name in pooled:
-            assert ((tmp_path / "em_pooled" / name).read_bytes()
-                    == (tmp_path / "em_serial" / name).read_bytes())
+        assert run_experiment({**config, "output_dir": str(tmp_path / "one")}) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert run_experiment({**config, "output_dir": str(tmp_path / "unforked")}) == 0
+        assert len(os.listdir("/proc/self/fd")) == fds
+        for name in os.listdir(tmp_path / "one"):
+            assert ((tmp_path / "one" / name).read_bytes()
+                    == (tmp_path / "unforked" / name).read_bytes())
+
+    def test_a_killed_worker_fails_its_tasks(self, tmp_path, monkeypatch):
+        """A child that dies before it answers turns each of its tasks into an
+        errors entry naming the signal, the run exits 3, and no child is
+        left."""
+        parent, toy_trace = os.getpid(), problems.toy_trace
+
+        def dies_in_a_child(solver, opts):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return toy_trace(solver, opts)
+
+        monkeypatch.setattr(problems, "toy_trace", dies_in_a_child)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "out"
+        assert run_experiment({"experiment": "toy", "params": {"max_iters": 5},
+                               "seeds": [0, 1, 2, 3], "output_dir": str(out)}) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert [rec["seed"] for rec in summary["tasks"]] == [0, 2]
+        died = "worker process killed by SIGKILL before it answered"
+        assert summary["errors"] == [{"mode": "prox", "seed": seed, "error": died}
+                                     for seed in (1, 3)]
+        assert sorted(os.listdir(out)) == ["summary.json", "toy_prox_seed0.csv",
+                                           "toy_prox_seed2.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    class TwoArgError(Exception):
+        """Pickles, but cannot be unpickled: its constructor takes two args."""
+
+        def __init__(self, a, b):
+            super().__init__(f"{a}/{b}")
+
+    @pytest.mark.parametrize("failures,raised,match", [
+        ({1: RuntimeError("task 1"), 2: ValueError("task 2")}, RuntimeError, "task 1"),
+        ({0: ValueError("task 0"), 1: RuntimeError("task 1")}, ValueError, "task 0"),
+        ({3: TwoArgError("a", "b")}, RuntimeError, r"TwoArgError\('a/b'\)"),
+    ])
+    def test_an_exception_in_a_task_is_raised_as_serially(self, tmp_path, monkeypatch,
+                                                           failures, raised, match):
+        """Any exception but a BsumError, in the parent's task or a child's,
+        leaves the run as a serial run would: the lowest failing task raises.
+        One that cannot come back through the pipe is a RuntimeError carrying
+        its repr. No child is left."""
+        parent = os.getpid()
+
+        def solve(_, seed):
+            assert (os.getpid() != parent) == (seed % 2 == 1)  # the child runs seeds 1 and 3
+            if seed in failures:
+                raise failures[seed]
+            return descending_trace([1.0, 0.5])
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(raised, match=match):
+            cli._run_tasks("t", [None], [0, 1, 2, 3], solve, str(tmp_path))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupt_stops_the_children(self, tmp_path, monkeypatch):
+        """A KeyboardInterrupt in the parent kills and reaps a child that is
+        still running."""
+        parent = os.getpid()
+
+        def solve(_, seed):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli._run_tasks("t", [None], [0, 1], solve, str(tmp_path))
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_name_hash_is_stable(self):
         assert cli.hash_name("ab") == 1 * ord("a") + 2 * ord("b")
@@ -772,10 +864,25 @@ def test_cold_start_imports_no_scipy_and_runs_import_no_numpy_submodule(tmp_path
     """numpy loads some submodules (numpy.random, numpy.ma) on first use;
     doing that inside a run costs it 20-40 ms, so the package imports them
     up front. scipy is no runtime dependency and stays unimported."""
+    report = json.loads(fresh_python(COLD_START, str(tmp_path)))
+    assert report == {"scipy": [], "first_imports": {}}
+
+
+def test_cli_import_loads_no_pool_modules():
+    """Worker processes are forked with os.fork, so importing the CLI loads
+    neither a pool module nor the logging that concurrent.futures pulls in
+    (about 5 ms of every invocation's set-up)."""
+    report = fresh_python("import json, sys, bsumkit.cli; print(json.dumps(sorted(sys.modules)))")
+    pools = {"concurrent.futures", "multiprocessing", "logging"}
+    assert pools & set(json.loads(report)) == set()
+
+
+def fresh_python(code, *args):
+    """The last stdout line of ``code`` run in a fresh interpreter that
+    imports this checkout's bsumkit."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", code, *args],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                           text=True, timeout=300, check=True)
-    report = json.loads(done.stdout.splitlines()[-1])
-    assert report == {"scipy": [], "first_imports": {}}
+    return done.stdout.splitlines()[-1]
