@@ -6,7 +6,7 @@ rate whenever the receivers are the fresh minimum-error ones. Alternation:
 odd trace iterations update all receivers exactly, even iterations update
 all transmitters by minimizing the tangent bound of logdet around the
 current covariances (a quadratic problem with a per-cell power constraint,
-solved by one bisection on the dual variables of all cells at once).
+whose dual variables all cells find at once by safeguarded Newton steps).
 """
 
 from __future__ import annotations
@@ -215,9 +215,10 @@ def init_transmitters(spec: NetworkSpec, rng) -> list[np.ndarray]:
 def _power_curve(eigvals: np.ndarray, rows_norm2: np.ndarray):
     # Power used by each cell against its dual variable, in the eigenbasis of
     # its quadratic term: p(mu)[k] = sum_n rows_norm2[k, n] / (eigvals[k, n] +
-    # mu[k])^2 over the rows that carry power, inf where not finite. Those rows
-    # move to the front and each sum stops at its cell's count: the same bits
-    # as a sum over them alone (numpy sums 8 or more terms pairwise).
+    # mu[k])^2 over the rows that carry power, inf where not finite, and from
+    # the same terms -p'/(2p), which stays finite where p' would overflow.
+    # Those rows move to the front and each sum stops at its cell's count: the
+    # same bits as a sum over them alone (numpy sums 8 or more terms pairwise).
     keep = rows_norm2 > 1e-30
     order = np.argsort(~keep, axis=1, kind="stable")
     rows = np.take_along_axis(rows_norm2, order, axis=1)
@@ -225,49 +226,57 @@ def _power_curve(eigvals: np.ndarray, rows_norm2: np.ndarray):
     counts = keep.sum(axis=1)
     groups = [(m, counts == m) for m in sorted(set(counts.tolist()))]
 
-    def p(mu: np.ndarray) -> np.ndarray:
-        terms = rows / (lam + mu[:, None]) ** 2
+    def total(terms: np.ndarray) -> np.ndarray:
         if len(groups) == 1:  # the usual case, without a mask's copies
-            total = terms[:, :groups[0][0]].sum(axis=1)
-        else:
-            total = np.empty(len(terms))
-            for m, sel in groups:
-                total[sel] = terms[sel, :m].sum(axis=1)
-        return np.fmin(total, np.inf)  # nan becomes inf
+            return terms[:, :groups[0][0]].sum(axis=1)
+        return sum(np.where(sel, terms[:, :m].sum(axis=1), 0.0) for m, sel in groups)
+
+    def p(mu: np.ndarray):
+        denom = lam + mu[:, None]
+        terms = rows / denom ** 2
+        power = np.fmin(total(terms), np.inf)  # nan becomes inf
+        return power, total(terms / power[:, None] / denom)
     return p
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _dual_variables(eigvals: np.ndarray, rows_norm2: np.ndarray,
                     budget: np.ndarray) -> np.ndarray:
-    # mu per cell: zero where the unconstrained solution fits the budget (lo =
-    # hi = 0), else the bisection root of p(mu) = budget in a bracket [0, hi]
-    # grown by doubling. A converged cell keeps its bracket and so its midpoint.
+    # mu per cell: zero where the unconstrained solution fits the budget, else
+    # the root of p(mu) = budget in a bracket [lo, hi] grown by doubling, by
+    # Newton steps on the concave, increasing 1/sqrt(p) - 1/sqrt(budget), which
+    # climb to it quadratically and are exact for one row (More & Sorensen 1983).
+    # A step that leaves the open bracket, as from p = inf, takes the midpoint.
+    # Each evaluation narrows the bracket; a converged cell keeps its mu.
     p = _power_curve(eigvals, rows_norm2)
     tol = _POWER_REL_TOL * budget
     lo = np.zeros(len(budget))
-    live = p(lo) > budget + tol
+    val, rel = p(lo)
+    live = val > budget + tol
     if not np.count_nonzero(live):
         return lo
-    hi = live.astype(np.float64)
-    grow = live & (p(hi) > budget)
-    for _ in range(400):
+    hi, grow = live.astype(np.float64), live.copy()
+    for _ in range(401):  # hi = 1, 2, 4, ..., 2^400
+        hi_val, hi_rel = p(hi)
+        grow &= hi_val > budget
         if not np.count_nonzero(grow):
             break
+        lo, val, rel = (np.where(grow, x, y) for x, y in ((hi, lo), (hi_val, val), (hi_rel, rel)))
         hi = np.where(grow, 2.0 * hi, hi)
-        grow &= p(hi) > budget
     if np.count_nonzero(grow):
         raise SolverError("power bisection failed to bracket the budget of cells "
                           f"{np.flatnonzero(grow).tolist()}")
+    mu = lo
     for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        val = p(mid)
+        step = mu + (np.sqrt(val / budget) - 1.0) / rel
+        mu = np.where(live, np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi)), mu)
+        val, rel = p(mu)
         live &= np.abs(val - budget) > tol
         if not np.count_nonzero(live):
-            return mid
-        go_lo = live & (val > budget)
-        lo = np.where(go_lo, mid, lo)
-        hi = np.where(live ^ go_lo, mid, hi)
+            return mu
+        above = live & (val > budget)
+        lo = np.where(above, mu, lo)
+        hi = np.where(live ^ above, mu, hi)
     raise SolverError(f"power bisection did not converge for cells {np.flatnonzero(live).tolist()}")
 
 
@@ -276,10 +285,11 @@ def update_transmitters(spec: NetworkSpec, H: ChannelSet, U, W) -> list[np.ndarr
 
     Per cell the unconstrained stationarity condition is (J + mu I) V = T;
     used power is strictly decreasing in mu, so mu is zero when the
-    unconstrained solution fits the budget and otherwise found by bisection
-    to relative tolerance 1e-10, one bisection for all cells at once; a cell
-    whose bisection fails raises SolverError naming it. U and W may be
-    per-user lists or stacks.
+    unconstrained solution fits the budget and otherwise the root of used
+    power = budget, to relative tolerance 1e-10, found by Newton steps
+    safeguarded by a bisection bracket, all cells at once; a cell whose
+    budget cannot be bracketed or met raises SolverError naming it. U and W
+    may be per-user lists or stacks.
     """
     return _unpad(spec, _transmitter_stack(spec, H, U, W))
 

@@ -82,12 +82,12 @@ PINS = {
                  'toy_prox_seed0.csv': '49914ba73b86adb0484c6b4203c0a7aa90ac37403c43a4a3538c296d5d7938f3'},
     'toy_splitting': {'summary.json': '5e352d897a1e06da42522db3078f2d8a33347fc2ef2478ec5762dcc8d2e84fbd',
                       'toy_splitting_seed0.csv': 'e176dde1fa14bcfb5f8f4fad27758215ee91b46587d86c6d9c803315bad22e73'},
-    'wmmse_default': {'summary.json': 'd8a3c467fb2c51ee305144897ef1334f842d29e22155b649fc79b33508107ad7',
-                      'wmmse_rates_seed0.csv': '167718e91640176abb6030743d3f88c410e8641beb3766b3e2782c68654f9a6e',
-                      'wmmse_seed0.csv': '3831aa306fc205b0dc9f3143e1445135416ab097c972b07ee030a515ee638445'},
-    'wmmse_dense': {'summary.json': 'c9d37431d00098d18a5613a3da848df46e3f7010e6776e06438cca2f26dc500f',
-                    'wmmse_rates_seed0.csv': '2218d3a7c4842fd1694bf54a4a6e44a68fa2a7926c7da228dcb56c75cee356e8',
-                    'wmmse_seed0.csv': '3283d43922fdad92cc622e66a2a6b635790e302363250f6c6ba1371592f65268'}}
+    'wmmse_default': {'summary.json': '69b539829d18a3d965cb4aece796c01085c550db4c5e80c42117483359769c6e',
+                      'wmmse_rates_seed0.csv': '9b6256dd33aa13980548c7b01bc178d6b6b29f15a2c633a72b3e66f0293f8eaf',
+                      'wmmse_seed0.csv': 'da19d59e2d9d100e0afb2e80ff827940dc0d536b17e9ec10da39eda6624ccbac'},
+    'wmmse_dense': {'summary.json': 'a6619d2d0ed7ce3350bd4a7c371a077f65e817b9524a8f68a4c0d40efec2e2ae',
+                    'wmmse_rates_seed0.csv': '40251cd57197c45d7003d949da9210ea1711993e5dd29ce5d4c94b48f0d7f231',
+                    'wmmse_seed0.csv': 'cbbe2e3cfd7ce601b4324b1be6efad140e7a1263a3b306593580ba3fca4a8021'}}
 
 # The config file takes one stream count for every user, so the mixed-stream
 # network (unequal cells, 1 to 3 streams per user, per-user noise and
@@ -95,8 +95,8 @@ PINS = {
 # write for it. The network is spelled out here, not imported from
 # test_wmmse, so that the pinned input cannot move with that module.
 MIXED_STREAM_PINS = {
-    'trace': 'e9567348da69ddf9d90799e065949d1e7b0f2457a70fcffe3c934693494b7895',
-    'rates': 'd5d85ee82604b40c002287cce5c50fa721633e59cd167cbc1c2657546f661f8e'}
+    'trace': 'd057fe3607c5b47571c0d28087859b820ca0822fa82a00d56cd91e948d1cc743',
+    'rates': '87ab03fa423270c7f2231f4b38539fec356ffc17c2b48ee29e39668a1fd8213c'}
 
 
 def artifact_digests(name: str, work_dir) -> dict[str, str]:

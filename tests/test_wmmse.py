@@ -92,14 +92,43 @@ def loop_power_per_cell(spec, V):
 
 
 def loop_power_curve(eigvals, rows_norm2):
-    def p(mu):
+    def p(mu, slope=False):
         denom = (eigvals + mu) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             terms = np.where(rows_norm2 > 1e-30, rows_norm2 / denom, 0.0)
-        if np.any(np.isinf(terms)) or np.any(np.isnan(terms)):
-            return np.inf
-        return float(np.sum(terms))
+            total = np.inf if np.any(np.isinf(terms)) or np.any(np.isnan(terms)) \
+                else np.float64(np.sum(terms))
+            rel = np.where(rows_norm2 > 1e-30, terms / total / (eigvals + mu), 0.0)
+        return (total, np.float64(np.sum(rel))) if slope else total
     return p
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def newton_dual_variable(p, budget, tol=1e-10):
+    """One cell's mu by the safeguarded Newton steps of the batched solve:
+    zero when p(0) fits the budget, else the bracket [lo, hi] grown by
+    doubling and Newton's step on 1/sqrt(p) - 1/sqrt(budget), the bracket's
+    midpoint where that step leaves it. Also the curve evaluations that grew
+    the bracket and that stepped to the root."""
+    val, rel = p(0.0, slope=True)
+    if not val > budget + tol * budget:
+        return 0.0, 0, 0
+    lo, hi, n_bracket = 0.0, 1.0, 0
+    while True:
+        hi_val, hi_rel = p(hi, slope=True)
+        n_bracket += 1
+        if not hi_val > budget:
+            break
+        lo, val, rel, hi = hi, hi_val, hi_rel, 2.0 * hi
+    mu = lo
+    for n_newton in range(1, 501):
+        step = mu + (np.sqrt(val / budget) - 1.0) / rel
+        mu = step if lo < step < hi else 0.5 * (lo + hi)
+        val, rel = p(mu, slope=True)
+        if abs(val - budget) <= tol * budget:
+            return mu, n_bracket, n_newton
+        lo, hi = (mu, hi) if val > budget else (lo, mu)
+    raise SolverError("did not converge")
 
 
 def loop_update_transmitters(spec, H, U, W, tol=1e-10):
@@ -115,18 +144,7 @@ def loop_update_transmitters(spec, H, U, W, tol=1e-10):
         users = [u for u in range(spec.n_users) if spec.user_cell[u] == k]
         targets = [Q.conj().T @ H.gains[u, k].conj().T @ U[u] @ W[u] for u in users]
         p = loop_power_curve(eigvals, sum(np.sum(np.abs(t) ** 2, axis=1) for t in targets))
-        budget = spec.power[k]
-        mu = 0.0
-        if p(0.0) > budget + tol * budget:
-            lo, hi = 0.0, 1.0
-            while p(hi) > budget:
-                hi *= 2.0
-            for _ in range(500):
-                mu = 0.5 * (lo + hi)
-                val = p(mu)
-                if abs(val - budget) <= tol * budget:
-                    break
-                lo, hi = (mu, hi) if val > budget else (lo, mu)
+        mu = newton_dual_variable(p, spec.power[k], tol)[0]
         denom = eigvals + mu
         scale = np.where(denom > 1e-300, 1.0 / np.where(denom > 1e-300, denom, 1.0), 0.0)
         for u, t in zip(users, targets):
@@ -134,23 +152,25 @@ def loop_update_transmitters(spec, H, U, W, tol=1e-10):
     return out
 
 
-# The per-cell dual solve that the batched bisection replaced, kept as its
+# The per-cell dual solve that the batched one replaced, kept as its
 # bit-level reference: same linear algebra, one cell after another.
 
 def cell_power_curve(eigvals, rows_norm2):
     keep = rows_norm2 > 1e-30
     lam, rows = eigvals[keep], rows_norm2[keep]
 
-    def p(mu):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = float((rows / (lam + mu) ** 2).sum())
-        return total if np.isfinite(total) else np.inf
+    def p(mu, slope=False):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            terms = rows / (lam + mu) ** 2
+            total = terms.sum()
+            total = total if np.isfinite(total) else np.float64(np.inf)
+            return (total, (terms / total / (lam + mu)).sum()) if slope else float(total)
     return p
 
 
-def percell_update_transmitters(spec, H, U, W, tol=1e-10):
-    """Transmitters, and per cell mu, the curve evaluations that grew its
-    bracket and its bisection steps, and the rows dropped below the floor."""
+def dual_inputs(spec, H, U, W):
+    """Per cell the eigenvalues and eigenbasis of the quadratic term, the
+    targets in that basis and the squared norms of their rows."""
     U, W = _pad(spec, U), _pad(spec, W)
     Uh = np.swapaxes(U, 1, 2).conj()
     J = np.einsum("jkba,jbc,jkcd->kad", H.gains.conj(), U @ W @ Uh, H.gains, optimize=True)
@@ -158,30 +178,25 @@ def percell_update_transmitters(spec, H, U, W, tol=1e-10):
     eigvals = np.maximum(eigvals, 0.0)
     own_gain = H.gains[np.arange(spec.n_users), list(spec.user_cell)]
     V = np.swapaxes(own_gain, 1, 2).conj() @ U @ W
+    Tt = [Q[k].conj().T @ V[cell] for k, cell in enumerate(spec._cell_slices)]
+    rows_norm2 = np.array([np.sum(np.abs(t) ** 2, axis=(0, 2)) for t in Tt])
+    return eigvals, Q, Tt, rows_norm2
+
+
+def percell_update_transmitters(spec, H, U, W, tol=1e-10):
+    """Transmitters, and per cell mu, the curve evaluations that grew its
+    bracket and its Newton steps, and the rows dropped below the floor."""
+    eigvals, Q, Tt, rows_norm2 = dual_inputs(spec, H, U, W)
+    V = np.empty((spec.n_users, spec.n_antennas, max(spec.streams)), dtype=np.complex128)
     stats = []
     for k, cell in enumerate(spec._cell_slices):
-        Tt = Q[k].conj().T @ V[cell]
-        rows_norm2 = np.sum(np.abs(Tt) ** 2, axis=(0, 2))
-        p = cell_power_curve(eigvals[k], rows_norm2)
-        budget = spec.power[k]
-        mu, n_bracket, n_bisect = 0.0, 0, 0
-        if p(0.0) > budget + tol * budget:
-            lo, hi = 0.0, 1.0
-            n_bracket = 1
-            while p(hi) > budget:
-                hi *= 2.0
-                n_bracket += 1
-            for n_bisect in range(1, 501):
-                mu = 0.5 * (lo + hi)
-                val = p(mu)
-                if abs(val - budget) <= tol * budget:
-                    break
-                lo, hi = (mu, hi) if val > budget else (lo, mu)
+        mu, n_bracket, n_newton = newton_dual_variable(
+            cell_power_curve(eigvals[k], rows_norm2[k]), spec.power[k], tol)
         denom = eigvals[k] + mu
         scale = np.where(denom > 1e-300, 1.0 / np.where(denom > 1e-300, denom, 1.0), 0.0)
-        V[cell] = Q[k] @ (scale[:, None] * Tt)
-        stats.append({"mu": mu, "bracket": n_bracket, "bisect": n_bisect,
-                      "dropped": int(np.sum(rows_norm2 <= 1e-30))})
+        V[cell] = Q[k] @ (scale[:, None] * Tt[k])
+        stats.append({"mu": mu, "bracket": n_bracket, "newton": n_newton,
+                      "dropped": int(np.sum(rows_norm2[k] <= 1e-30))})
     return [V[u, :, :d] for u, d in enumerate(spec.streams)], stats
 
 
@@ -416,6 +431,17 @@ class TestUpdateTransmitters:
         V2 = update_transmitters(doubled, H, U, W)
         np.testing.assert_allclose(V1[0], V2[0], atol=1e-14)
 
+    def test_one_row_root_in_one_newton_step(self, curve_evaluations):
+        # Eigenvalue 1e-152 and unit target against a budget of 2.5e303: the
+        # root mu = 1e-152 sits about 2^-505 into the bracket [0, 1], past a
+        # bisection's 500 steps, but one row makes the Newton step exact.
+        spec, H = independent_cells(power=(0.5, 2.5e303))
+        U = [np.ones((1, 1), dtype=np.complex128), np.full((1, 1), 1e-152 + 0j)]
+        W = [np.ones((1, 1), dtype=np.complex128), np.full((1, 1), 1e152 + 0j)]
+        V = update_transmitters(spec, H, U, W)
+        np.testing.assert_allclose(power_per_cell(spec, V), spec.power, rtol=1e-10)
+        assert curve_evaluations == [1 + 1 + 1]  # p(0), the bracket [0, 1], one step
+
     @pytest.mark.parametrize("seed", range(3))
     def test_budgets_respected(self, seed):
         spec, H = two_cell_network(seed=seed)
@@ -438,9 +464,9 @@ def independent_cells(noise=(1.0, 1.0), power=(0.5, 1.0)):
 
 
 class TestBisectionFailures:
-    """A cell whose budget the bisection cannot meet raises SolverError that
-    names the cell, while cell 0 (unit target, budget 0.5) bisects and
-    converges; run_wmmse adds the half-step."""
+    """A cell whose budget the power solve cannot meet raises SolverError that
+    names the cell, while cell 0 (unit target, budget 0.5) converges;
+    run_wmmse adds the half-step."""
 
     def test_budget_not_bracketed(self):
         # Unit target against a budget of 1e-300: 1 / (1 + 2^400)^2 is still above it.
@@ -449,14 +475,17 @@ class TestBisectionFailures:
         with pytest.raises(SolverError, match=r"failed to bracket the budget of cells \[1\]$"):
             update_transmitters(spec, H, one, one)
 
-    def test_bisection_out_of_steps(self):
-        # Eigenvalue 1e-152 and unit target against a budget of 2.5e303: the
-        # root mu = 1e-152 sits about 2^-505 into the bracket [0, 1].
-        spec, H = independent_cells(power=(0.5, 2.5e303))
-        U = [np.ones((1, 1), dtype=np.complex128), np.full((1, 1), 1e-152 + 0j)]
-        W = [np.ones((1, 1), dtype=np.complex128), np.full((1, 1), 1e152 + 0j)]
+    def test_bisection_out_of_steps(self, curve_evaluations):
+        # Eigenvalue 1e-170 and a target row of 1e-20 against a budget of 1e300:
+        # at the root (eigenvalue + mu)^2 = 1e-320 is subnormal, so p moves in
+        # relative steps of about 5e-4 there and comes no closer to the budget
+        # than 1e-5: the cell takes all 500 steps after p(0) and its bracket.
+        spec, H = independent_cells(power=(0.5, 1e300))
+        U = [np.ones((1, 1), dtype=np.complex128), np.full((1, 1), 1e-160 + 0j)]
+        W = [np.ones((1, 1), dtype=np.complex128), np.full((1, 1), 1e150 + 0j)]
         with pytest.raises(SolverError, match=r"did not converge for cells \[1\]$"):
             update_transmitters(spec, H, U, W)
+        assert curve_evaluations == [1 + 1 + 500]
 
     def test_run_names_the_halfstep(self):
         # Noise and budget of 1e-125 put cell 1's root near 5e124, past 2^400.
@@ -467,8 +496,8 @@ class TestBisectionFailures:
         assert info.value.iteration == 2
 
     def test_run_names_the_halfstep_when_steps_run_out(self, monkeypatch):
-        # A zero tolerance asks for an exact hit, which no midpoint gives; the
-        # first transmitter half-step fits both budgets, the second bisects.
+        # A zero tolerance asks for an exact hit, which no step gives; the
+        # first transmitter half-step fits both budgets, the second does not.
         monkeypatch.setattr(app_wmmse, "_POWER_REL_TOL", 0.0)
         spec, H = two_cell_network(seed=0)
         V0 = init_transmitters(spec, RngStream(0))
@@ -629,7 +658,7 @@ class TestHalfStepsAreBsum:
 def batched_curve(eigvals, rows_norm2, mu):
     with np.errstate(divide="ignore", invalid="ignore"):
         return _power_curve(np.asarray(eigvals, dtype=float),
-                            np.asarray(rows_norm2, dtype=float))(np.asarray(mu, dtype=float))
+                            np.asarray(rows_norm2, dtype=float))(np.asarray(mu, dtype=float))[0]
 
 
 class TestCellPowerCurve:
@@ -678,6 +707,25 @@ class TestCellPowerCurve:
                         np.testing.assert_allclose(got[k], want, rtol=1e-15)
 
 
+@pytest.fixture
+def curve_evaluations(monkeypatch):
+    """Evaluations of each power curve built from here on, one count per curve,
+    that is per transmitter solve."""
+    counts, curve = [], app_wmmse._power_curve
+
+    def counting_curve(eigvals, rows_norm2):
+        p = curve(eigvals, rows_norm2)
+        counts.append(0)
+
+        def counted(mu):
+            counts[-1] += 1
+            return p(mu)
+        return counted
+
+    monkeypatch.setattr(app_wmmse, "_power_curve", counting_curve)
+    return counts
+
+
 def network_state(spec, H, seed):
     V = init_transmitters(spec, RngStream(seed).substream(1))
     U = [mmse_receiver(spec, H, V, u) for u in range(spec.n_users)]
@@ -716,13 +764,34 @@ def bisection_case(name, seed):
 BISECTION_CASES = ["dense", "mixed", "slack", "zero_rows"]
 
 
+def tight_bisection(p, budget, tol=1e-14):
+    """The root of p(mu) = budget by plain bisection to a tolerance far
+    below the solver's, as an independent reference for its mu."""
+    lo, hi = 0.0, 1.0
+    while p(hi) > budget:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(1100):
+        mu = 0.5 * (lo + hi)
+        val = p(mu)
+        if abs(val - budget) <= tol * budget:
+            return mu
+        lo, hi = (mu, hi) if val > budget else (lo, mu)
+    raise AssertionError("reference bisection did not converge")
+
+
+RUN_CONFIGS = {  # the benchmark's dense network and the CLI's default one
+    "dense": (dict(n_cells=8, users_per_cell=4, n_antennas=4), 32),
+    "default": (dict(n_cells=2, users_per_cell=1, n_antennas=2), 400),
+}
+
+
 class TestBatchedBisection:
-    """All cells bisect at once and land on the per-cell bisection's mu,
-    transmitters and bits."""
+    """All cells take their safeguarded Newton steps at once and land on the
+    per-cell solve's mu, transmitters and bits, for the work of the slowest cell."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", BISECTION_CASES)
-    def test_matches_per_cell_bisection(self, name, seed):
+    def test_matches_per_cell_newton(self, name, seed):
         spec, H, U, W = bisection_case(name, seed)
         want, stats = percell_update_transmitters(spec, H, U, W)
         got = update_transmitters(spec, H, U, W)
@@ -735,33 +804,52 @@ class TestBatchedBisection:
             assert [s["dropped"] for s in stats] == [1, 1, 3]
             assert stats[0]["mu"] > 0 and stats[2]["mu"] == 0.0
 
+    @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", BISECTION_CASES)
-    def test_curve_evaluations_bounded_by_slowest_cell(self, name, monkeypatch):
-        calls, curve = [], app_wmmse._power_curve
+    def test_matches_tight_bisection(self, name, seed):
+        spec, H, U, W = bisection_case(name, seed)
+        eigvals, _, _, rows_norm2 = dual_inputs(spec, H, U, W)
+        budget = np.asarray(spec.power)
+        mu = app_wmmse._dual_variables(eigvals, rows_norm2, budget)
+        assert np.count_nonzero(mu)
+        for k in range(spec.n_cells):
+            p = cell_power_curve(eigvals[k], rows_norm2[k])
+            if mu[k] == 0.0:  # the unconstrained solution fits
+                assert p(0.0) <= budget[k] * (1 + 1e-10)
+                continue
+            assert abs(p(mu[k]) - budget[k]) <= 1e-10 * budget[k]
+            want = tight_bisection(p, budget[k])
+            assert abs(mu[k] - want) <= 1e-9 * want
 
-        def counting_curve(eigvals, rows_norm2):
-            p = curve(eigvals, rows_norm2)
-
-            def counted(mu):
-                calls.append(1)
-                return p(mu)
-            return counted
-
+    @pytest.mark.parametrize("name", BISECTION_CASES)
+    def test_curve_evaluations_bounded_by_slowest_cell(self, name, curve_evaluations):
         spec, H, U, W = bisection_case(name, 0)
         for _ in range(3):
             _, stats = percell_update_transmitters(spec, H, U, W)
-            with monkeypatch.context() as m:
-                m.setattr(app_wmmse, "_power_curve", counting_curve)
-                calls.clear()
-                V = update_transmitters(spec, H, U, W)
-            assert len(calls) <= (1 + max(s["bracket"] for s in stats)
-                                  + max(s["bisect"] for s in stats))
+            curve_evaluations.clear()
+            V = update_transmitters(spec, H, U, W)
+            assert curve_evaluations == [1 + max(s["bracket"] for s in stats)
+                                         + max(s["newton"] for s in stats)]
             if sum(s["mu"] > 0 for s in stats) > 1:  # fewer than the cells' sum
-                assert len(calls) < sum(1 + s["bracket"] + s["bisect"] for s in stats)
+                assert curve_evaluations[0] < sum(1 + s["bracket"] + s["newton"] for s in stats)
             if name == "zero_rows":
                 break
             U = [mmse_receiver(spec, H, V, u) for u in range(spec.n_users)]
             W = [np.linalg.inv(mse_matrix(spec, H, V, U, u)) for u in range(spec.n_users)]
+
+    @pytest.mark.parametrize("config", sorted(RUN_CONFIGS))
+    def test_curve_evaluations_per_halfstep(self, config, curve_evaluations):
+        """At most 10 power-curve evaluations per transmitter half-step; the
+        bisection this replaced took about 35."""
+        kwargs, max_iters = RUN_CONFIGS[config]
+        spec = NetworkSpec.build(**kwargs)
+        for seed in range(5):
+            H = gen_channels(spec, RngStream(seed))
+            V0 = init_transmitters(spec, RngStream(seed).substream(1))
+            curve_evaluations.clear()
+            _, trace = run_wmmse(spec, H, V0, SolveOptions(max_iters=max_iters, tol=1e-9))
+            assert len(curve_evaluations) >= trace.n_iterations // 2
+            assert max(curve_evaluations) <= 10
 
 
 class TestBatchedMatchesPerUserLoops:
