@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 from .core import (
     BlockIndex,
@@ -255,17 +256,21 @@ def als_factor_update(t: DenseTensor3, f: CpFactors, mode: int,
     if lam == 0.0:
         # lhs is a symmetric Gram matrix: its eigenvalues are its singular
         # values, so this is the 2-norm condition number without an SVD.
-        eig = np.linalg.eigvalsh(lhs)
+        eig = _lapack.eigvalsh_lo(lhs)
         if not eig[0] > 0.0 or eig[-1] / eig[0] > _GRAM_COND_LIMIT:
             raise SolverError(
                 "gram matrix is numerically singular; add a proximal term (lambda > 0)")
-    try:
-        if not proven:
-            np.linalg.cholesky(lhs)
-        solution = np.linalg.solve(lhs, rhs.T)
-    except np.linalg.LinAlgError:
-        raise SolverError(
-            "gram + lambda I is singular or not positive definite; raise lambda") from None
+    if proven:
+        solution = _lapack.solve(lhs, rhs.T)
+    else:
+        # Where np.linalg raises LinAlgError, its gufuncs fill their output
+        # with NaN and set the invalid flag.
+        with np.errstate(invalid="ignore"):
+            solution = _lapack.solve(lhs, rhs.T)
+            failed = np.isnan(_lapack.cholesky_lo(lhs)).any() or np.isnan(solution).any()
+        if failed:
+            raise SolverError(
+                "gram + lambda I is singular or not positive definite; raise lambda")
     return solution.T
 
 
@@ -369,11 +374,12 @@ class CpSurrogate:
         self._dims = tuple(n * self.rank for n in tensor.shape)
         ends = np.cumsum(self._dims)
         self._slices = tuple(slice(e - d, e) for d, e in zip(self._dims, ends))
+        self._objective = ObjectiveOracle(value=self._residual)
 
     def objective(self) -> ObjectiveOracle:
         """The fit error |X - [A, B, C]|_F over the flat factor vector, or
         over each row of a stack of them."""
-        return ObjectiveOracle(value=self._residual)
+        return self._objective
 
     def _split(self, v: np.ndarray) -> CpFactors:
         (i, j, k), r = self.tensor.shape, self.rank
@@ -392,7 +398,7 @@ class CpSurrogate:
         if facts[0] is None:
             self._check(anchor.structure)
             facts[1] = _lambda(self.schedule, self._norm,
-                               lambda: _value_of(self.objective(), anchor))
+                               lambda: _value_of(self._objective, anchor))
             facts[0] = self._split(anchor.values)
         return facts
 
@@ -425,10 +431,9 @@ class CpSurrogate:
         i = self._as_int(part)
         factors, lam, made_by = self._at(anchor)
         if lam == 0.0 and made_by == i:
-            # Made by this very update, which reads only the other factors;
-            # u there is _u's sqrt(res^2 + lam * 0), rounded the same way.
-            res = _value_of(self.objective(), anchor)
-            return anchor, float(np.sqrt(res * res))
+            # Made by this very update, which reads only the other factors.
+            res = _value_of(self._objective, anchor)
+            return anchor, math.sqrt(res * res)
         xi = als_factor_update(self.tensor, factors, mode=i + 1, lam=lam,
                                unfolded=self.unfoldings[i]).ravel()
         sl = self._slices[i]
@@ -436,8 +441,10 @@ class CpSurrogate:
         merged[sl] = xi
         res = cp_residual(self.tensor, self._split(merged))
         z = Point._adopt(merged, anchor.structure)
-        z._facts[self._residual] = lambda: res
+        z._facts[self._objective.value] = lambda: res
         z._facts[self] = [None, None, i if lam == 0.0 else None]
+        if lam == 0.0:  # _u's sqrt(res^2 + 0 * |xi - y_part|^2), rounded the same way
+            return z, math.sqrt(res * res)
         return z, float(self._u(res, lam, xi - anchor.values[sl]))
 
 

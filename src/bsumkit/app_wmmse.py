@@ -294,10 +294,14 @@ def update_transmitters(spec: NetworkSpec, H: ChannelSet, U, W) -> list[np.ndarr
     return _unpad(spec, _transmitter_stack(spec, H, U, W))
 
 
-def _transmitter_stack(spec: NetworkSpec, H: ChannelSet, U, W) -> np.ndarray:
+_COUPLING = "jkba,jbc,jkcd->kad"  # J_k = sum_j H_jk^H (U W U^H)_j H_jk
+
+
+def _transmitter_stack(spec: NetworkSpec, H: ChannelSet, U, W, path=True) -> np.ndarray:
+    # ``path`` is J's einsum contraction path, or True to search for it.
     U, W = _pad(spec, U), _pad(spec, W)
     Uh = np.swapaxes(U, 1, 2).conj()
-    J = np.einsum("jkba,jbc,jkcd->kad", H.gains.conj(), U @ W @ Uh, H.gains, optimize=True)
+    J = np.einsum(_COUPLING, H.gains.conj(), U @ W @ Uh, H.gains, optimize=path)
     eigvals, Q = np.linalg.eigh(_hermitian(J))
     eigvals = np.maximum(eigvals, 0.0)
     own_gain = H.gains[np.arange(spec.n_users), list(spec.user_cell)]
@@ -320,6 +324,8 @@ class _HalfSteps:
 
     def __init__(self, spec: NetworkSpec, H: ChannelSet):
         self.spec, self.H, self.G = spec, H, H.gains[:, list(spec.user_cell)]
+        # The path depends on the operands' shapes alone, so one search serves the run.
+        self.path = np.einsum_path(_COUPLING, H.gains, H.gains[:, 0], H.gains, optimize=True)[0]
 
     def minimize(self, part: int, state, iteration: int = 1):
         V, U, cov, own, f0 = state
@@ -330,7 +336,7 @@ class _HalfSteps:
                 W = np.linalg.inv(_mse_stack(U, cov, own))
             except np.linalg.LinAlgError as exc:
                 raise SolverError("error covariance is singular") from exc
-            V = _transmitter_stack(self.spec, self.H, U, W)
+            V = _transmitter_stack(self.spec, self.H, U, W, self.path)
             cov, own = _signal_stack(self.spec, self.G, V)
         E = _mse_stack(U, cov, own)
         f = _sum_in_order(_logdet_pd(E))

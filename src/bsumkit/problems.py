@@ -145,7 +145,9 @@ def lasso_problem(target, weight: float = 1.0, gamma: float = 1.0,
 
 def toy_trace(solver: str, opts: SolveOptions) -> Trace:
     """The trace of one of the ``TOY_SOLVERS`` on its fixed small problem,
-    whose objective takes one point or a stack of points, one per row."""
+    whose objective takes one point or a stack of points, one per row.
+    Coordinates are read as one-column slices, so one point takes the array
+    loops that each row of a stack takes and gets that row's bits."""
     if solver == "prox":
         f = ObjectiveOracle(value=lambda x: np.vecdot(x, x), gradient=lambda x: 2.0 * x)
         x0 = Point(np.array([2.0]), make_block_structure([1]))
@@ -154,7 +156,7 @@ def toy_trace(solver: str, opts: SolveOptions) -> Trace:
         return trace
     if solver == "alternating_prox":
         # f = (x1 + x2 - 1)^2; block prox update is linear, closed form.
-        f = ObjectiveOracle(value=lambda x: (x[..., 0] + x[..., 1] - 1.0) ** 2)
+        f = ObjectiveOracle(value=lambda x: ((x[..., 0:1] + x[..., 1:2] - 1.0) ** 2)[..., 0])
 
         def prox(part, y, c):
             i = part if isinstance(part, int) else part[0]
@@ -177,12 +179,13 @@ def toy_trace(solver: str, opts: SolveOptions) -> Trace:
         return trace
     if solver == "bsca":
         def value(x):
-            a, b = x[..., 0], x[..., 1]
-            return (a - 1.0) ** 4 + (b + 2.0) ** 2 + a * b / 10.0
+            a, b = x[..., 0:1], x[..., 1:2]
+            return ((a - 1.0) ** 4 + (b + 2.0) ** 2 + a * b / 10.0)[..., 0]
 
         def gradient(x):
-            a, b = x[..., 0], x[..., 1]
-            return np.stack([4.0 * (a - 1.0) ** 3 + b / 10.0, 2.0 * (b + 2.0) + a / 10.0], axis=-1)
+            a, b = x[..., 0:1], x[..., 1:2]
+            return np.concatenate([4.0 * (a - 1.0) ** 3 + b / 10.0, 2.0 * (b + 2.0) + a / 10.0],
+                                  axis=-1)
 
         f = ObjectiveOracle(value=value, gradient=gradient)
         x0 = Point(np.zeros(2), make_block_structure([1, 1]))

@@ -55,3 +55,19 @@ def test_traced_cli_run_parses_with_the_checker(tmp_path):
     assert trace.n_iterations == record["iterations"] == 5
     assert trace.final_objective == record["objective"]
     assert blocks == ["0", "1", "2", "0", "1"]
+
+
+def test_traced_cp_run_records_factor_updates_and_residuals(tmp_path):
+    """The tracer sees the CP step's factor updates and fit errors, so the
+    benchmark's ``app_tensor.als_factor_update.s`` and
+    ``app_tensor.cp_residual.calls`` metrics count them."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"params": {"modes": ["mbi"], "max_iters": 5}}))
+    tracer = bench_module("tracing").Tracer()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = tracer.run(cli.main, ["cp", "--config", str(config),
+                                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("app_tensor.als_factor_update") >= 1
+    assert names.count("app_tensor.cp_residual") >= 1

@@ -104,11 +104,8 @@ def test_app_objectives_take_stacks(name):
     assert np.array([u.objective().value_at(r) for r in rows]).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("solver", TOY_SOLVERS)
-def test_toy_pairs_pass_the_battery(solver, monkeypatch):
-    """The (u, f) pair a toy run hands its driver takes stacks: it is tight on
-    drawn anchors, a BSUM toy's u bounds f and the BSCA model matches f's
-    slope."""
+def toy_pair(solver, monkeypatch):
+    """(u, f, block structure) that a short toy run hands its driver."""
     captured = []
 
     def capture(driver):
@@ -122,7 +119,16 @@ def test_toy_pairs_pass_the_battery(solver, monkeypatch):
                          (problems, "run_bsca")):
         monkeypatch.setattr(module, name, capture(getattr(module, name)))
     problems.toy_trace(solver, SolveOptions(max_iters=20))
-    [(u, f, structure)] = captured
+    [pair] = captured
+    return pair
+
+
+@pytest.mark.parametrize("solver", TOY_SOLVERS)
+def test_toy_pairs_pass_the_battery(solver, monkeypatch):
+    """The (u, f) pair a toy run hands its driver takes stacks: it is tight on
+    drawn anchors, a BSUM toy's u bounds f and the BSCA model matches f's
+    slope."""
+    u, f, structure = toy_pair(solver, monkeypatch)
     space = verify.SampleSpace.boxed(structure)
     anchors = space.sample_points(RngStream(8).generator(), 20)
     reports = [check_tightness(u, f, anchors)]
@@ -131,6 +137,19 @@ def test_toy_pairs_pass_the_battery(solver, monkeypatch):
     else:
         reports.append(check_upper_bound(u, f, space, RngStream(9), n_samples=200))
     assert [r.passed for r in reports] == [True, True]
+
+
+@pytest.mark.parametrize("solver", TOY_SOLVERS)
+def test_toy_objectives_give_each_row_its_own_bits(solver, monkeypatch):
+    """A toy objective at one point gives the bits of that point's row in a
+    stack, values and gradients alike, on 20,000 seeded points."""
+    _, f, structure = toy_pair(solver, monkeypatch)
+    rows = np.random.default_rng(11).uniform(-10.0, 10.0, size=(20_000, structure.total))
+    assert (np.array([f.value_at(r) for r in rows]).tobytes()
+            == f.values_at(rows).tobytes())
+    if f.gradient is not None:
+        assert (np.array([f.gradient_at(r) for r in rows]).tobytes()
+                == f.gradients_at(rows).tobytes())
 
 
 def test_nonfinite_stacked_objective_fails_the_check():

@@ -279,6 +279,55 @@ class TestAlsFactorUpdate:
                 assert (np.linalg.norm(got @ lhs - rhs)
                         <= 4 * rank * eps * np.linalg.norm(got) * np.linalg.norm(lhs))
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_lapack_calls_give_np_linalg_bits(self, rank):
+        """The update calls the gufuncs behind np.linalg directly. On seeded
+        Gram and Gram + lam I systems they give np.linalg's bits, and so does
+        the update, so a numpy whose private linalg module changes fails
+        here and not only in a pinned hash."""
+        lapack = app_tensor._lapack
+        rng = np.random.default_rng(10 + rank)
+        for _ in range(10):
+            shape = tuple(int(n) for n in rng.integers(rank, rank + 4, size=3))
+            t = DenseTensor3(rng.normal(size=shape))
+            f = CpFactors(*(rng.uniform(size=(n, rank)) for n in shape))
+            for mode in (1, 2, 3):
+                for lam in (0.0, 1e-7, 0.3):
+                    current, kr = app_tensor._mode_pieces(f, mode)
+                    lhs, rhs = kr.T @ kr, unfold(t, mode) @ kr
+                    lhs.flat[::rank + 1] += lam
+                    rhs += lam * current
+                    assert (lapack.eigvalsh_lo(lhs).tobytes()
+                            == np.linalg.eigvalsh(lhs).tobytes())
+                    assert (lapack.cholesky_lo(lhs).tobytes()
+                            == np.linalg.cholesky(lhs).tobytes())
+                    want = np.linalg.solve(lhs, rhs.T)
+                    assert lapack.solve(lhs, rhs.T).tobytes() == want.tobytes()
+                    got = als_factor_update(t, f, mode, lam)
+                    assert got.tobytes() == want.T.tobytes(), (mode, lam)
+
+    @pytest.mark.filterwarnings("error")
+    def test_each_refusal_is_a_solver_error_alone(self):
+        """A NaN factor, the lam = 0 condition gate and a lam > 0 system
+        that is not positive definite each raise SolverError itself: no
+        LinAlgError, and no RuntimeWarning from the LAPACK calls."""
+        t = build_swamp_instance(np.pi / 4)
+        good = swamp_factors(np.pi / 4)
+        ones = np.ones((2, 2))  # equal columns: gram is [[4, 4], [4, 4]]
+        refused = []
+        for k in range(3):
+            blocks = [good.A.copy(), good.B.copy(), good.C.copy()]
+            blocks[k][0, 1] = np.nan
+            refused += [(t, CpFactors(*blocks), mode, lam)
+                        for mode in (1, 2, 3) for lam in (0.0, 0.3)]
+        refused.append((t, swamp_factors(1e-9), 3, 0.0))  # B and A nearly collinear
+        singular = CpFactors(np.eye(2), ones, ones)
+        refused += [(reconstruct(singular), singular, 1, lam) for lam in (0.0, 1e-300)]
+        for case in refused:
+            with pytest.raises(SolverError) as info:
+                als_factor_update(*case)
+            assert type(info.value) is SolverError
+
     @pytest.mark.parametrize("seed", range(4))
     def test_regularized_update_strictly_improves(self, seed):
         """With lam > 0 the penalized objective drops unless block-optimal."""
